@@ -98,6 +98,7 @@ ClusterCache::ClusterCache(
     std::function<CachePtr(std::uint64_t, std::size_t)> make_node_cache)
     : Cache(config.capacity_bytes),
       policy_(config.policy),
+      backing_name_(config.backing),
       replicas_(config.replicas),
       replicate_hot_(config.replicate_hot),
       initial_share_(config.nodes == 0
@@ -108,22 +109,28 @@ ClusterCache::ClusterCache(
       factory_(std::move(make_node_cache)),
       schedule_(config.schedule),
       ring_(config.vnodes_per_node),
-      tracker_(config.hot_threshold, config.hot_window),
-      backing_(make_backing_store(config.backing, config.latency)) {
+      tracker_(config.hot_threshold, config.hot_window) {
   validate_config(config);
   MutexLock lk(cluster_mu_);
   slots_.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     const auto id = static_cast<std::uint32_t>(i);
-    NodeSlot slot;
-    slot.node = std::make_unique<tdc::Node>(
-        "node" + std::to_string(i),
-        factory_(srv::ShardedCache::shard_capacity(config.capacity_bytes,
-                                                   config.nodes, i),
-                 i));
-    slots_.push_back(std::move(slot));
+    slots_.push_back(make_slot(
+        srv::ShardedCache::shard_capacity(config.capacity_bytes, config.nodes,
+                                          i),
+        id));
     ring_.add_node(id);
   }
+}
+
+ClusterCache::NodeSlot ClusterCache::make_slot(std::uint64_t capacity,
+                                               std::uint32_t id) const {
+  NodeSlot slot;
+  slot.node = std::make_unique<tdc::Node>("node" + std::to_string(id),
+                                          factory_(capacity, id));
+  slot.stats = std::make_unique<NodeCounters>(
+      make_backing_store(backing_name_, latency_));
+  return slot;
 }
 
 void ClusterCache::validate_config(const ClusterCacheConfig& config) const {
@@ -155,7 +162,7 @@ bool ClusterCache::access(const Request& req) {
 bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   assert(h == hash64(req.id));
   tdc::Node* target = nullptr;
-  std::uint32_t target_id = 0;
+  NodeCounters* stats = nullptr;
   tdc::Node* peers[kMaxReplicas] = {};
   std::size_t peer_count = 0;
   {
@@ -176,8 +183,9 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
     // spread for load, not as part of the experiment arm).
     const std::size_t pick =
         k > 1 ? static_cast<std::size_t>(count % k) : 0;
-    target_id = owners[pick];
-    target = slots_[target_id].node.get();
+    const NodeSlot& slot = slots_[owners[pick]];
+    target = slot.node.get();
+    stats = slot.stats.get();
     if (k > 1) {
       ++hot_spread_requests_;
       if (replicate_hot_) {
@@ -189,8 +197,8 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
     }
   }
 
-  // Node work outside the cluster lock: requests to different nodes only
-  // contend on the routing decision above.
+  // Node work and bookkeeping outside the cluster lock: requests to
+  // different nodes only contend on the routing decision above.
   const bool hit = target->access_hashed(req, h);
   bool peer_fill = false;
   if (!hit) {
@@ -202,26 +210,23 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
     }
   }
 
-  {
-    MutexLock lk(cluster_mu_);
-    NodeSlot& s = slots_[target_id];
-    ++s.requests;
-    s.bytes_total += req.size;
-    if (hit) {
-      ++s.hits;
-      s.bytes_hit += req.size;
-    } else if (peer_fill) {
-      ++s.peer_fills;
-      s.peer_fill_bytes += req.size;
-      const double ms = latency_.oc_to_dc_ms +
-                        static_cast<double>(req.size) / latency_.dc_bandwidth;
-      peer_time_us_ +=
-          static_cast<std::uint64_t>(std::llround(ms * 1000.0));
-    } else {
-      ++s.origin_fetches;
-      s.origin_bytes += req.size;
-      backing_->fetch(req.id, req.size);
-    }
+  MutexLock lk(stats->mu);
+  ++stats->requests;
+  stats->bytes_total += req.size;
+  if (hit) {
+    ++stats->hits;
+    stats->bytes_hit += req.size;
+  } else if (peer_fill) {
+    ++stats->peer_fills;
+    stats->peer_fill_bytes += req.size;
+    const double ms = latency_.oc_to_dc_ms +
+                      static_cast<double>(req.size) / latency_.dc_bandwidth;
+    stats->peer_time_us +=
+        static_cast<std::uint64_t>(std::llround(ms * 1000.0));
+  } else {
+    ++stats->origin_fetches;
+    stats->origin_bytes += req.size;
+    stats->backing->fetch(req.id, req.size);
   }
   return hit;
 }
@@ -293,10 +298,7 @@ void ClusterCache::apply_due_events_locked() {
 
 std::uint32_t ClusterCache::join_locked() {
   const auto id = static_cast<std::uint32_t>(slots_.size());
-  NodeSlot slot;
-  slot.node = std::make_unique<tdc::Node>("node" + std::to_string(id),
-                                          factory_(initial_share_, id));
-  slots_.push_back(std::move(slot));
+  slots_.push_back(make_slot(initial_share_, id));
   ring_.add_node(id);
   // Pull phase: only residents whose owner changed to the joiner (the
   // ring-adjacent arcs its points claimed, expected 1/N of the key space)
@@ -366,13 +368,10 @@ void ClusterCache::transfer_locked(
     Request req;
     req.id = id;
     req.size = size;
-    tdc::Node* dest = slots_[owner].node.get();
-    dest->access_hashed(req, h);
-    NodeSlot& d = slots_[owner];
-    ++d.migrated_in_keys;
-    d.migrated_in_bytes += size;
-    ++migrated_keys_;
-    migrated_bytes_ += size;
+    NodeSlot& dest = slots_[owner];
+    dest.node->access_hashed(req, h);
+    ++dest.migrated_in_keys;
+    dest.migrated_in_bytes += size;
   }
 }
 
@@ -385,16 +384,20 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
     ns.name = s.node->name();
     ns.live = s.live;
     ns.shard = s.node->snapshot();
-    ns.shard.requests = s.requests;
-    ns.shard.hits = s.hits;
-    ns.shard.bytes_total = s.bytes_total;
-    ns.shard.bytes_hit = s.bytes_hit;
-    ns.peer_fills = s.peer_fills;
-    ns.peer_fill_bytes = s.peer_fill_bytes;
-    ns.origin_fetches = s.origin_fetches;
-    ns.origin_bytes = s.origin_bytes;
     ns.migrated_in_keys = s.migrated_in_keys;
     ns.migrated_in_bytes = s.migrated_in_bytes;
+    const NodeCounters& c = *s.stats;
+    MutexLock stats_lk(c.mu);
+    ns.shard.requests = c.requests;
+    ns.shard.hits = c.hits;
+    ns.shard.bytes_total = c.bytes_total;
+    ns.shard.bytes_hit = c.bytes_hit;
+    ns.peer_fills = c.peer_fills;
+    ns.peer_fill_bytes = c.peer_fill_bytes;
+    ns.origin_fetches = c.origin_fetches;
+    ns.origin_bytes = c.origin_bytes;
+    ns.origin_time_us = c.backing->stats().total_us;
+    ns.peer_time_us = c.peer_time_us;
     out.push_back(std::move(ns));
   }
   return out;
@@ -403,27 +406,37 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
 ClusterTotals ClusterCache::totals() const {
   MutexLock lk(cluster_mu_);
   ClusterTotals t;
-  for (const NodeSlot& s : slots_) {
-    t.requests += s.requests;
-    t.hits += s.hits;
-    t.bytes_total += s.bytes_total;
-    t.bytes_hit += s.bytes_hit;
-    t.peer_fills += s.peer_fills;
-    t.peer_fill_bytes += s.peer_fill_bytes;
-    t.origin_fetches += s.origin_fetches;
-    t.origin_bytes += s.origin_bytes;
-  }
-  t.origin_time_us = backing_->stats().total_us;
-  t.peer_time_us = peer_time_us_;
-  t.migrated_keys = migrated_keys_;
-  t.migrated_bytes = migrated_bytes_;
   t.hot_spread_requests = hot_spread_requests_;
+  for (const NodeSlot& s : slots_) {
+    t.migrated_keys += s.migrated_in_keys;
+    t.migrated_bytes += s.migrated_in_bytes;
+    const NodeCounters& c = *s.stats;
+    MutexLock stats_lk(c.mu);
+    t.requests += c.requests;
+    t.hits += c.hits;
+    t.bytes_total += c.bytes_total;
+    t.bytes_hit += c.bytes_hit;
+    t.peer_fills += c.peer_fills;
+    t.peer_fill_bytes += c.peer_fill_bytes;
+    t.origin_fetches += c.origin_fetches;
+    t.origin_bytes += c.origin_bytes;
+    t.origin_time_us += c.backing->stats().total_us;
+    t.peer_time_us += c.peer_time_us;
+  }
   return t;
 }
 
 BackingStoreStats ClusterCache::backing_stats() const {
   MutexLock lk(cluster_mu_);
-  return backing_->stats();
+  BackingStoreStats sum;
+  for (const NodeSlot& s : slots_) {
+    MutexLock stats_lk(s.stats->mu);
+    const BackingStoreStats& b = s.stats->backing->stats();
+    sum.fetches += b.fetches;
+    sum.bytes += b.bytes;
+    sum.total_us += b.total_us;
+  }
+  return sum;
 }
 
 std::vector<std::uint32_t> ClusterCache::owners_of(std::uint64_t id) const {

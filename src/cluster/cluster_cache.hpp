@@ -35,14 +35,20 @@
 // replay reproduces the exact same join/leave points every run.
 //
 // Misses that no owner can serve go to the pluggable BackingStore
-// ("origin" / "remote" / "null") — the BTO byte counter of the paper.
+// ("origin" / "remote" / "null") — the BTO byte counter of the paper. Each
+// node owns its own store, so origin accounting is per node like every
+// other request counter.
 //
 // Locking: cluster_mu_ guards the routing state (ring, tracker, schedule,
-// per-node counters, backing store); node mutexes (tdc::Node) guard each
-// policy instance. The only nesting order is cluster_mu_ -> node mutex
-// (migration, snapshots); the request path releases cluster_mu_ before
-// touching a node and re-acquires it for stats, and never holds a node
-// mutex while acquiring cluster_mu_ — no cycle exists.
+// served count, slot table, migration counters) and is taken exactly once
+// per request, for the routing decision. Node mutexes (tdc::Node) guard
+// each policy instance; each node's NodeCounters::mu guards that node's
+// request counters and backing store. The request path holds no two of
+// these at once: route under cluster_mu_, release, then the node mutex,
+// then the target's stats mutex. The nesting orders are cluster_mu_ ->
+// node mutex (migration, snapshots) and cluster_mu_ -> stats mutex
+// (totals / node_stats / backing_stats readers); nothing ever acquires
+// cluster_mu_ while holding another lock — no cycle exists.
 #pragma once
 
 #include <cstdint>
@@ -130,7 +136,8 @@ class HotKeyTracker {
 
 /// Per-node statistics: the srv ShardStats record (capacity/used/metadata
 /// from the node snapshot, request counters from the cluster) plus the
-/// cluster-level miss attribution and migration counters.
+/// cluster-level miss attribution and migration counters. Summed over
+/// every node (retired ones included) they give ClusterTotals.
 struct ClusterNodeStats {
   std::string name;
   bool live = true;
@@ -139,6 +146,8 @@ struct ClusterNodeStats {
   std::uint64_t peer_fill_bytes = 0;
   std::uint64_t origin_fetches = 0;
   std::uint64_t origin_bytes = 0;
+  std::uint64_t origin_time_us = 0;  ///< this node's backing-store time
+  std::uint64_t peer_time_us = 0;
   std::uint64_t migrated_in_keys = 0;
   std::uint64_t migrated_in_bytes = 0;
 };
@@ -205,8 +214,11 @@ class ClusterCache final : public Cache {
   [[nodiscard]] std::size_t live_node_count() const
       CDN_EXCLUDES(cluster_mu_);
 
-  /// Point-in-time per-node stats (index == node id, retired nodes
-  /// included with live == false).
+  /// Per-node stats (index == node id, retired nodes included with
+  /// live == false). Each node's record is read under its own stats lock,
+  /// so it is self-consistent; while drivers run, the records (and the
+  /// sums in totals() and backing_stats()) are not one atomic cut across
+  /// nodes. Once access() calls have returned they are exact.
   [[nodiscard]] std::vector<ClusterNodeStats> node_stats() const
       CDN_EXCLUDES(cluster_mu_);
   [[nodiscard]] ClusterTotals totals() const CDN_EXCLUDES(cluster_mu_);
@@ -230,24 +242,42 @@ class ClusterCache final : public Cache {
   static constexpr std::size_t kMaxReplicas = 8;
 
  private:
+  /// One node's request-path bookkeeping under its own lock, so requests
+  /// served by different nodes never share a critical section. Heap-held
+  /// (slots_ grows on join while the request path holds this pointer
+  /// outside cluster_mu_) and cache-line aligned, so two nodes' counters
+  /// never share a line.
+  struct alignas(64) NodeCounters {
+    explicit NodeCounters(BackingStorePtr store) : backing(std::move(store)) {}
+
+    mutable Mutex mu;
+    std::uint64_t requests CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t hits CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t bytes_total CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t bytes_hit CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t peer_fills CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t peer_fill_bytes CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t origin_fetches CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t origin_bytes CDN_GUARDED_BY(mu) = 0;
+    std::uint64_t peer_time_us CDN_GUARDED_BY(mu) = 0;
+    BackingStorePtr backing CDN_PT_GUARDED_BY(mu);
+  };
+
   struct NodeSlot {
-    /// Owning pointer; the Node object outlives every membership change
-    /// (leave only marks the slot dead), so raw Node* resolved under
-    /// cluster_mu_ stay valid after the lock is released.
+    /// Owning pointers; the Node and its counters outlive every membership
+    /// change (leave only marks the slot dead), so raw pointers resolved
+    /// under cluster_mu_ stay valid after the lock is released.
     std::unique_ptr<tdc::Node> node;
+    std::unique_ptr<NodeCounters> stats;
     bool live = true;
-    std::uint64_t requests = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t bytes_total = 0;
-    std::uint64_t bytes_hit = 0;
-    std::uint64_t peer_fills = 0;
-    std::uint64_t peer_fill_bytes = 0;
-    std::uint64_t origin_fetches = 0;
-    std::uint64_t origin_bytes = 0;
+    /// Written only by membership changes, which hold cluster_mu_.
     std::uint64_t migrated_in_keys = 0;
     std::uint64_t migrated_in_bytes = 0;
   };
 
+  /// Builds node `id`: its policy instance, counters and backing store.
+  [[nodiscard]] NodeSlot make_slot(std::uint64_t capacity,
+                                   std::uint32_t id) const;
   void validate_config(const ClusterCacheConfig& config) const;
   /// Fires every schedule event due at the current served count.
   void apply_due_events_locked() CDN_REQUIRES(cluster_mu_);
@@ -267,6 +297,7 @@ class ClusterCache final : public Cache {
       CDN_REQUIRES(cluster_mu_);
 
   std::string policy_;
+  std::string backing_name_;
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners
@@ -278,12 +309,8 @@ class ClusterCache final : public Cache {
   std::vector<NodeSlot> slots_ CDN_GUARDED_BY(cluster_mu_);
   HashRing ring_ CDN_GUARDED_BY(cluster_mu_);
   HotKeyTracker tracker_ CDN_GUARDED_BY(cluster_mu_);
-  BackingStorePtr backing_ CDN_PT_GUARDED_BY(cluster_mu_);
   std::size_t next_event_ CDN_GUARDED_BY(cluster_mu_) = 0;
   std::uint64_t served_ CDN_GUARDED_BY(cluster_mu_) = 0;
-  std::uint64_t peer_time_us_ CDN_GUARDED_BY(cluster_mu_) = 0;
-  std::uint64_t migrated_keys_ CDN_GUARDED_BY(cluster_mu_) = 0;
-  std::uint64_t migrated_bytes_ CDN_GUARDED_BY(cluster_mu_) = 0;
   std::uint64_t hot_spread_requests_ CDN_GUARDED_BY(cluster_mu_) = 0;
 };
 

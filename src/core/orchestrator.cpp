@@ -226,13 +226,12 @@ std::uint64_t OrchestratorCache::used_bytes() const {
 }
 
 std::uint64_t OrchestratorCache::metadata_bytes() const {
-  // The live policy's index plus every shadow expert's whole footprint
-  // (shadow residency is pure metadata: no bytes are actually stored),
-  // plus the per-expert window loss accumulators.
+  // The live policy's index plus every shadow expert's index, plus the
+  // per-expert window loss accumulators. A shadow stores no payload: its
+  // used_bytes() counts bytes it only pretends to hold, and its id/size
+  // index is already in its own metadata_bytes().
   std::uint64_t total = live_->metadata_bytes();
-  for (const CachePtr& s : shadows_) {
-    total += s->metadata_bytes() + s->used_bytes();
-  }
+  for (const CachePtr& s : shadows_) total += s->metadata_bytes();
   total += win_miss_bytes_.capacity() * sizeof(std::uint64_t);
   return total;
 }

@@ -5,7 +5,8 @@
 // replication-knob contract (peer fill only re-attributes miss bytes,
 // never changes a hit/miss outcome), replica-set consistency, join/leave
 // warm-transfer rebalancing with structural audits, deterministic
-// schedule-driven churn, the generic LoadGen drive path, and TSan-level
+// schedule-driven churn pinned to literal counters, the generic LoadGen
+// drive path, exact per-node sums under concurrent drivers, and TSan-level
 // thread safety of concurrent access + snapshots.
 #include <gtest/gtest.h>
 
@@ -13,7 +14,10 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_cache.hpp"
@@ -420,6 +424,82 @@ TEST(ClusterCache, ScheduledChurnIsDeterministic) {
   expect_flow_conservation(a);
 }
 
+TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
+  // One driver through a churning 4-node SCIP cluster with peer fill on,
+  // pinned to literal counters. Run-twice equality (above) cannot see a
+  // change that shifts every run alike — a membership event firing one
+  // request later, or a fill booked to the wrong node — this can.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
+  ClusterCacheConfig cfg;
+  cfg.policy = "SCIP";
+  cfg.capacity_bytes = 32ULL << 20;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.replicate_hot = true;
+  cfg.hot_threshold = 16;
+  cfg.hot_window = 4096;
+  const auto n = static_cast<std::uint64_t>(trace.requests.size());
+  cfg.schedule = {{n * 4 / 10, MembershipEvent::Kind::kJoin, 0},
+                  {n * 7 / 10, MembershipEvent::Kind::kLeave, 0}};
+  ClusterCache cluster(cfg);
+  for (const Request& req : trace.requests) cluster.access(req);
+
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.requests, 20000u);
+  EXPECT_EQ(t.hits, 5024u);
+  EXPECT_EQ(t.bytes_total, 914802198u);
+  EXPECT_EQ(t.bytes_hit, 198503716u);
+  EXPECT_EQ(t.peer_fills, 77u);
+  EXPECT_EQ(t.peer_fill_bytes, 3029517u);
+  EXPECT_EQ(t.origin_fetches, 14899u);
+  EXPECT_EQ(t.origin_bytes, 713268965u);
+  EXPECT_EQ(t.origin_time_us, 1050062729u);
+  EXPECT_EQ(t.peer_time_us, 1932580u);
+  EXPECT_EQ(t.migrated_keys, 374u);
+  EXPECT_EQ(t.migrated_bytes, 16961878u);
+  EXPECT_EQ(t.hot_spread_requests, 1951u);
+
+  struct NodePin {
+    bool live;
+    std::uint64_t requests, hits, bytes_total, bytes_hit, peer_fills,
+        peer_fill_bytes, origin_fetches, origin_bytes, migrated_in_keys,
+        migrated_in_bytes;
+  };
+  // Node 0 left at 70%; node 4 joined at 40%.
+  const NodePin kPins[] = {
+      {false, 4177, 1421, 196601903, 61469127, 25, 626259, 2731, 134506517,
+       0, 0},
+      {true, 4020, 671, 190712376, 34579193, 20, 1422989, 3329, 154710194,
+       59, 2923366},
+      {true, 4368, 965, 178533936, 33884649, 4, 89731, 3399, 144559556, 39,
+       1494539},
+      {true, 4592, 1259, 227053514, 45216612, 19, 607688, 3314, 181229214,
+       56, 2396760},
+      {true, 2843, 708, 121900469, 23354135, 9, 282850, 2126, 98263484, 220,
+       10147213},
+  };
+  const std::vector<ClusterNodeStats> nodes = cluster.node_stats();
+  ASSERT_EQ(nodes.size(), std::size(kPins));
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const ClusterNodeStats& ns = nodes[i];
+    const NodePin& pin = kPins[i];
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(ns.live, pin.live);
+    EXPECT_EQ(ns.shard.requests, pin.requests);
+    EXPECT_EQ(ns.shard.hits, pin.hits);
+    EXPECT_EQ(ns.shard.bytes_total, pin.bytes_total);
+    EXPECT_EQ(ns.shard.bytes_hit, pin.bytes_hit);
+    EXPECT_EQ(ns.peer_fills, pin.peer_fills);
+    EXPECT_EQ(ns.peer_fill_bytes, pin.peer_fill_bytes);
+    EXPECT_EQ(ns.origin_fetches, pin.origin_fetches);
+    EXPECT_EQ(ns.origin_bytes, pin.origin_bytes);
+    EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
+    EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
+  }
+  expect_flow_conservation(cluster);
+}
+
 TEST(ClusterCache, LoadGenDrivesAClusterTarget) {
   const Trace trace = generate_trace(small_spec(11));
   ClusterCacheConfig cfg;
@@ -483,6 +563,79 @@ TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
 
   EXPECT_EQ(cluster.totals().requests, trace.requests.size());
   EXPECT_EQ(cluster.node_count(), 5u);
+  expect_flow_conservation(cluster);
+}
+
+TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
+  // Request counters and origin fetches are booked under per-node locks
+  // while a join() races the drivers. Afterwards every total must be
+  // exactly the sum of the node records, and the per-node backing stores
+  // exactly the origin counters.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
+  ClusterCacheConfig cfg;
+  cfg.policy = "SCIP";
+  cfg.capacity_bytes = 32ULL << 20;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.hot_threshold = 16;
+  cfg.hot_window = 4096;
+  ClusterCache cluster(cfg);
+
+  constexpr std::size_t kDrivers = 4;
+  const std::size_t n = trace.requests.size();
+  ThreadPool pool(kDrivers + 1);
+  std::atomic<std::size_t> served{0};
+  std::future<std::uint32_t> joined = pool.submit([&cluster, &served, n] {
+    while (served.load(std::memory_order_relaxed) < n / 2) {
+      std::this_thread::yield();
+    }
+    return cluster.join();
+  });
+  std::vector<std::future<void>> drivers;
+  for (std::size_t d = 0; d < kDrivers; ++d) {
+    drivers.push_back(pool.submit([&cluster, &trace, &served, d, n] {
+      for (std::size_t i = d; i < n; i += kDrivers) {
+        cluster.access(trace.requests[i]);
+        served.fetch_add(1, std::memory_order_relaxed);
+      }
+    }));
+  }
+  for (auto& f : drivers) f.get();
+  EXPECT_EQ(joined.get(), 4u);
+
+  ClusterTotals sum;
+  for (const ClusterNodeStats& ns : cluster.node_stats()) {
+    sum.requests += ns.shard.requests;
+    sum.hits += ns.shard.hits;
+    sum.bytes_total += ns.shard.bytes_total;
+    sum.bytes_hit += ns.shard.bytes_hit;
+    sum.peer_fills += ns.peer_fills;
+    sum.peer_fill_bytes += ns.peer_fill_bytes;
+    sum.origin_fetches += ns.origin_fetches;
+    sum.origin_bytes += ns.origin_bytes;
+    sum.origin_time_us += ns.origin_time_us;
+    sum.peer_time_us += ns.peer_time_us;
+    sum.migrated_keys += ns.migrated_in_keys;
+    sum.migrated_bytes += ns.migrated_in_bytes;
+  }
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.requests, n);
+  EXPECT_EQ(t.requests, sum.requests);
+  EXPECT_EQ(t.hits, sum.hits);
+  EXPECT_EQ(t.bytes_total, sum.bytes_total);
+  EXPECT_EQ(t.bytes_hit, sum.bytes_hit);
+  EXPECT_EQ(t.peer_fills, sum.peer_fills);
+  EXPECT_EQ(t.peer_fill_bytes, sum.peer_fill_bytes);
+  EXPECT_EQ(t.origin_fetches, sum.origin_fetches);
+  EXPECT_EQ(t.origin_bytes, sum.origin_bytes);
+  EXPECT_EQ(t.origin_time_us, sum.origin_time_us);
+  EXPECT_EQ(t.peer_time_us, sum.peer_time_us);
+  EXPECT_EQ(t.migrated_keys, sum.migrated_keys);
+  EXPECT_EQ(t.migrated_bytes, sum.migrated_bytes);
+  EXPECT_GT(t.migrated_keys, 0u);
+  EXPECT_GT(t.origin_time_us, 0u);
+  // Includes backing_stats() == (origin fetches, bytes, time).
   expect_flow_conservation(cluster);
 }
 

@@ -1,9 +1,11 @@
 // OrchestratorCache tests: construction contracts, the degraded mode, the
 // learned-switch path on a crafted two-policy separation workload, the warm
-// hand-off, determinism, and the metrics surface.
+// hand-off, determinism, the metrics surface, and metadata accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/orchestrator.hpp"
@@ -211,8 +213,8 @@ TEST(Orchestrator, SampleMetricsExportsLearnerState) {
 }
 
 TEST(Orchestrator, MetadataAccountsShadowFootprints) {
-  // Enabled: every shadow's metadata AND its virtual residency count; the
-  // degraded cache reports only its live expert.
+  // Enabled: every shadow's index counts; the degraded cache reports only
+  // its live expert.
   OrchestratorCache enabled(4ULL << 20, fast_learner());
   OrchestratorCache degraded(1ULL << 20, fast_learner());
   ASSERT_TRUE(enabled.orchestration_enabled());
@@ -221,9 +223,42 @@ TEST(Orchestrator, MetadataAccountsShadowFootprints) {
     (void)enabled.access(req(id, 8 * 1024));
     (void)degraded.access(req(id, 8 * 1024));
   }
-  EXPECT_GT(enabled.metadata_bytes(),
-            enabled.used_bytes());  // shadows dominate the index cost
   EXPECT_GT(enabled.metadata_bytes(), degraded.metadata_bytes());
+}
+
+TEST(Orchestrator, MetadataChargesShadowIndexesNotTheirBytes) {
+  // Shadows hold no payload, so multi-MB objects must not inflate the
+  // orchestrator's metadata: it is exactly the live index, each shadow's
+  // index and the window accumulators, rebuilt here from stand-alone
+  // experts fed the same requests (exact shadows, no switch).
+  constexpr std::uint64_t kCapacity = 64ULL << 20;
+  OrchestratorParams params;
+  params.experts = {"LRU", "S4LRU"};
+  params.initial = 0;
+  params.score_warmup_windows = 1 << 30;  // the learner never scores
+  OrchestratorCache orch(kCapacity, params);
+  ASSERT_TRUE(orch.orchestration_enabled());
+  const CachePtr live = make_cache("LRU", kCapacity);
+  std::vector<CachePtr> shadows;
+  for (const std::string& e : params.experts) {
+    shadows.push_back(make_cache(e, kCapacity));
+  }
+
+  Rng rng(17);
+  for (int i = 0; i < 4'000; ++i) {
+    const Request r = req(rng.next() % 200, (1 + rng.next() % 8) << 20);
+    (void)orch.access(r);
+    (void)live->access(r);
+    for (const CachePtr& s : shadows) (void)s->access(r);
+  }
+  ASSERT_EQ(orch.switches(), 0u);
+  ASSERT_GT(orch.used_bytes(), kCapacity / 2);
+
+  std::uint64_t expected = live->metadata_bytes();
+  for (const CachePtr& s : shadows) expected += s->metadata_bytes();
+  expected += params.experts.size() * sizeof(std::uint64_t);
+  EXPECT_EQ(orch.metadata_bytes(), expected);
+  EXPECT_LT(orch.metadata_bytes(), kCapacity / 1024);
 }
 
 }  // namespace
