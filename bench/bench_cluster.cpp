@@ -260,10 +260,7 @@ int run(const Args& args) {
         row.set("migrated_keys", r.totals.migrated_keys);
         row.set("migrated_bytes", r.totals.migrated_bytes);
         row.set("bto_bytes_per_request",
-                r.totals.requests
-                    ? static_cast<double>(r.totals.origin_bytes) /
-                          static_cast<double>(r.totals.requests)
-                    : 0.0);
+                ratio_or_zero(r.totals.origin_bytes, r.totals.requests));
         report.add_row(std::move(row));
       }
     }

@@ -12,55 +12,47 @@
 // interaction we found when enabling SCIP on both layers at once.
 #include "bench_common.hpp"
 
+#include "cluster/topology.hpp"
 #include "core/factories.hpp"
 #include "policies/replacement/lru.hpp"
-#include "tdc/engine.hpp"
 
 namespace cdn::bench {
 namespace {
 
-tdc::ClusterConfig base_config() {
-  tdc::ClusterConfig cfg;
-  cfg.oc_nodes = 2;
-  cfg.dc_nodes = 1;
-  cfg.oc_capacity_bytes = 90ULL << 20;
-  cfg.dc_capacity_bytes = 32ULL << 20;
-  cfg.make_oc_cache = [](std::uint64_t cap, std::size_t) {
-    return std::make_unique<LruCache>(cap);
-  };
-  cfg.make_dc_cache = [](std::uint64_t cap, std::size_t) {
-    return std::make_unique<LruCache>(cap);
-  };
-  return cfg;
+/// Two OC nodes (LRU, or SCIP on the cache layer) in front of one LRU DC,
+/// replayed in trace order.
+cluster::ReplayResult run_chain(const Trace& t, bool scip) {
+  std::vector<CachePtr> oc;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::uint64_t cap = 90ULL << 20;
+    oc.push_back(scip ? make_scip_lru(cap, 100 + i)
+                      : std::make_unique<LruCache>(cap));
+  }
+  std::vector<CachePtr> dc;
+  dc.push_back(std::make_unique<LruCache>(32ULL << 20));
+  const cluster::LatencyModel latency;
+  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)),
+                          cluster::make_backing_store("origin", latency));
+  return cluster::replay(chain, t, latency);
 }
 
 void BM_Fig6(benchmark::State& state) {
   for (auto _ : state) {
     const Trace& t = trace_w();
-
-    tdc::ClusterConfig before_cfg = base_config();
-    tdc::ClusterConfig after_cfg = base_config();
-    after_cfg.make_oc_cache = [](std::uint64_t cap, std::size_t i) {
-      return make_scip_lru(cap, 100 + i);
-    };
-    tdc::Cluster before(before_cfg);
-    tdc::Cluster after(after_cfg);
-    const auto r_before = tdc::run_cluster(before, t);
-    const auto r_after = tdc::run_cluster(after, t);
+    const cluster::ReplayResult r_before = run_chain(t, false);
+    const cluster::ReplayResult r_after = run_chain(t, true);
 
     // (a) time series, one row per monitoring window.
     Table series({"window", "BTO Gbps (LRU)", "BTO Gbps (SCIP)",
                   "BTO ratio (LRU)", "BTO ratio (SCIP)", "lat ms (LRU)",
                   "lat ms (SCIP)"});
-    const std::size_t n =
-        std::min(r_before.windows.size(), r_after.windows.size());
-    for (std::size_t w = 0; w < n; ++w) {
-      const auto& wb = r_before.windows[w];
-      const auto& wa = r_after.windows[w];
-      if (wb.requests == 0 && wa.requests == 0) continue;
-      series.add_row({std::to_string(w),
-                      Table::fmt(wb.bto_gbps(r_before.window_ms), 3),
-                      Table::fmt(wa.bto_gbps(r_after.window_ms), 3),
+    // Both arms replay the same trace, so their windows line up.
+    for (std::size_t w = 0; w < r_before.windows.size(); ++w) {
+      const cluster::FlowWindow& wb = r_before.windows[w];
+      const cluster::FlowWindow& wa = r_after.windows[w];
+      series.add_row({std::to_string(wb.index),
+                      Table::fmt(wb.bto_gbps(), 3),
+                      Table::fmt(wa.bto_gbps(), 3),
                       Table::pct(wb.bto_ratio()), Table::pct(wa.bto_ratio()),
                       Table::fmt(wb.mean_latency_ms(), 1),
                       Table::fmt(wa.mean_latency_ms(), 1)});
@@ -72,24 +64,26 @@ void BM_Fig6(benchmark::State& state) {
     auto rel = [](double b, double a) {
       return b != 0.0 ? Table::pct((a - b) / b) : std::string("n/a");
     };
-    summary.add_row({"BTO ratio", Table::pct(r_before.bto_ratio()),
-                     Table::pct(r_after.bto_ratio()),
-                     rel(r_before.bto_ratio(), r_after.bto_ratio())});
+    const cluster::FlowWindow& before = r_before.total;
+    const cluster::FlowWindow& after = r_after.total;
+    summary.add_row({"BTO ratio", Table::pct(before.bto_ratio()),
+                     Table::pct(after.bto_ratio()),
+                     rel(before.bto_ratio(), after.bto_ratio())});
     summary.add_row(
         {"BTO bandwidth (Gbps)", Table::fmt(r_before.mean_bto_gbps(), 3),
          Table::fmt(r_after.mean_bto_gbps(), 3),
          rel(r_before.mean_bto_gbps(), r_after.mean_bto_gbps())});
     summary.add_row(
-        {"mean latency (ms)", Table::fmt(r_before.mean_latency_ms(), 2),
-         Table::fmt(r_after.mean_latency_ms(), 2),
-         rel(r_before.mean_latency_ms(), r_after.mean_latency_ms())});
+        {"mean latency (ms)", Table::fmt(before.mean_latency_ms(), 2),
+         Table::fmt(after.mean_latency_ms(), 2),
+         rel(before.mean_latency_ms(), after.mean_latency_ms())});
     print_block("Fig. 6 summary (paper: BTO 8.87%->6.59%, latency -26.1%)",
                 summary);
 
-    state.counters["bto_before"] = r_before.bto_ratio();
-    state.counters["bto_after"] = r_after.bto_ratio();
-    state.counters["lat_before_ms"] = r_before.mean_latency_ms();
-    state.counters["lat_after_ms"] = r_after.mean_latency_ms();
+    state.counters["bto_before"] = before.bto_ratio();
+    state.counters["bto_after"] = after.bto_ratio();
+    state.counters["lat_before_ms"] = before.mean_latency_ms();
+    state.counters["lat_after_ms"] = after.mean_latency_ms();
   }
 }
 BENCHMARK(BM_Fig6)->Iterations(1)->Unit(benchmark::kSecond);

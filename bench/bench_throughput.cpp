@@ -109,11 +109,7 @@ obs::json::Value sweep_row(const std::string& policy, const ShardSweepRow& r,
   row.set("trials", static_cast<std::uint64_t>(r.trials_run));
   row.set("rps", r.loadgen.rps());
   row.set("tps", r.loadgen.rps());  // tps == concurrent requests/sec here
-  row.set("concurrent_object_hit_ratio",
-          r.loadgen.requests
-              ? static_cast<double>(r.loadgen.hits) /
-                    static_cast<double>(r.loadgen.requests)
-              : 0.0);
+  row.set("concurrent_object_hit_ratio", r.loadgen.object_hit_ratio());
   row.set("latency_p50_ns", r.loadgen.latency_p50_ns());
   row.set("latency_p99_ns", r.loadgen.latency_p99_ns());
   row.set("latency_p999_ns", r.loadgen.latency_p999_ns());

@@ -1,6 +1,6 @@
-// CDN edge simulation: the TDC-style two-layer stack (OC edge nodes in
-// front of a DC shield in front of the origin), driven by a multithreaded
-// request engine — one worker per edge node.
+// CDN edge simulation: the TDC-style two-tier stack (OC edge nodes in
+// front of a DC shield in front of the origin) as a cluster::Topology,
+// replayed in trace order.
 //
 //   $ ./examples/cdn_edge_simulation [policy] [scale]
 //     policy  cache policy for the OC nodes (default "SCIP")
@@ -11,9 +11,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
-#include "tdc/engine.hpp"
 #include "trace/generator.hpp"
 #include "util/table.hpp"
 
@@ -28,32 +29,27 @@ int main(int argc, char** argv) {
               static_cast<double>(trace.working_set_bytes()) / (1 << 30),
               policy.c_str());
 
-  tdc::ClusterConfig cfg;
-  cfg.oc_nodes = 2;
-  cfg.dc_nodes = 1;
-  cfg.oc_capacity_bytes = trace.working_set_bytes() / 16;  // per node
-  cfg.dc_capacity_bytes = trace.working_set_bytes() / 48;
-  cfg.make_oc_cache = [&policy](std::uint64_t cap, std::size_t i) {
-    return make_cache(policy, cap, 100 + i);
-  };
-  cfg.make_dc_cache = [](std::uint64_t cap, std::size_t i) {
-    return make_cache("LRU", cap, 200 + i);
-  };
-  tdc::Cluster cluster(cfg);
-  const tdc::TdcResult res = tdc::run_cluster(cluster, trace);
+  // Per-node capacities: each OC holds 1/16 of the working set, the DC 1/48.
+  const std::uint64_t oc_capacity = trace.working_set_bytes() / 16;
+  std::vector<CachePtr> oc;
+  for (std::size_t i = 0; i < 2; ++i) {
+    oc.push_back(make_cache(policy, oc_capacity, 100 + i));
+  }
+  std::vector<CachePtr> dc;
+  dc.push_back(make_cache("LRU", trace.working_set_bytes() / 48, 200));
+  const cluster::LatencyModel latency;
+  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)),
+                          cluster::make_backing_store("origin", latency));
+  const cluster::ReplayResult res = cluster::replay(chain, trace, latency);
 
   Table series({"minute", "requests", "OC hit", "DC hit", "BTO Gbps",
                 "BTO ratio", "mean latency"});
-  for (std::size_t w = 0; w < res.windows.size(); ++w) {
-    const auto& win = res.windows[w];
-    if (win.requests == 0) continue;
+  for (const cluster::FlowWindow& win : res.windows) {
     series.add_row(
-        {std::to_string(w), std::to_string(win.requests),
-         Table::pct(static_cast<double>(win.oc_hits) /
-                    static_cast<double>(win.requests)),
-         Table::pct(static_cast<double>(win.dc_hits) /
-                    static_cast<double>(win.requests)),
-         Table::fmt(win.bto_gbps(res.window_ms), 3),
+        {std::to_string(win.index), std::to_string(win.requests()),
+         Table::pct(win.tiers[0].object_hit_ratio()),
+         Table::pct(ratio_or_zero(win.tiers[1].hits, win.requests())),
+         Table::fmt(win.bto_gbps(), 3),
          Table::pct(win.bto_ratio()),
          Table::fmt(win.mean_latency_ms(), 1) + " ms"});
   }
@@ -61,7 +57,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\ntotal: BTO ratio %s, mean BTO bandwidth %.3f Gbps, "
       "mean latency %.2f ms\n",
-      Table::pct(res.bto_ratio()).c_str(), res.mean_bto_gbps(),
-      res.mean_latency_ms());
+      Table::pct(res.total.bto_ratio()).c_str(), res.mean_bto_gbps(),
+      res.total.mean_latency_ms());
   return 0;
 }

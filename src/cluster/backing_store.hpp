@@ -1,12 +1,12 @@
 // BackingStore: pluggable miss backend for the cluster layer.
 //
 // When every cluster node (and, for hot keys, every replica owner) misses,
-// the object is fetched from the backing store. The store models where
-// those bytes come from and what they cost; the DC layer of the TDC chain
-// becomes one concrete backend (`RemoteStore`, priced by
-// tdc::LatencyModel's OC->DC hop) instead of hard-coded topology, and the
-// paper's BTO ("Backing To Origin") bandwidth is simply the byte counter
-// of an `OriginStore`.
+// or a request misses every tier of a Topology (topology.hpp), the object
+// is fetched from the backing store. The store models where those bytes
+// come from and what they cost; the DC layer of the TDC chain becomes one
+// concrete backend (`RemoteStore`, priced by LatencyModel's OC->DC hop)
+// instead of hard-coded topology, and the paper's BTO ("Backing To
+// Origin") bandwidth is simply the byte counter of an `OriginStore`.
 //
 // fetch() is deliberately non-virtual: it owns the accounting (fetch count,
 // bytes, modeled time) and delegates only the latency model to the
@@ -17,16 +17,17 @@
 //
 // Stores are not thread-safe. ClusterCache gives every node its own store
 // and serializes its fetches under that node's stats lock, so fetches at
-// different nodes never contend. That matters because origin fetches are
-// the common case, not the exception: on the flash scenario about 69% of
-// requests go back to origin.
+// different nodes never contend; a Topology replays on one thread and owns
+// one store. That matters because origin fetches are the common case, not
+// the exception: on the flash scenario about 69% of requests go back to
+// origin.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "tdc/latency_model.hpp"
+#include "cluster/latency_model.hpp"
 
 namespace cdn::cluster {
 
@@ -68,7 +69,7 @@ class BackingStore {
 /// counter is the cluster's origin-bandwidth metric.
 class OriginStore final : public BackingStore {
  public:
-  explicit OriginStore(const tdc::LatencyModel& latency) : latency_(latency) {}
+  explicit OriginStore(const LatencyModel& latency) : latency_(latency) {}
   [[nodiscard]] std::string name() const override { return "origin"; }
 
  protected:
@@ -79,14 +80,14 @@ class OriginStore final : public BackingStore {
   }
 
  private:
-  tdc::LatencyModel latency_;
+  LatencyModel latency_;
 };
 
 /// Latency-modeled remote store one hop away (the TDC DC layer as a
 /// backend): priced like an OC->DC transfer.
 class RemoteStore final : public BackingStore {
  public:
-  explicit RemoteStore(const tdc::LatencyModel& latency) : latency_(latency) {}
+  explicit RemoteStore(const LatencyModel& latency) : latency_(latency) {}
   [[nodiscard]] std::string name() const override { return "remote"; }
 
  protected:
@@ -97,7 +98,7 @@ class RemoteStore final : public BackingStore {
   }
 
  private:
-  tdc::LatencyModel latency_;
+  LatencyModel latency_;
 };
 
 /// Free instantaneous backend: isolates pure cache behavior in tests and
@@ -118,6 +119,6 @@ using BackingStorePtr = std::unique_ptr<BackingStore>;
 /// Constructs a store by name: "origin", "remote" or "null". Throws
 /// std::invalid_argument for unknown names.
 [[nodiscard]] BackingStorePtr make_backing_store(
-    const std::string& name, const tdc::LatencyModel& latency);
+    const std::string& name, const LatencyModel& latency);
 
 }  // namespace cdn::cluster

@@ -57,24 +57,6 @@ std::uint64_t HotKeyTracker::metadata_bytes() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// ClusterTotals
-
-bool deterministic_equal(const ClusterTotals& a,
-                         const ClusterTotals& b) noexcept {
-  return a.requests == b.requests && a.hits == b.hits &&
-         a.bytes_total == b.bytes_total && a.bytes_hit == b.bytes_hit &&
-         a.peer_fills == b.peer_fills &&
-         a.peer_fill_bytes == b.peer_fill_bytes &&
-         a.origin_fetches == b.origin_fetches &&
-         a.origin_bytes == b.origin_bytes &&
-         a.origin_time_us == b.origin_time_us &&
-         a.peer_time_us == b.peer_time_us &&
-         a.migrated_keys == b.migrated_keys &&
-         a.migrated_bytes == b.migrated_bytes &&
-         a.hot_spread_requests == b.hot_spread_requests;
-}
-
-// ---------------------------------------------------------------------------
 // ClusterCache
 
 namespace {
@@ -126,8 +108,8 @@ ClusterCache::ClusterCache(
 ClusterCache::NodeSlot ClusterCache::make_slot(std::uint64_t capacity,
                                                std::uint32_t id) const {
   NodeSlot slot;
-  slot.node = std::make_unique<tdc::Node>("node" + std::to_string(id),
-                                          factory_(capacity, id));
+  slot.node = std::make_unique<Node>("node" + std::to_string(id),
+                                     factory_(capacity, id));
   slot.stats = std::make_unique<NodeCounters>(
       make_backing_store(backing_name_, latency_));
   return slot;
@@ -161,9 +143,9 @@ bool ClusterCache::access(const Request& req) {
 
 bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   assert(h == hash64(req.id));
-  tdc::Node* target = nullptr;
+  Node* target = nullptr;
   NodeCounters* stats = nullptr;
-  tdc::Node* peers[kMaxReplicas] = {};
+  Node* peers[kMaxReplicas] = {};
   std::size_t peer_count = 0;
   {
     MutexLock lk(cluster_mu_);
@@ -211,24 +193,21 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   }
 
   MutexLock lk(stats->mu);
-  ++stats->requests;
-  stats->bytes_total += req.size;
-  if (hit) {
-    ++stats->hits;
-    stats->bytes_hit += req.size;
-  } else if (peer_fill) {
-    ++stats->peer_fills;
-    stats->peer_fill_bytes += req.size;
+  FlowStats& flow = stats->flow;
+  flow.record(req.size, hit);
+  if (hit) return true;
+  if (peer_fill) {
+    ++flow.peer_fills;
+    flow.peer_fill_bytes += req.size;
     const double ms = latency_.oc_to_dc_ms +
                       static_cast<double>(req.size) / latency_.dc_bandwidth;
     stats->peer_time_us +=
         static_cast<std::uint64_t>(std::llround(ms * 1000.0));
   } else {
-    ++stats->origin_fetches;
-    stats->origin_bytes += req.size;
+    flow.record_origin_fetch(req.size);
     stats->backing->fetch(req.id, req.size);
   }
-  return hit;
+  return false;
 }
 
 bool ClusterCache::contains(std::uint64_t id) const {
@@ -388,14 +367,7 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
     ns.migrated_in_bytes = s.migrated_in_bytes;
     const NodeCounters& c = *s.stats;
     MutexLock stats_lk(c.mu);
-    ns.shard.requests = c.requests;
-    ns.shard.hits = c.hits;
-    ns.shard.bytes_total = c.bytes_total;
-    ns.shard.bytes_hit = c.bytes_hit;
-    ns.peer_fills = c.peer_fills;
-    ns.peer_fill_bytes = c.peer_fill_bytes;
-    ns.origin_fetches = c.origin_fetches;
-    ns.origin_bytes = c.origin_bytes;
+    static_cast<FlowStats&>(ns.shard) = c.flow;
     ns.origin_time_us = c.backing->stats().total_us;
     ns.peer_time_us = c.peer_time_us;
     out.push_back(std::move(ns));
@@ -412,14 +384,7 @@ ClusterTotals ClusterCache::totals() const {
     t.migrated_bytes += s.migrated_in_bytes;
     const NodeCounters& c = *s.stats;
     MutexLock stats_lk(c.mu);
-    t.requests += c.requests;
-    t.hits += c.hits;
-    t.bytes_total += c.bytes_total;
-    t.bytes_hit += c.bytes_hit;
-    t.peer_fills += c.peer_fills;
-    t.peer_fill_bytes += c.peer_fill_bytes;
-    t.origin_fetches += c.origin_fetches;
-    t.origin_bytes += c.origin_bytes;
+    t += c.flow;
     t.origin_time_us += c.backing->stats().total_us;
     t.peer_time_us += c.peer_time_us;
   }
@@ -454,7 +419,7 @@ bool ClusterCache::node_contains(std::uint32_t node, std::uint64_t id) const {
 
 void ClusterCache::with_node_cache(std::uint32_t node,
                                    const std::function<void(Cache&)>& fn) {
-  tdc::Node* n = nullptr;
+  Node* n = nullptr;
   {
     MutexLock lk(cluster_mu_);
     if (node >= slots_.size()) {

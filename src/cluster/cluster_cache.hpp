@@ -41,10 +41,10 @@
 //
 // Locking: cluster_mu_ guards the routing state (ring, tracker, schedule,
 // served count, slot table, migration counters) and is taken exactly once
-// per request, for the routing decision. Node mutexes (tdc::Node) guard
-// each policy instance; each node's NodeCounters::mu guards that node's
-// request counters and backing store. The request path holds no two of
-// these at once: route under cluster_mu_, release, then the node mutex,
+// per request, for the routing decision. Node mutexes (cluster/node.hpp)
+// guard each policy instance; each node's NodeCounters::mu guards that
+// node's request counters and backing store. The request path holds no two
+// of these at once: route under cluster_mu_, release, then the node mutex,
 // then the target's stats mutex. The nesting orders are cluster_mu_ ->
 // node mutex (migration, snapshots) and cluster_mu_ -> stats mutex
 // (totals / node_stats / backing_stats readers); nothing ever acquires
@@ -59,10 +59,11 @@
 
 #include "cluster/backing_store.hpp"
 #include "cluster/hash_ring.hpp"
+#include "cluster/latency_model.hpp"
+#include "cluster/node.hpp"
 #include "sim/cache.hpp"
+#include "sim/flow_stats.hpp"
 #include "srv/shard_stats.hpp"
-#include "tdc/latency_model.hpp"
-#include "tdc/node.hpp"
 #include "util/flat_map.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -96,7 +97,7 @@ struct ClusterCacheConfig {
   /// make_cache(policy, capacity, seed) exactly (the golden cross-check).
   std::uint64_t seed = 1;
   std::string backing = "origin";  ///< "origin" | "remote" | "null"
-  tdc::LatencyModel latency{};
+  LatencyModel latency{};
   /// Must be sorted by at_request (validated at construction).
   std::vector<MembershipEvent> schedule;
 };
@@ -135,17 +136,13 @@ class HotKeyTracker {
 };
 
 /// Per-node statistics: the srv ShardStats record (capacity/used/metadata
-/// from the node snapshot, request counters from the cluster) plus the
-/// cluster-level miss attribution and migration counters. Summed over
+/// from the node snapshot, FlowStats counters from the node's request
+/// path) plus the modeled fill times and migration counters. Summed over
 /// every node (retired ones included) they give ClusterTotals.
 struct ClusterNodeStats {
   std::string name;
   bool live = true;
   srv::ShardStats shard;
-  std::uint64_t peer_fills = 0;
-  std::uint64_t peer_fill_bytes = 0;
-  std::uint64_t origin_fetches = 0;
-  std::uint64_t origin_bytes = 0;
   std::uint64_t origin_time_us = 0;  ///< this node's backing-store time
   std::uint64_t peer_time_us = 0;
   std::uint64_t migrated_in_keys = 0;
@@ -154,26 +151,22 @@ struct ClusterNodeStats {
 
 /// Cluster-wide sums. Flow conservation holds by construction and is
 /// re-checked in tests: requests == hits + peer_fills + origin_fetches.
-struct ClusterTotals {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t bytes_total = 0;
-  std::uint64_t bytes_hit = 0;
-  std::uint64_t peer_fills = 0;
-  std::uint64_t peer_fill_bytes = 0;
-  std::uint64_t origin_fetches = 0;
-  std::uint64_t origin_bytes = 0;
+struct ClusterTotals : FlowStats {
   std::uint64_t origin_time_us = 0;  ///< modeled, integer microseconds
   std::uint64_t peer_time_us = 0;    ///< modeled, integer microseconds
   std::uint64_t migrated_keys = 0;
   std::uint64_t migrated_bytes = 0;
   std::uint64_t hot_spread_requests = 0;  ///< requests routed by rotation
+
+  bool operator==(const ClusterTotals&) const = default;
 };
 
 /// Field-wise equality — the bitwise rerun-determinism gate for cluster
 /// sweeps (bench_cluster runs every configuration twice).
-[[nodiscard]] bool deterministic_equal(const ClusterTotals& a,
-                                       const ClusterTotals& b) noexcept;
+[[nodiscard]] inline bool deterministic_equal(const ClusterTotals& a,
+                                              const ClusterTotals& b) noexcept {
+  return a == b;
+}
 
 class ClusterCache final : public Cache {
  public:
@@ -251,14 +244,7 @@ class ClusterCache final : public Cache {
     explicit NodeCounters(BackingStorePtr store) : backing(std::move(store)) {}
 
     mutable Mutex mu;
-    std::uint64_t requests CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t hits CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t bytes_total CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t bytes_hit CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t peer_fills CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t peer_fill_bytes CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t origin_fetches CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t origin_bytes CDN_GUARDED_BY(mu) = 0;
+    FlowStats flow CDN_GUARDED_BY(mu);
     std::uint64_t peer_time_us CDN_GUARDED_BY(mu) = 0;
     BackingStorePtr backing CDN_PT_GUARDED_BY(mu);
   };
@@ -267,7 +253,7 @@ class ClusterCache final : public Cache {
     /// Owning pointers; the Node and its counters outlive every membership
     /// change (leave only marks the slot dead), so raw pointers resolved
     /// under cluster_mu_ stay valid after the lock is released.
-    std::unique_ptr<tdc::Node> node;
+    std::unique_ptr<Node> node;
     std::unique_ptr<NodeCounters> stats;
     bool live = true;
     /// Written only by membership changes, which hold cluster_mu_.
@@ -301,7 +287,7 @@ class ClusterCache final : public Cache {
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners
-  tdc::LatencyModel latency_;
+  LatencyModel latency_;
   std::function<CachePtr(std::uint64_t, std::size_t)> factory_;
   std::vector<MembershipEvent> schedule_;
 

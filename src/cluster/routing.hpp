@@ -2,13 +2,12 @@
 //
 // Two placement families live here:
 //
-//  * Salted-mod placement (`route_mod`, `ChainLevel`, `ChainRouter`): the
-//    fixed OC→DC chain of the TDC reproduction (tdc/cluster.hpp). Each
-//    layer owns a salt so the two layers shard independently; the
-//    arithmetic — hash64(id ^ salt) % nodes — is pinned by golden masters
-//    (bench_fig6) and by test_hash_ring, so it must never change. A
-//    ChainLevel is the degenerate ring: one equal segment per node, no
-//    virtual nodes, resize reshuffles everything.
+//  * Salted-mod placement (`route_mod`): the OC and DC tiers of the TDC
+//    chain (cluster/topology.hpp). Each tier owns a salt so the two tiers
+//    shard independently; the arithmetic — hash64(id ^ salt) % nodes — is
+//    pinned by test_hash_ring, so it must never change. A salted-mod tier
+//    is the degenerate ring: one equal segment per node, no virtual nodes,
+//    resize reshuffles everything.
 //
 //  * Ring placement (`vnode_point` + cluster/hash_ring.hpp): consistent
 //    hashing with virtual nodes for the elastic cluster, where membership
@@ -24,15 +23,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
-#include <vector>
 
 #include "util/rng.hpp"
 
 namespace cdn::cluster {
 
+/// Routing salts of the TDC chain's OC and DC tiers. The salted-mod
+/// placement they select is pinned bitwise by test_hash_ring, so the values
+/// can never change.
+inline constexpr std::uint64_t kOcRouteSalt = 0x0c;
+inline constexpr std::uint64_t kDcRouteSalt = 0xdc;
+
 /// Salted modulo placement: hash64(id ^ salt) % nodes. The TDC chain's
-/// per-layer routing function, bit-for-bit (salts 0x0c and 0xdc).
+/// per-tier routing function, bit-for-bit (salts 0x0c and 0xdc).
 [[nodiscard]] inline std::size_t route_mod(std::uint64_t id,
                                            std::uint64_t salt,
                                            std::size_t nodes) noexcept {
@@ -50,45 +53,5 @@ namespace cdn::cluster {
   return hash64((static_cast<std::uint64_t>(node) << 32) |
                 static_cast<std::uint64_t>(replica));
 }
-
-/// One layer of a fixed multi-layer chain: `nodes` caches sharded by
-/// salted-mod placement.
-struct ChainLevel {
-  std::uint64_t salt = 0;
-  std::size_t nodes = 1;
-
-  [[nodiscard]] std::size_t route(std::uint64_t id) const noexcept {
-    return route_mod(id, salt, nodes);
-  }
-};
-
-/// A fixed chain expressed as a stack of ChainLevels — the 2-level config
-/// the TDC OC→DC topology routes through. Construction validates that
-/// every level has at least one node; routing is then branch-free.
-class ChainRouter {
- public:
-  explicit ChainRouter(std::vector<ChainLevel> levels)
-      : levels_(std::move(levels)) {
-    for (const ChainLevel& l : levels_) {
-      if (l.nodes == 0) {
-        throw std::invalid_argument(
-            "ChainRouter: every level needs at least one node");
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t levels() const noexcept { return levels_.size(); }
-  [[nodiscard]] const ChainLevel& level(std::size_t i) const {
-    return levels_[i];
-  }
-
-  /// Node index of `id` at chain level `i`.
-  [[nodiscard]] std::size_t route(std::size_t i, std::uint64_t id) const {
-    return levels_[i].route(id);
-  }
-
- private:
-  std::vector<ChainLevel> levels_;
-};
 
 }  // namespace cdn::cluster

@@ -1,8 +1,8 @@
 // RANDOM replacement: uniform-random victim selection, no recency state.
 // Not a contender policy — it exists because networks of RANDOM caches have
 // closed-form per-layer miss ratios (Gallo et al., PAPERS.md), which makes
-// it the analytical oracle that validates the cache-network simulator at
-// depth > 1 (see sim/network_analytic.hpp and test_cache_network).
+// it the analytical oracle that validates tree-shaped cluster::Topology
+// replays at depth > 1 (see sim/network_analytic.hpp and test_cache_network).
 #pragma once
 
 #include "sim/queue_cache.hpp"

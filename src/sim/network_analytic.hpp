@@ -21,8 +21,8 @@
 // solving the same fixed point at the root capacity yields the root layer's
 // per-object and aggregate miss ratios.
 //
-// test_cache_network replays unit-size Zipf IRM traces through the
-// simulator's CacheNetwork and pins the per-layer miss ratios against these
+// test_cache_network replays unit-size Zipf IRM traces through tree-shaped
+// cluster::Topology specs and pins the per-tier miss ratios against these
 // values at depth 1 and 2.
 #pragma once
 

@@ -42,8 +42,8 @@ class QueueCache : public Cache {
   }
 
   /// Read-only view of the resident queue for audit::Inspector-based tests
-  /// (e.g. structural audits of every node in a CacheNetwork). Never used
-  /// by policies.
+  /// (e.g. structural audits of every node of a cluster::Topology tree).
+  /// Never used by policies.
   [[nodiscard]] const LruQueue& audit_queue() const noexcept { return q_; }
 
  protected:

@@ -14,6 +14,7 @@
 #include "obs/json.hpp"
 #include "obs/sink.hpp"
 #include "sim/cache.hpp"
+#include "sim/flow_stats.hpp"
 #include "trace/columns.hpp"
 #include "trace/request.hpp"
 
@@ -62,40 +63,23 @@ struct SimResult {
   double cpu_seconds = 0.0;
   std::uint64_t metadata_peak_bytes = 0;
 
-  // Ratio accessors: a zero denominator reports 0.0 ("no traffic, no
-  // misses"), NEVER NaN/inf. The zero cases are real, not hypothetical —
-  // an empty trace (requests == 0), warmup_frac == 1.0 (warm_requests ==
-  // warm_bytes_total == 0), and in principle a zero-byte request stream
-  // (bytes_total == 0; the Request contract keeps size >= 1, so only
-  // hand-built results hit it). Pinned by SimulatorEdge tests because the
-  // orchestrator's per-expert window scoring divides by the same
-  // denominators and inherits this convention: a window with no evidence
-  // scores as loss-free rather than poisoning the learner with NaN.
+  // Ratio accessors: a zero denominator reports 0.0, never NaN/inf (the
+  // convention in sim/flow_stats.hpp, pinned by SimulatorEdge tests).
   [[nodiscard]] double object_miss_ratio() const {
-    return requests ? 1.0 - static_cast<double>(hits) /
-                                static_cast<double>(requests)
-                    : 0.0;
+    return miss_ratio_or_zero(hits, requests);
   }
   [[nodiscard]] double byte_miss_ratio() const {
-    return bytes_total ? 1.0 - static_cast<double>(bytes_hit) /
-                                   static_cast<double>(bytes_total)
-                       : 0.0;
+    return miss_ratio_or_zero(bytes_hit, bytes_total);
   }
   [[nodiscard]] double warm_object_miss_ratio() const {
-    return warm_requests ? 1.0 - static_cast<double>(warm_hits) /
-                                     static_cast<double>(warm_requests)
-                         : 0.0;
+    return miss_ratio_or_zero(warm_hits, warm_requests);
   }
   [[nodiscard]] double warm_byte_miss_ratio() const {
-    return warm_bytes_total ? 1.0 - static_cast<double>(warm_bytes_hit) /
-                                        static_cast<double>(warm_bytes_total)
-                            : 0.0;
+    return miss_ratio_or_zero(warm_bytes_hit, warm_bytes_total);
   }
   /// Requests processed per wall-clock second (Fig. 9/11 "TPS").
   [[nodiscard]] double tps() const {
-    return wall_seconds > 0.0
-               ? static_cast<double>(requests) / wall_seconds
-               : 0.0;
+    return ratio_or_zero(requests, wall_seconds);
   }
 };
 

@@ -28,10 +28,7 @@ LoadGen::LoadGen(const Trace& trace, const LoadGenOptions& opts)
 namespace {
 
 struct WorkerTally {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t bytes_total = 0;
-  std::uint64_t bytes_hit = 0;
+  FlowStats flow;
   LogHistogram latency_ns;
 };
 
@@ -51,12 +48,7 @@ WorkerTally drive_stream(ShardedCache& cache,
         std::max(0.0, std::round(secs * 1e9)));
     tally.latency_ns.add(ns, n);
     for (std::size_t i = 0; i < n; ++i) {
-      ++tally.requests;
-      tally.bytes_total += stream[lo + i].size;
-      if (hits[i]) {
-        ++tally.hits;
-        tally.bytes_hit += stream[lo + i].size;
-      }
+      tally.flow.record(stream[lo + i].size, hits[i]);
     }
   }
   return tally;
@@ -80,15 +72,15 @@ WorkerTally drive_stream_generic(Cache& cache,
         ++batch_hits;
         batch_bytes_hit += req.size;
       }
-      tally.bytes_total += req.size;
+      tally.flow.bytes_total += req.size;
     }
     const double secs = sw.seconds();
     const auto ns = static_cast<std::uint64_t>(
         std::max(0.0, std::round(secs * 1e9)));
     tally.latency_ns.add(ns, n);
-    tally.requests += n;
-    tally.hits += batch_hits;
-    tally.bytes_hit += batch_bytes_hit;
+    tally.flow.requests += n;
+    tally.flow.hits += batch_hits;
+    tally.flow.bytes_hit += batch_bytes_hit;
   }
   return tally;
 }
@@ -109,10 +101,7 @@ LoadGenResult run_streams(const std::vector<std::vector<Request>>& streams,
   LoadGenResult result;
   for (auto& f : futures) {
     const WorkerTally tally = f.get();
-    result.requests += tally.requests;
-    result.hits += tally.hits;
-    result.bytes_total += tally.bytes_total;
-    result.bytes_hit += tally.bytes_hit;
+    result += tally.flow;
     result.latency_ns.merge(tally.latency_ns);
   }
   result.wall_seconds = wall.seconds();

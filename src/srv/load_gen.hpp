@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/flow_stats.hpp"
 #include "srv/sharded_cache.hpp"
 #include "trace/request.hpp"
 #include "util/histogram.hpp"
@@ -34,18 +35,13 @@ struct LoadGenOptions {
   std::size_t batch_size = 256;
 };
 
-struct LoadGenResult {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t bytes_total = 0;
-  std::uint64_t bytes_hit = 0;
+/// Request, hit and byte counters over every worker, plus timing.
+struct LoadGenResult : FlowStats {
   double wall_seconds = 0.0;   ///< whole run, submit to last join
   LogHistogram latency_ns;     ///< per-request service latency, merged
 
   [[nodiscard]] double rps() const noexcept {
-    return wall_seconds > 0.0
-               ? static_cast<double>(requests) / wall_seconds
-               : 0.0;
+    return ratio_or_zero(requests, wall_seconds);
   }
   [[nodiscard]] std::uint64_t latency_p50_ns() const noexcept {
     return latency_ns.percentile(0.50);

@@ -1,5 +1,6 @@
 // Per-shard statistics snapshot shared by the sharded cache service and the
-// TDC node layer.
+// cluster's policy nodes: the FlowStats counters (sim/flow_stats.hpp) plus
+// capacity, occupancy and metadata.
 //
 // A ShardStats is filled in one critical section (one lock acquisition per
 // shard), so readers never observe a torn view of used/capacity/counters
@@ -11,27 +12,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/flow_stats.hpp"
+
 namespace cdn::srv {
 
-struct ShardStats {
+/// A shard's (or cluster node's) flow counters plus its occupancy.
+struct ShardStats : FlowStats {
   std::uint64_t capacity_bytes = 0;  ///< configured shard capacity
   std::uint64_t used_bytes = 0;      ///< resident bytes at snapshot time
   std::uint64_t metadata_bytes = 0;  ///< policy metadata footprint
 
-  std::uint64_t requests = 0;  ///< accesses routed to this shard
-  std::uint64_t hits = 0;
-  std::uint64_t bytes_total = 0;
-  std::uint64_t bytes_hit = 0;
-
-  [[nodiscard]] double object_hit_ratio() const noexcept {
-    return requests ? static_cast<double>(hits) /
-                          static_cast<double>(requests)
-                    : 0.0;
-  }
-  [[nodiscard]] double byte_hit_ratio() const noexcept {
-    return bytes_total ? static_cast<double>(bytes_hit) /
-                             static_cast<double>(bytes_total)
-                       : 0.0;
+  ShardStats& operator+=(const ShardStats& o) noexcept {
+    FlowStats::operator+=(o);
+    capacity_bytes += o.capacity_bytes;
+    used_bytes += o.used_bytes;
+    metadata_bytes += o.metadata_bytes;
+    return *this;
   }
 };
 
@@ -39,15 +35,7 @@ struct ShardStats {
 [[nodiscard]] inline ShardStats sum_stats(
     const std::vector<ShardStats>& shards) noexcept {
   ShardStats total;
-  for (const ShardStats& s : shards) {
-    total.capacity_bytes += s.capacity_bytes;
-    total.used_bytes += s.used_bytes;
-    total.metadata_bytes += s.metadata_bytes;
-    total.requests += s.requests;
-    total.hits += s.hits;
-    total.bytes_total += s.bytes_total;
-    total.bytes_hit += s.bytes_hit;
-  }
+  for (const ShardStats& s : shards) total += s;
   return total;
 }
 

@@ -83,8 +83,8 @@ Trace unique_trace(std::size_t ids, std::uint64_t size) {
 void expect_flow_conservation(const ClusterCache& cluster) {
   std::uint64_t requests = 0;
   for (const ClusterNodeStats& ns : cluster.node_stats()) {
-    EXPECT_EQ(ns.shard.requests,
-              ns.shard.hits + ns.peer_fills + ns.origin_fetches)
+    const FlowStats& f = ns.shard;
+    EXPECT_EQ(f.requests, f.hits + f.peer_fills + f.origin_fetches)
         << "node " << ns.name;
     requests += ns.shard.requests;
   }
@@ -490,10 +490,10 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
     EXPECT_EQ(ns.shard.hits, pin.hits);
     EXPECT_EQ(ns.shard.bytes_total, pin.bytes_total);
     EXPECT_EQ(ns.shard.bytes_hit, pin.bytes_hit);
-    EXPECT_EQ(ns.peer_fills, pin.peer_fills);
-    EXPECT_EQ(ns.peer_fill_bytes, pin.peer_fill_bytes);
-    EXPECT_EQ(ns.origin_fetches, pin.origin_fetches);
-    EXPECT_EQ(ns.origin_bytes, pin.origin_bytes);
+    EXPECT_EQ(ns.shard.peer_fills, pin.peer_fills);
+    EXPECT_EQ(ns.shard.peer_fill_bytes, pin.peer_fill_bytes);
+    EXPECT_EQ(ns.shard.origin_fetches, pin.origin_fetches);
+    EXPECT_EQ(ns.shard.origin_bytes, pin.origin_bytes);
     EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
     EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
   }
@@ -604,39 +604,35 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   for (auto& f : drivers) f.get();
   EXPECT_EQ(joined.get(), 4u);
 
+  const ClusterTotals t = cluster.totals();
   ClusterTotals sum;
   for (const ClusterNodeStats& ns : cluster.node_stats()) {
-    sum.requests += ns.shard.requests;
-    sum.hits += ns.shard.hits;
-    sum.bytes_total += ns.shard.bytes_total;
-    sum.bytes_hit += ns.shard.bytes_hit;
-    sum.peer_fills += ns.peer_fills;
-    sum.peer_fill_bytes += ns.peer_fill_bytes;
-    sum.origin_fetches += ns.origin_fetches;
-    sum.origin_bytes += ns.origin_bytes;
+    sum += ns.shard;
     sum.origin_time_us += ns.origin_time_us;
     sum.peer_time_us += ns.peer_time_us;
     sum.migrated_keys += ns.migrated_in_keys;
     sum.migrated_bytes += ns.migrated_in_bytes;
   }
-  const ClusterTotals t = cluster.totals();
+  sum.hot_spread_requests = t.hot_spread_requests;  // not a node counter
   EXPECT_EQ(t.requests, n);
-  EXPECT_EQ(t.requests, sum.requests);
-  EXPECT_EQ(t.hits, sum.hits);
-  EXPECT_EQ(t.bytes_total, sum.bytes_total);
-  EXPECT_EQ(t.bytes_hit, sum.bytes_hit);
-  EXPECT_EQ(t.peer_fills, sum.peer_fills);
-  EXPECT_EQ(t.peer_fill_bytes, sum.peer_fill_bytes);
-  EXPECT_EQ(t.origin_fetches, sum.origin_fetches);
-  EXPECT_EQ(t.origin_bytes, sum.origin_bytes);
-  EXPECT_EQ(t.origin_time_us, sum.origin_time_us);
-  EXPECT_EQ(t.peer_time_us, sum.peer_time_us);
-  EXPECT_EQ(t.migrated_keys, sum.migrated_keys);
-  EXPECT_EQ(t.migrated_bytes, sum.migrated_bytes);
+  EXPECT_EQ(t, sum);
   EXPECT_GT(t.migrated_keys, 0u);
   EXPECT_GT(t.origin_time_us, 0u);
   // Includes backing_stats() == (origin fetches, bytes, time).
   expect_flow_conservation(cluster);
+}
+
+TEST(Node, SnapshotReadsAllStatsConsistently) {
+  Node node("node0", make_cache("LRU", 1ULL << 20));
+  srv::ShardStats s = node.snapshot();
+  EXPECT_EQ(s.capacity_bytes, 1ULL << 20);
+  EXPECT_EQ(s.used_bytes, 0u);
+  node.access_hashed(Request{0, 1, 4096, -1}, hash64(1));
+  node.access_hashed(Request{1, 2, 8192, -1}, hash64(2));
+  s = node.snapshot();
+  EXPECT_EQ(s.capacity_bytes, 1ULL << 20);
+  EXPECT_EQ(s.used_bytes, 4096u + 8192u);
+  EXPECT_GT(s.metadata_bytes, 0u);
 }
 
 TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {

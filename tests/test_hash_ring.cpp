@@ -1,9 +1,10 @@
 // Tests for the cluster placement layer (src/cluster/routing.hpp +
-// hash_ring.hpp): salted-mod equivalence with the tdc chain formulas,
-// ring determinism and membership-order independence, virtual-node load
-// balance within a pinned bound, the consistent-hashing join/leave
-// guarantee (only ring-adjacent ranges move, moved fraction ~ 1/N), and
-// distinct prefix-stable k-owner lists for replication.
+// hash_ring.hpp): salted-mod equivalence with the TDC chain formulas (and
+// the topology's salted-mod tiers), ring determinism and membership-order
+// independence, virtual-node load balance within a pinned bound, the
+// consistent-hashing join/leave guarantee (only ring-adjacent ranges move,
+// moved fraction ~ 1/N), and distinct prefix-stable k-owner lists for
+// replication.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,8 +13,8 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/routing.hpp"
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
-#include "tdc/cluster.hpp"
 #include "util/rng.hpp"
 
 namespace cdn::cluster {
@@ -22,43 +23,41 @@ namespace {
 TEST(Routing, RouteModMatchesTheSaltedFormulaBitwise) {
   for (std::uint64_t id : {0ULL, 1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
     for (std::size_t nodes : {1, 2, 3, 4, 7, 8}) {
-      EXPECT_EQ(route_mod(id, tdc::kOcRouteSalt, nodes),
+      EXPECT_EQ(route_mod(id, kOcRouteSalt, nodes),
                 hash64(id ^ 0x0c) % nodes);
-      EXPECT_EQ(route_mod(id, tdc::kDcRouteSalt, nodes),
+      EXPECT_EQ(route_mod(id, kDcRouteSalt, nodes),
                 hash64(id ^ 0xdc) % nodes);
     }
   }
 }
 
-TEST(Routing, ChainRouterReproducesTdcClusterRouting) {
-  // The tdc chain is now a 2-level ChainRouter config; its routing must be
-  // bit-for-bit what the golden masters pinned before the port.
-  tdc::ClusterConfig cfg;
-  cfg.oc_nodes = 4;
-  cfg.dc_nodes = 2;
-  cfg.oc_capacity_bytes = 1 << 20;
-  cfg.dc_capacity_bytes = 1 << 20;
-  cfg.make_oc_cache = [](std::uint64_t cap, std::size_t) {
-    return make_cache("LRU", cap);
-  };
-  cfg.make_dc_cache = [](std::uint64_t cap, std::size_t) {
-    return make_cache("LRU", cap);
-  };
-  const tdc::Cluster cluster(cfg);
-  const ChainRouter router({ChainLevel{tdc::kOcRouteSalt, cfg.oc_nodes},
-                            ChainLevel{tdc::kDcRouteSalt, cfg.dc_nodes}});
-  for (std::uint64_t id = 0; id < 5000; ++id) {
-    Request req;
-    req.id = id * 0x9e3779b97f4a7c15ULL + 17;
-    EXPECT_EQ(cluster.route_oc(req), router.route(0, req.id));
-    EXPECT_EQ(cluster.route_dc(req.id), router.route(1, req.id));
-    EXPECT_EQ(router.route(0, req.id), hash64(req.id ^ 0x0c) % cfg.oc_nodes);
-    EXPECT_EQ(router.route(1, req.id), hash64(req.id ^ 0xdc) % cfg.dc_nodes);
+std::vector<CachePtr> lru_nodes(std::size_t n) {
+  std::vector<CachePtr> nodes;
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes.push_back(make_cache("LRU", 1 << 20));
+  }
+  return nodes;
+}
+
+TEST(Routing, TopologySaltedTiersReproduceTdcChainRouting) {
+  // The TDC chain is a 2-tier Topology spec of salted-mod tiers; its
+  // routing must be bit-for-bit what the golden masters pinned before the
+  // port.
+  const Topology chain(tdc_chain(lru_nodes(4), lru_nodes(2)),
+                       make_backing_store("null", LatencyModel{}));
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const std::uint64_t id = i * 0x9e3779b97f4a7c15ULL + 17;
+    EXPECT_EQ(chain.place(0, id, i, 0), route_mod(id, kOcRouteSalt, 4));
+    EXPECT_EQ(chain.place(1, id, i, 3), route_mod(id, kDcRouteSalt, 2));
+    EXPECT_EQ(chain.place(0, id, i, 0), hash64(id ^ 0x0c) % 4);
+    EXPECT_EQ(chain.place(1, id, i, 3), hash64(id ^ 0xdc) % 2);
   }
 }
 
-TEST(Routing, ChainRouterRejectsEmptyLevels) {
-  EXPECT_THROW(ChainRouter({ChainLevel{0, 0}}), std::invalid_argument);
+TEST(Routing, TopologyRejectsEmptyTiers) {
+  EXPECT_THROW(Topology(tdc_chain(lru_nodes(0), lru_nodes(1)),
+                        make_backing_store("null", LatencyModel{})),
+               std::invalid_argument);
 }
 
 TEST(Routing, VnodePointIsTheHashOfThePackedPair) {
