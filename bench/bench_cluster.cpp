@@ -34,10 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "cluster/cluster_cache.hpp"
 #include "core/registry.hpp"
-#include "obs/bench_report.hpp"
-#include "sim/simulator.hpp"
 #include "trace/stressors/scenarios.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -51,7 +50,7 @@ constexpr std::size_t kNodeCounts[] = {1, 2, 4, 8};
 /// Cache size as a fraction of each scenario's working set — the same
 /// "128 GB of CDN-T" operating point bench_stress pins (11.7%), here the
 /// TOTAL across all nodes, so adding nodes splits a fixed byte budget.
-constexpr double kCapacityFrac = 0.117;
+using bench::kFig8MediumFrac;
 
 /// Hot-key detector operating point. At smoke scale the flash scenario's
 /// crowd objects see hundreds of requests per window, so a threshold of 32
@@ -70,6 +69,11 @@ struct RunOut {
   SimResult sim;
   ClusterTotals totals;
 };
+
+bool deterministic_equal(const RunOut& a, const RunOut& b) {
+  return cdn::deterministic_equal(a.sim, b.sim) &&
+         cluster::deterministic_equal(a.totals, b.totals);
+}
 
 std::vector<MembershipEvent> churn_schedule(std::size_t n_requests) {
   const auto n = static_cast<std::uint64_t>(n_requests);
@@ -99,28 +103,14 @@ RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
   return out;
 }
 
-bool same_counters(const SimResult& a, const SimResult& b) {
-  return a.requests == b.requests && a.hits == b.hits &&
-         a.bytes_total == b.bytes_total && a.bytes_hit == b.bytes_hit &&
-         a.warm_requests == b.warm_requests && a.warm_hits == b.warm_hits &&
-         a.warm_bytes_total == b.warm_bytes_total &&
-         a.warm_bytes_hit == b.warm_bytes_hit &&
-         a.window_miss_ratios == b.window_miss_ratios;
-}
+/// Full runs use ~250k requests per scenario; --smoke ~50k, with the full
+/// gate set. Threads simulate configurations concurrently.
+constexpr bench::BenchCli kCli{"bench_cluster",
+                               bench::kScaleFlag | bench::kThreadsFlag,
+                               {.scale = 0.25, .threads = 8},
+                               {.scale = 0.05, .threads = 8}};
 
-struct Args {
-  bool smoke = false;
-  double scale = 0.25;      ///< base-trace request-count scale
-  std::size_t threads = 8;  ///< configurations simulated concurrently
-};
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_cluster [--smoke] [--scale F] [--threads N]\n");
-  return 2;
-}
-
-int run(const Args& args) {
+int run(const bench::BenchArgs& args) {
   obs::BenchReport report("cluster");
 
   // --- Scenario traces (flash-churn replays the flash trace under a
@@ -141,8 +131,7 @@ int run(const Args& args) {
 
   std::vector<std::uint64_t> capacities;
   for (const Scenario& sc : scenarios) {
-    capacities.push_back(static_cast<std::uint64_t>(
-        kCapacityFrac * static_cast<double>(sc.trace.working_set_bytes())));
+    capacities.push_back(bench::cap_frac(sc.trace, kFig8MediumFrac));
   }
 
   struct Config {
@@ -182,28 +171,21 @@ int run(const Args& args) {
     return outs;
   };
 
-  // --- Determinism gate: the entire sweep, twice, bitwise. ----------------
-  const std::vector<RunOut> results = sweep_once();
-  const std::vector<RunOut> rerun = sweep_once();
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!deterministic_equal(results[i].sim, rerun[i].sim) ||
-        results[i].sim.window_miss_ratios != rerun[i].sim.window_miss_ratios ||
-        !deterministic_equal(results[i].totals, rerun[i].totals)) {
-      std::fprintf(stderr,
-                   "FAIL: rerun of config %zu (%s, %zu nodes, replication "
-                   "%s) is not bitwise identical\n",
-                   i, scenarios[grid[i].scenario].name.c_str(), grid[i].nodes,
-                   grid[i].replicate ? "on" : "off");
-      return 1;
-    }
-  }
+  const auto results = bench::rerun_deterministic(
+      sweep_once, [&](std::size_t i, const RunOut&) {
+        return "config " + std::to_string(i) + " (" +
+               scenarios[grid[i].scenario].name + ", " +
+               std::to_string(grid[i].nodes) + " nodes, replication " +
+               (grid[i].replicate ? "on" : "off") + ")";
+      });
+  if (!results) return 1;
 
   const auto result_at = [&](std::size_t scenario, std::size_t nodes,
                              bool replicate) -> const RunOut& {
     for (std::size_t i = 0; i < grid.size(); ++i) {
       if (grid[i].scenario == scenario && grid[i].nodes == nodes &&
           grid[i].replicate == replicate) {
-        return results[i];
+        return (*results)[i];
       }
     }
     std::abort();  // unreachable: the grid enumerates every combination
@@ -219,7 +201,7 @@ int run(const Args& args) {
     const SimResult plain_res = simulate(*plain, scenarios[s].trace, opts);
     for (const bool replicate : {false, true}) {
       const RunOut& one = result_at(s, 1, replicate);
-      if (!same_counters(one.sim, plain_res)) {
+      if (!bench::same_counters(one.sim, plain_res)) {
         std::fprintf(stderr,
                      "FAIL: 1-node cluster diverges from unsharded %s under "
                      "'%s' (replication %s)\n",
@@ -266,7 +248,7 @@ int run(const Args& args) {
     }
   }
   std::printf("\n== Cluster sweep (%s, cap %.1f%% WSS total) ==\n%s",
-              kPolicy, 100.0 * kCapacityFrac, table.str().c_str());
+              kPolicy, 100.0 * kFig8MediumFrac, table.str().c_str());
 
   bool bto_ok = true;
   const std::size_t flash_idx = 1;
@@ -286,57 +268,13 @@ int run(const Args& args) {
     }
   }
   if (!bto_ok) return 1;
-
-  // --- Validate + write. --------------------------------------------------
-  const std::string violation = obs::validate_bench_report(report.document());
-  if (!violation.empty()) {
-    std::fprintf(stderr, "FAIL: BENCH_cluster.json schema: %s\n",
-                 violation.c_str());
-    return 1;
-  }
-  const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-  if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "FAIL: could not write %s\n",
-                 report.file_name().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu rows, schema valid, rerun-deterministic, "
-              "1-node anchor exact, replication reduces flash BTO at >=4 "
-              "nodes)\n",
-              report.file_name().c_str(), report.rows());
-  return 0;
+  return bench::write_report(report);
 }
 
 }  // namespace
 }  // namespace cdn::cluster
 
 int main(int argc, char** argv) {
-  cdn::cluster::Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return cdn::cluster::usage();
-      args.scale = std::atof(v);
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return cdn::cluster::usage();
-      args.threads = static_cast<std::size_t>(std::atoi(v));
-    } else {
-      return cdn::cluster::usage();
-    }
-  }
-  if (args.smoke) {
-    // CI-sized: ~50k requests per scenario, the full gate set still runs.
-    args.scale = 0.05;
-  }
-  if (args.scale <= 0.0 || args.threads == 0) {
-    return cdn::cluster::usage();
-  }
-  return cdn::cluster::run(args);
+  const auto args = cdn::bench::parse_args(cdn::cluster::kCli, argc, argv);
+  return args ? cdn::cluster::run(*args) : cdn::bench::kUsageExit;
 }

@@ -1,7 +1,7 @@
 // Shared plumbing for the figure-reproduction benchmarks: cached synthetic
-// traces (generated once per binary), the paper's cache-size grid expressed
-// as fractions of each trace's measured working-set size, and a pretty
-// result-row helper.
+// traces (generated once per binary), a pretty result-row helper, and the
+// report hook. The paper's cache-size grid (cap_frac and the Fig. 8
+// fractions of each trace's working set) lives in bench_harness.hpp.
 //
 // Every binary reproduces one table/figure of the paper and prints the same
 // rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured.
@@ -10,10 +10,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "obs/bench_report.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
@@ -46,18 +46,6 @@ inline const Trace& trace_t() { return traces()[0]; }
 inline const Trace& trace_w() { return traces()[1]; }
 inline const Trace& trace_a() { return traces()[2]; }
 
-/// Cache size as a fraction of the trace's working set (the paper sizes
-/// caches relative to the WSS; Fig. 8's 64/128/256 GB of CDN-T's 1097 GB
-/// are about 5.8 / 11.7 / 23.3 %).
-inline std::uint64_t cap_frac(const Trace& t, double frac) {
-  return static_cast<std::uint64_t>(
-      frac * static_cast<double>(t.working_set_bytes()));
-}
-
-inline constexpr double kFig8SmallFrac = 0.058;   // "64 GB"
-inline constexpr double kFig8MediumFrac = 0.117;  // "128 GB"
-inline constexpr double kFig8LargeFrac = 0.233;   // "256 GB"
-
 /// Prints a titled table block so bench output reads like the paper.
 inline void print_block(const std::string& title, const Table& table) {
   std::printf("\n== %s ==\n%s", title.c_str(), table.str().c_str());
@@ -66,11 +54,10 @@ inline void print_block(const std::string& title, const Table& table) {
 
 /// Machine-readable perf-trajectory hook: every bench binary owns one
 /// BenchJson, feeds it each SimResult it measures, and gets a
-/// BENCH_<name>.json (schema "cdn-bench-report", validated by test_obs)
-/// written at scope exit. The destination directory comes from
-/// $CDN_BENCH_JSON_DIR (default: the working directory); setting it to the
-/// repo root keeps the BENCH_*.json trajectory files where the ROADMAP
-/// expects them.
+/// BENCH_<name>.json (schema "cdn-bench-report") validated and written at
+/// scope exit through write_report (bench_harness.hpp). The destination
+/// directory comes from $CDN_BENCH_JSON_DIR (default: the working
+/// directory). A failed write only warns: the figure benches gate nothing.
 class BenchJson {
  public:
   explicit BenchJson(std::string bench_name)
@@ -85,15 +72,7 @@ class BenchJson {
   }
 
   ~BenchJson() {
-    if (report_.rows() == 0) return;
-    const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-    if (!report_.write(dir ? dir : ".")) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   report_.file_name().c_str());
-    } else {
-      std::printf("wrote %s (%zu rows)\n", report_.file_name().c_str(),
-                  report_.rows());
-    }
+    if (report_.rows() > 0) write_report(report_, "warning");
   }
 
  private:

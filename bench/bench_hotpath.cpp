@@ -8,28 +8,28 @@
 //   microbench   a pre-generated op stream (find-hit, find-miss, touch,
 //                erase+insert churn) at simulator-realistic occupancy runs
 //                through both map types; identical keys, identical order,
-//                checksums compared, best-of-trials wall time. FlatMap must
-//                be >= 1.2x the std::unordered_map op throughput or the
-//                bench exits non-zero — this is the PR's perf claim, kept
-//                enforceable.
+//                checksums compared, interleaved best-of-trials wall time.
+//                FlatMap must be >= 1.2x the std::unordered_map op
+//                throughput or the bench exits non-zero — the index's perf
+//                claim, kept enforceable.
 //   end-to-end   simulate() replay of LRU and SCIP over the CDN-T-like
 //                workload (the indexes under test in their real seats),
-//                best-of-trials requests/sec for the trajectory record.
+//                interleaved best-of-trials requests/sec; SCIP's wall time
+//                must stay within 1.5x LRU's at smoke scale (1.75x full) or
+//                the bench exits non-zero.
 //
 // Output: BENCH_hotpath.json (schema "cdn-bench-report") under
 // $CDN_BENCH_JSON_DIR (default "."): two microbench rows (policy "FlatMap"
 // / "unordered_map", trace "hotpath-mix") and one row per replay policy.
 // Exit codes: 0 ok, 1 speedup/cross-check/validation failure, 2 usage.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
-#include "obs/bench_report.hpp"
-#include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
@@ -39,30 +39,36 @@
 namespace cdn {
 namespace {
 
-struct Args {
-  bool smoke = false;
-  std::size_t live = 60'000;   ///< steady-state live keys (~LruQueue size)
-  std::size_t ops = 4'000'000; ///< mixed ops per trial
-  std::size_t trials = 5;      ///< best-of (min wall) trials
-  double scale = 0.25;         ///< CDN-T-like scale for the replay half
-  /// Ratcheted floor on the advisor's overhead: SCIP replay wall time must
-  /// stay within this factor of LRU's on the same trace (best-of-trials
-  /// each). The pre-optimization gap was ~2.5x. 0 = auto: 1.5 at smoke
-  /// scale (the CI-enforced floor — ghost state is mostly cache-resident,
-  /// so the ratio isolates advisor code overhead), 1.75 at full scale
-  /// (the ghost working set spills the LLC and the ratio additionally
-  /// carries SCIP's extra cold DRAM lines per miss; measured 1.59-1.60
-  /// best-of-5 on the reference host).
-  double max_scip_ratio = 0.0;
-};
+/// --smoke runs enough ops that the timed region spans many scheduler
+/// quanta (the speedup gate needs a stable ratio), few enough for a
+/// seconds-scale run; its replay half uses a 0.08-scale trace.
+constexpr bench::BenchCli kCli{"bench_hotpath",
+                               bench::kScaleFlag | bench::kTrialsFlag,
+                               {.scale = 0.25, .trials = 5},
+                               {.scale = 0.08, .trials = 3}};
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_hotpath [--smoke] [--live N] [--ops N]\n"
-               "                     [--trials N] [--scale F]\n"
-               "                     [--max-scip-ratio F  (0 = auto:\n"
-               "                      1.5 smoke / 1.75 full scale)]\n");
-  return 2;
+/// Microbench size: steady-state live keys (~LruQueue size) and mixed ops
+/// per trial.
+std::size_t live_keys(const bench::BenchArgs& a) {
+  return a.smoke ? 20'000 : 60'000;
+}
+std::size_t mixed_ops(const bench::BenchArgs& a) {
+  return a.smoke ? 1'000'000 : 4'000'000;
+}
+
+/// FlatMap must beat std::unordered_map on the op mix by this factor.
+constexpr double kMinSpeedup = 1.2;
+
+/// Ratcheted floor on the advisor's overhead: SCIP replay wall time must
+/// stay within this factor of LRU's on the same trace (best-of-trials
+/// each). The pre-optimization gap was ~2.5x. 1.5 at smoke scale (the
+/// CI-enforced floor — ghost state is mostly cache-resident, so the ratio
+/// isolates advisor code overhead), 1.75 at full scale (the ghost working
+/// set spills the LLC and the ratio additionally carries SCIP's extra cold
+/// DRAM lines per miss; measured 1.59-1.60 best-of-5 on the reference
+/// host).
+double max_scip_ratio(const bench::BenchArgs& a) {
+  return a.smoke ? 1.5 : 1.75;
 }
 
 // ------------------------------------------------------------ op stream --
@@ -171,37 +177,23 @@ std::uint64_t replay_ops(M& m, const std::vector<OpRec>& ops) {
   return checksum;
 }
 
-struct MicroResult {
-  double best_seconds = 0.0;
+struct MicroTrial {
+  double wall_seconds = 0.0;
   std::uint64_t checksum = 0;
-  std::uint64_t footprint_bytes = 0;
 };
 
+/// One timed pass of the op stream through a fresh map, after an untimed
+/// warm fill to steady-state occupancy (values = slot indexes, as in
+/// LruQueue).
 template <typename M>
-MicroResult run_micro(const std::vector<OpRec>& ops, std::size_t live,
-                      std::size_t trials, std::uint64_t footprint) {
-  MicroResult out;
-  for (std::size_t t = 0; t < trials; ++t) {
-    M m;
-    // Untimed warm fill to steady-state occupancy (values = slot indexes,
-    // as in LruQueue).
-    for (std::size_t k = 0; k < live; ++k) {
-      put(m, object_id(k), static_cast<std::uint32_t>(k));
-    }
-    Stopwatch sw;
-    const std::uint64_t checksum = replay_ops(m, ops);
-    const double secs = sw.seconds();
-    if (t == 0) {
-      out.checksum = checksum;
-      out.footprint_bytes = footprint ? footprint : 0;
-    } else if (checksum != out.checksum) {
-      // Any divergence across trials means nondeterminism in the map.
-      std::fprintf(stderr, "FAIL: checksum diverged across trials\n");
-      std::exit(1);
-    }
-    if (t == 0 || secs < out.best_seconds) out.best_seconds = secs;
+MicroTrial run_micro(const std::vector<OpRec>& ops, std::size_t live) {
+  M m;
+  for (std::size_t k = 0; k < live; ++k) {
+    put(m, object_id(k), static_cast<std::uint32_t>(k));
   }
-  return out;
+  Stopwatch sw;
+  const std::uint64_t checksum = replay_ops(m, ops);
+  return {sw.seconds(), checksum};
 }
 
 obs::json::Value micro_row(const std::string& policy, std::size_t n_ops,
@@ -224,13 +216,14 @@ obs::json::Value micro_row(const std::string& policy, std::size_t n_ops,
   return row;
 }
 
-int run(const Args& args) {
+int run(const bench::BenchArgs& args) {
   obs::BenchReport report("hotpath");
+  const std::size_t live = live_keys(args);
 
   // --- Microbench: identical op stream through both map types. ----------
-  std::printf("generating %zu ops at %zu live keys...\n", args.ops,
-              args.live);
-  const std::vector<OpRec> ops = make_ops(args.live, args.ops, /*seed=*/71);
+  std::printf("generating %zu ops at %zu live keys...\n", mixed_ops(args),
+              live);
+  const std::vector<OpRec> ops = make_ops(live, mixed_ops(args), /*seed=*/71);
 
   using Flat = FlatMap<std::uint64_t, std::uint32_t>;
   using Umap = std::unordered_map<std::uint64_t, std::uint32_t>;
@@ -240,7 +233,7 @@ int run(const Args& args) {
   // layout is libstdc++'s hash node of next-pointer + hash + pair).
   Flat flat_probe;
   Umap umap_probe;
-  for (std::size_t k = 0; k < args.live; ++k) {
+  for (std::size_t k = 0; k < live; ++k) {
     flat_probe.insert(object_id(k), 0);
     umap_probe.emplace(object_id(k), 0);
   }
@@ -252,22 +245,29 @@ int run(const Args& args) {
           (sizeof(std::pair<const std::uint64_t, std::uint32_t>) +
            2 * sizeof(void*));
 
-  const MicroResult flat = run_micro<Flat>(ops, args.live, args.trials,
-                                           flat_bytes);
-  const MicroResult umap = run_micro<Umap>(ops, args.live, args.trials,
-                                           umap_bytes);
-  if (flat.checksum != umap.checksum) {
+  // Every trial of either map replays the same op stream, so all must
+  // return one checksum: a divergence across trials is nondeterminism in a
+  // map, across maps a disagreement between them.
+  std::optional<std::uint64_t> checksum;
+  bool checksums_agree = true;
+  const std::vector<MicroTrial> micro = bench::best_of_interleaved(
+      2, args.trials, [&](std::size_t arm) {
+        const MicroTrial t =
+            arm == 0 ? run_micro<Flat>(ops, live) : run_micro<Umap>(ops, live);
+        if (!checksum) checksum = t.checksum;
+        checksums_agree = checksums_agree && t.checksum == *checksum;
+        return t;
+      });
+  if (!checksums_agree) {
     std::fprintf(stderr,
-                 "FAIL: FlatMap and unordered_map disagree on the op "
-                 "stream (checksums %llu vs %llu)\n",
-                 static_cast<unsigned long long>(flat.checksum),
-                 static_cast<unsigned long long>(umap.checksum));
+                 "FAIL: FlatMap and unordered_map trials disagree on the op "
+                 "stream's checksum\n");
     return 1;
   }
 
   const double n_ops = static_cast<double>(ops.size());
-  const double flat_tps = n_ops / flat.best_seconds;
-  const double umap_tps = n_ops / umap.best_seconds;
+  const double flat_tps = n_ops / micro[0].wall_seconds;
+  const double umap_tps = n_ops / micro[1].wall_seconds;
   const double speedup = flat_tps / umap_tps;
 
   Table table({"index", "Mops/s", "footprint KiB", "speedup"});
@@ -279,14 +279,14 @@ int run(const Args& args) {
                  "1.00"});
   std::printf("\n== Hot-path index microbench (%zu ops, %zu live keys, "
               "best of %zu) ==\n%s",
-              ops.size(), args.live, args.trials, table.str().c_str());
+              ops.size(), live, args.trials, table.str().c_str());
 
   obs::json::Value flat_row = micro_row("FlatMap", ops.size(), flat_tps,
-                                        flat_bytes, args.live, args.trials);
+                                        flat_bytes, live, args.trials);
   flat_row.set("speedup_vs_unordered_map", speedup);
   report.add_row(std::move(flat_row));
   report.add_row(micro_row("unordered_map", ops.size(), umap_tps, umap_bytes,
-                           args.live, args.trials));
+                           live, args.trials));
 
   // --- End-to-end: replay rps with the flat indexes in their real seats. -
   // Replay streams the struct-of-arrays id/size columns (the only fields
@@ -297,28 +297,19 @@ int run(const Args& args) {
   const Trace trace = generate_trace(cdn_t_like(args.scale));
   const TraceColumns cols =
       to_columns(trace, /*keep_time=*/false, /*keep_next=*/false);
-  const std::uint64_t capacity = static_cast<std::uint64_t>(
-      0.117 * static_cast<double>(trace.working_set_bytes()));
+  const std::uint64_t capacity =
+      bench::cap_frac(trace, bench::kFig8MediumFrac);
   Table e2e({"policy", "replay rps", "warm obj miss", "metadata KiB"});
-  // Interleave the two policies' trials (LRU, SCIP, LRU, SCIP, ...) instead
-  // of running each policy's trials as a contiguous phase. The ratio gate
-  // below divides one wall time by the other, and on a busy or
-  // frequency-scaling host two sequential phases sample different machine
-  // conditions — phase ordering alone swung the measured ratio by tens of
-  // percent. Adjacent trials see near-identical conditions, so best-of
-  // picks both policies' peaks from the same windows and the ratio isolates
-  // the advisor overhead it is meant to bound.
+  // Interleaved (LRU, SCIP, LRU, SCIP, ...), not one contiguous phase per
+  // policy: the ratio gate below divides one wall time by the other, and
+  // on a busy or frequency-scaling host phase ordering alone swung the
+  // measured ratio by tens of percent.
   constexpr const char* kPolicies[] = {"LRU", "SCIP"};
-  SimResult best[2];
-  for (std::size_t t = 0; t < args.trials; ++t) {
-    for (std::size_t p = 0; p < 2; ++p) {
-      auto cache = make_cache(kPolicies[p], capacity);
-      SimResult r = simulate(*cache, cols);
-      if (t == 0 || r.wall_seconds < best[p].wall_seconds) {
-        best[p] = std::move(r);
-      }
-    }
-  }
+  const std::vector<SimResult> best = bench::best_of_interleaved(
+      2, args.trials, [&](std::size_t p) {
+        auto cache = make_cache(kPolicies[p], capacity);
+        return simulate(*cache, cols);
+      });
   const double lru_wall = best[0].wall_seconds;
   const double scip_wall = best[1].wall_seconds;
   for (std::size_t p = 0; p < 2; ++p) {
@@ -338,91 +329,30 @@ int run(const Args& args) {
   std::printf("\n== End-to-end replay (%s, %zu requests, best of %zu) ==\n%s"
               "SCIP/LRU wall ratio: %.2fx (gate <= %.2fx)\n",
               trace.name.c_str(), trace.size(), args.trials,
-              e2e.str().c_str(), scip_ratio, args.max_scip_ratio);
+              e2e.str().c_str(), scip_ratio, max_scip_ratio(args));
 
   // --- Enforce the perf claims, validate, write. ------------------------
-  if (speedup < 1.2) {
+  if (speedup < kMinSpeedup) {
     std::fprintf(stderr,
-                 "FAIL: FlatMap speedup %.2fx < 1.2x over "
+                 "FAIL: FlatMap speedup %.2fx < %.1fx over "
                  "std::unordered_map on the hot-path mix\n",
-                 speedup);
+                 speedup, kMinSpeedup);
     return 1;
   }
-  if (scip_ratio > args.max_scip_ratio) {
+  if (scip_ratio > max_scip_ratio(args)) {
     std::fprintf(stderr,
                  "FAIL: SCIP replay wall time %.2fx LRU's exceeds the "
                  "%.2fx advisor-overhead floor\n",
-                 scip_ratio, args.max_scip_ratio);
+                 scip_ratio, max_scip_ratio(args));
     return 1;
   }
-  const std::string violation = obs::validate_bench_report(report.document());
-  if (!violation.empty()) {
-    std::fprintf(stderr, "FAIL: BENCH_hotpath.json schema: %s\n",
-                 violation.c_str());
-    return 1;
-  }
-  const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-  if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "FAIL: could not write %s\n",
-                 report.file_name().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu rows, schema valid, speedup %.2fx)\n",
-              report.file_name().c_str(), report.rows(), speedup);
-  return 0;
+  return bench::write_report(report);
 }
 
 }  // namespace
 }  // namespace cdn
 
 int main(int argc, char** argv) {
-  cdn::Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--live") {
-      const char* v = next();
-      if (!v) return cdn::usage();
-      args.live = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--ops") {
-      const char* v = next();
-      if (!v) return cdn::usage();
-      args.ops = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--trials") {
-      const char* v = next();
-      if (!v) return cdn::usage();
-      args.trials = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return cdn::usage();
-      args.scale = std::atof(v);
-    } else if (arg == "--max-scip-ratio") {
-      const char* v = next();
-      if (!v) return cdn::usage();
-      args.max_scip_ratio = std::atof(v);
-    } else {
-      return cdn::usage();
-    }
-  }
-  if (args.smoke) {
-    // CI-sized: enough ops that the timed region spans many scheduler
-    // quanta (the speedup gate needs a stable ratio), small enough for
-    // seconds-scale total runtime.
-    args.live = 20'000;
-    args.ops = 1'000'000;
-    args.trials = 3;
-    args.scale = 0.08;
-  }
-  if (args.max_scip_ratio == 0.0) {
-    args.max_scip_ratio = args.smoke ? 1.5 : 1.75;
-  }
-  if (args.live == 0 || args.ops == 0 || args.trials == 0 ||
-      args.scale <= 0.0 || args.max_scip_ratio <= 0.0) {
-    return cdn::usage();
-  }
-  return cdn::run(args);
+  const auto args = cdn::bench::parse_args(cdn::kCli, argc, argv);
+  return args ? cdn::run(*args) : cdn::bench::kUsageExit;
 }

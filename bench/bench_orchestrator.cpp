@@ -14,25 +14,23 @@
 //   * bitwise rerun determinism — the whole sweep runs twice and every row
 //     (bounds and orchestrator included) must be deterministic_equal;
 //   * epsilon dominance — in every (base, scenario) cell the orchestrator's
-//     warm BYTE miss ratio must be within --epsilon (default 0.01,
-//     absolute) of the best fixed policy's: tracking the per-cell winner is
-//     the orchestrator's entire job, so trailing it anywhere is a bug;
+//     warm BYTE miss ratio must be within kEpsilon (0.01, absolute) of the
+//     best fixed policy's: tracking the per-cell winner is the
+//     orchestrator's entire job, so trailing it anywhere is a bug;
 //   * the emitted document must pass obs::validate_bench_report.
 //
 // Output: BENCH_orchestrator.json under $CDN_BENCH_JSON_DIR (default "."),
 // one row per (policy-or-bound, base, scenario); bound rows carry
 // "bound": true. Exit codes: 0 ok, 1 gate/validation failure, 2 usage.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/byte_oracle.hpp"
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
-#include "obs/bench_report.hpp"
 #include "policies/replacement/belady.hpp"
-#include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/oracle.hpp"
 #include "trace/stressors/scenarios.hpp"
@@ -51,27 +49,22 @@ constexpr std::size_t kFixedCount = std::size(kFixedPolicies);
 /// two bound rows.
 constexpr std::size_t kRowsPerTrace = kFixedCount + 3;
 
-/// Cache size as a fraction of each trace's working set (the paper's
-/// Fig. 8 medium point, same as bench_stress).
-constexpr double kCapacityFrac = 0.117;
+/// Caches are sized to the paper's Fig. 8 medium point (11.7% of each
+/// trace's working set), as in bench_stress.
+using bench::kFig8MediumFrac;
 
-constexpr double kDefaultEpsilon = 0.01;
+/// Largest allowed gap between the orchestrator's warm byte miss ratio and
+/// the best fixed policy's, in any cell.
+constexpr double kEpsilon = 0.01;
 
-struct Args {
-  bool smoke = false;
-  double scale = 0.25;
-  std::size_t threads = 8;
-  double epsilon = kDefaultEpsilon;
-};
+/// Full runs use ~250k requests per cell; --smoke ~50k, with the full gate
+/// set.
+constexpr bench::BenchCli kCli{"bench_orchestrator",
+                               bench::kScaleFlag | bench::kThreadsFlag,
+                               {.scale = 0.25, .threads = 8},
+                               {.scale = 0.05, .threads = 8}};
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_orchestrator [--smoke] [--scale F] "
-               "[--threads N] [--epsilon F]\n");
-  return 2;
-}
-
-int run(const Args& args) {
+int run(const bench::BenchArgs& args) {
   obs::BenchReport report("orchestrator");
 
   // --- Build every (base, scenario) trace up front, annotated for the
@@ -89,8 +82,7 @@ int run(const Args& args) {
       t.name = std::string(base) + "/" + scenario;
       annotate_next_access(t);
       cell_names.push_back(t.name);
-      capacities.push_back(static_cast<std::uint64_t>(
-          kCapacityFrac * static_cast<double>(t.working_set_bytes())));
+      capacities.push_back(bench::cap_frac(t, kFig8MediumFrac));
       traces.push_back(std::move(t));
     }
   }
@@ -135,23 +127,13 @@ int run(const Args& args) {
               args.threads);
   std::fflush(stdout);
 
-  // --- Determinism gate: the entire sweep, twice, bitwise. --------------
-  const std::vector<SimResult> results = run_sweep(jobs, args.threads);
-  const std::vector<SimResult> rerun = run_sweep(jobs, args.threads);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!deterministic_equal(results[i], rerun[i]) ||
-        results[i].window_miss_ratios != rerun[i].window_miss_ratios) {
-      std::fprintf(stderr,
-                   "FAIL: rerun of job %zu (%s on %s) is not bitwise "
-                   "identical\n",
-                   i, results[i].policy.c_str(), results[i].trace.c_str());
-      return 1;
-    }
-  }
+  const auto results = bench::rerun_deterministic(
+      [&] { return run_sweep(jobs, args.threads); }, bench::describe_job);
+  if (!results) return 1;
 
   const auto result_at = [&](std::size_t cell,
                              std::size_t row) -> const SimResult& {
-    return results[cell * kRowsPerTrace + row];
+    return (*results)[cell * kRowsPerTrace + row];
   };
 
   // --- Per-base tables of warm byte miss ratios. ------------------------
@@ -169,7 +151,7 @@ int run(const Args& args) {
       table.add_row(row);
     }
     std::printf("\n== %s: warm byte miss ratio (cap %.1f%% WSS) ==\n%s",
-                kBases[b], 100.0 * kCapacityFrac, table.str().c_str());
+                kBases[b], 100.0 * kFig8MediumFrac, table.str().c_str());
   }
 
   // --- Report rows. -----------------------------------------------------
@@ -180,7 +162,7 @@ int run(const Args& args) {
       row.set("base", std::string(kBases[c / std::size(kScenarios)]));
       row.set("scenario", std::string(kScenarios[c % std::size(kScenarios)]));
       row.set("capacity_bytes", capacities[c]);
-      row.set("capacity_frac", kCapacityFrac);
+      row.set("capacity_frac", kFig8MediumFrac);
       row.set("scale", args.scale);
       row.set("bound", res.policy == "Belady" || res.policy == "ByteOracle");
       report.add_row(std::move(row));
@@ -200,72 +182,24 @@ int run(const Args& args) {
       }
     }
     const double orch = result_at(c, kFixedCount).warm_byte_miss_ratio();
-    if (orch > best_fixed + args.epsilon) {
+    if (orch > best_fixed + kEpsilon) {
       std::fprintf(stderr,
                    "FAIL: orchestrator warm byte miss %.4f exceeds best "
                    "fixed policy %s (%.4f) by more than epsilon %.4f on "
                    "'%s'\n",
-                   orch, kFixedPolicies[best_idx], best_fixed, args.epsilon,
+                   orch, kFixedPolicies[best_idx], best_fixed, kEpsilon,
                    cell_names[c].c_str());
       eps_ok = false;
     }
   }
   if (!eps_ok) return 1;
-
-  // --- Validate + write. ------------------------------------------------
-  const std::string violation = obs::validate_bench_report(report.document());
-  if (!violation.empty()) {
-    std::fprintf(stderr, "FAIL: BENCH_orchestrator.json schema: %s\n",
-                 violation.c_str());
-    return 1;
-  }
-  const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-  if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "FAIL: could not write %s\n",
-                 report.file_name().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu rows, schema valid, rerun-deterministic, "
-              "orchestrator within %.3f of the best fixed policy "
-              "everywhere)\n",
-              report.file_name().c_str(), report.rows(), args.epsilon);
-  return 0;
+  return bench::write_report(report);
 }
 
 }  // namespace
 }  // namespace cdn::orch_bench
 
 int main(int argc, char** argv) {
-  cdn::orch_bench::Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return cdn::orch_bench::usage();
-      args.scale = std::atof(v);
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return cdn::orch_bench::usage();
-      args.threads = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--epsilon") {
-      const char* v = next();
-      if (!v) return cdn::orch_bench::usage();
-      args.epsilon = std::atof(v);
-    } else {
-      return cdn::orch_bench::usage();
-    }
-  }
-  if (args.smoke) {
-    // CI-sized: ~50k requests per cell, the full gate set still runs.
-    args.scale = 0.05;
-  }
-  if (args.scale <= 0.0 || args.threads == 0 || args.epsilon <= 0.0) {
-    return cdn::orch_bench::usage();
-  }
-  return cdn::orch_bench::run(args);
+  const auto args = cdn::bench::parse_args(cdn::orch_bench::kCli, argc, argv);
+  return args ? cdn::orch_bench::run(*args) : cdn::bench::kUsageExit;
 }

@@ -1,9 +1,9 @@
 // Policy × stressor robustness table.
 //
-// Not a paper figure: this is the standing nonstationarity gate the ISSUE-7
-// stressor layer exists for. Every scenario from trace/stressors/scenarios
-// (baseline, drift, flash, scan, churn, sizemix, storm) is replayed under
-// six policies (SCIP / SCI / LRU / LIP / GDSF / S4LRU) at a cache sized to
+// Not a paper figure: this is the standing nonstationarity gate of the
+// stressor layer. Every scenario from trace/stressors/scenarios (baseline,
+// drift, flash, scan, churn, sizemix, storm) is replayed under six
+// policies (SCIP / SCI / LRU / LIP / GDSF / S4LRU) at a cache sized to
 // 11.7% of each scenario's working set (the paper's "128 GB of CDN-T"
 // fraction), through ParallelSweep.
 //
@@ -11,21 +11,19 @@
 //   * bitwise rerun determinism — the whole sweep is run twice and every
 //     row must be deterministic_equal, including the window series;
 //   * SCIP robustness — under no scenario may SCIP's warm object miss
-//     ratio exceed LRU's by more than the pinned margin (SCIP's set
-//     dueling should track LRU wherever adaptation cannot win);
+//     ratio exceed LRU's by more than kMargin (SCIP's set dueling should
+//     track LRU wherever adaptation cannot win);
 //   * the emitted document must pass obs::validate_bench_report.
 //
 // Output: BENCH_stress.json (schema "cdn-bench-report") under
 // $CDN_BENCH_JSON_DIR (default "."), one row per (policy, scenario).
 // Exit codes: 0 ok, 1 gate or validation failure, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
-#include "obs/bench_report.hpp"
-#include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/stressors/scenarios.hpp"
 #include "util/table.hpp"
@@ -33,12 +31,11 @@
 namespace cdn::stress {
 namespace {
 
+using bench::cap_frac;
+using bench::kFig8MediumFrac;
+
 constexpr const char* kPolicies[] = {"SCIP", "SCI",  "LRU",
                                      "LIP",  "GDSF", "S4LRU"};
-
-/// Cache size as a fraction of each scenario's working set (the paper's
-/// Fig. 8 medium point: "128 GB" of CDN-T's 1097 GB ~= 11.7%).
-constexpr double kCapacityFrac = 0.117;
 
 /// Pinned SCIP-vs-LRU warm-object-miss margin. Measured worst case across
 /// the scenario palette: +0.007 at smoke scale (0.05, flash) and +0.022 at
@@ -47,23 +44,16 @@ constexpr double kCapacityFrac = 0.117;
 /// headroom over the worst measured gap; a real adaptivity regression
 /// (e.g. the duel latching onto bimodal insertion under drift) lands well
 /// past it.
-constexpr double kDefaultMargin = 0.03;
+constexpr double kMargin = 0.03;
 
-struct Args {
-  bool smoke = false;
-  double scale = 0.25;        ///< base-trace request-count scale
-  std::size_t threads = 8;    ///< ParallelSweep worker threads
-  double margin = kDefaultMargin;
-};
+/// Full runs use ~250k requests per scenario; --smoke ~50k, with the full
+/// gate set.
+constexpr bench::BenchCli kCli{"bench_stress",
+                               bench::kScaleFlag | bench::kThreadsFlag,
+                               {.scale = 0.25, .threads = 8},
+                               {.scale = 0.05, .threads = 8}};
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_stress [--smoke] [--scale F] [--threads N]\n"
-               "                    [--max-regression F]\n");
-  return 2;
-}
-
-int run(const Args& args) {
+int run(const bench::BenchArgs& args) {
   obs::BenchReport report("stress");
 
   // --- Build every stressed scenario trace up front (stable addresses
@@ -75,8 +65,7 @@ int run(const Args& args) {
   for (const std::string& name : names) {
     traces.push_back(make_stressed_trace(make_stress_scenario(name,
                                                               args.scale)));
-    capacities.push_back(static_cast<std::uint64_t>(
-        kCapacityFrac * static_cast<double>(traces.back().working_set_bytes())));
+    capacities.push_back(cap_frac(traces.back(), kFig8MediumFrac));
   }
 
   SimOptions opts;
@@ -99,19 +88,9 @@ int run(const Args& args) {
               args.threads);
   std::fflush(stdout);
 
-  // --- Determinism gate: the entire sweep, twice, bitwise. --------------
-  const std::vector<SimResult> results = run_sweep(jobs, args.threads);
-  const std::vector<SimResult> rerun = run_sweep(jobs, args.threads);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!deterministic_equal(results[i], rerun[i]) ||
-        results[i].window_miss_ratios != rerun[i].window_miss_ratios) {
-      std::fprintf(stderr,
-                   "FAIL: rerun of job %zu (%s on %s) is not bitwise "
-                   "identical\n",
-                   i, results[i].policy.c_str(), results[i].trace.c_str());
-      return 1;
-    }
-  }
+  const auto results = bench::rerun_deterministic(
+      [&] { return run_sweep(jobs, args.threads); }, bench::describe_job);
+  if (!results) return 1;
 
   // --- Robustness table + report rows. ----------------------------------
   std::vector<std::string> header = {"policy"};
@@ -119,7 +98,7 @@ int run(const Args& args) {
   Table table(header);
   const auto result_at = [&](std::size_t scenario,
                              std::size_t policy) -> const SimResult& {
-    return results[scenario * std::size(kPolicies) + policy];
+    return (*results)[scenario * std::size(kPolicies) + policy];
   };
   for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
     std::vector<std::string> row = {kPolicies[p]};
@@ -129,14 +108,14 @@ int run(const Args& args) {
     table.add_row(row);
   }
   std::printf("\n== Warm object miss ratio by scenario (cap %.1f%% WSS) ==\n%s",
-              100.0 * kCapacityFrac, table.str().c_str());
+              100.0 * kFig8MediumFrac, table.str().c_str());
 
   for (std::size_t s = 0; s < names.size(); ++s) {
     for (std::size_t p = 0; p < std::size(kPolicies); ++p) {
       obs::json::Value row = sim_result_row(result_at(s, p));
       row.set("scenario", names[s]);
       row.set("capacity_bytes", capacities[s]);
-      row.set("capacity_frac", kCapacityFrac);
+      row.set("capacity_frac", kFig8MediumFrac);
       row.set("scale", args.scale);
       report.add_row(std::move(row));
     }
@@ -147,70 +126,22 @@ int run(const Args& args) {
   for (std::size_t s = 0; s < names.size(); ++s) {
     const double scip = result_at(s, 0).warm_object_miss_ratio();
     const double lru = result_at(s, 2).warm_object_miss_ratio();
-    const double regression = scip - lru;
-    if (regression > args.margin) {
+    if (scip - lru > kMargin) {
       std::fprintf(stderr,
                    "FAIL: SCIP regresses below LRU by %.4f (> margin %.4f) "
                    "under '%s' (SCIP %.4f, LRU %.4f)\n",
-                   regression, args.margin, names[s].c_str(), scip, lru);
+                   scip - lru, kMargin, names[s].c_str(), scip, lru);
       margin_ok = false;
     }
   }
   if (!margin_ok) return 1;
-
-  // --- Validate + write. ------------------------------------------------
-  const std::string violation = obs::validate_bench_report(report.document());
-  if (!violation.empty()) {
-    std::fprintf(stderr, "FAIL: BENCH_stress.json schema: %s\n",
-                 violation.c_str());
-    return 1;
-  }
-  const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-  if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "FAIL: could not write %s\n",
-                 report.file_name().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu rows, schema valid, rerun-deterministic, "
-              "SCIP within %.3f of LRU everywhere)\n",
-              report.file_name().c_str(), report.rows(), args.margin);
-  return 0;
+  return bench::write_report(report);
 }
 
 }  // namespace
 }  // namespace cdn::stress
 
 int main(int argc, char** argv) {
-  cdn::stress::Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return cdn::stress::usage();
-      args.scale = std::atof(v);
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return cdn::stress::usage();
-      args.threads = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--max-regression") {
-      const char* v = next();
-      if (!v) return cdn::stress::usage();
-      args.margin = std::atof(v);
-    } else {
-      return cdn::stress::usage();
-    }
-  }
-  if (args.smoke) {
-    // CI-sized: ~50k requests per scenario, the full gate set still runs.
-    args.scale = 0.05;
-  }
-  if (args.scale <= 0.0 || args.threads == 0 || args.margin <= 0.0) {
-    return cdn::stress::usage();
-  }
-  return cdn::stress::run(args);
+  const auto args = cdn::bench::parse_args(cdn::stress::kCli, argc, argv);
+  return args ? cdn::stress::run(*args) : cdn::bench::kUsageExit;
 }

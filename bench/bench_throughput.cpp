@@ -1,41 +1,40 @@
 // Throughput / latency benchmark for the sharded SCIP cache service
-// (src/srv). Not a paper figure: this measures the serving substrate the
-// ROADMAP's production north star needs — how request throughput scales
-// with shard count, what sharding costs in hit ratio, and the service
-// latency distribution under a closed-loop multi-worker load.
+// (src/srv). Not a paper figure: this measures the serving substrate —
+// how request throughput scales with shard count, what sharding costs in
+// hit ratio, and the service latency distribution under a closed-loop
+// multi-worker load.
 //
-// Protocol per shard count (srv/shard_sweep.hpp):
-//   replay phase    single-threaded, in trace order -> exact deterministic
-//                   hit ratios + per-shard occupancy skew
-//   throughput phase `--workers` closed-loop threads through a ThreadPool,
-//                   best (min-wall) of `--trials` runs -> requests/sec and
-//                   per-request service-latency percentiles
+// Protocol per shard count (1, 2, 4, 8, 16) on the CDN-T-like workload:
+//   replay phase     single-threaded, in trace order -> exact deterministic
+//                    hit ratios + per-shard occupancy skew
+//   throughput phase `--threads` closed-loop workers through a ThreadPool,
+//                    best (min-wall) of `--trials` runs, the trials
+//                    interleaved across shard counts -> requests/sec and
+//                    per-request service-latency percentiles
 //
-// Cross-checks performed before the report is written:
+// Checks performed before the report is written:
 //   * the 1-shard replay of SCIP/LRU/SCI/LIP over the golden trace must
 //     match the unsharded policies counter-for-counter (the golden-master
 //     configs of test_golden_master) — sharding may cost hit ratio at
 //     N > 1, but the 1-shard service must be bit-identical to a plain
-//     cache, or the serving layer changed policy behavior;
-//   * requests/sec must be monotone non-decreasing from 1 to 8 shards on
-//     the CDN-T-like workload; if scheduler noise produces an inversion,
-//     the slower row is re-measured (more min-wall trials) a bounded
-//     number of times;
+//     cache, or the serving layer changed policy behavior (exit 1);
+//   * requests/sec should be monotone non-decreasing from 1 to 8 shards
+//     (per-request work does not grow with shard count after the
+//     O(n + shards) batch grouping); an inversion is printed as a warning
+//     and the rows are reported as measured;
 //   * the emitted document must pass obs::validate_bench_report.
 //
 // Output: BENCH_throughput.json (schema "cdn-bench-report") under
 // $CDN_BENCH_JSON_DIR (default "."), one row per (trace, shard count).
 // Exit codes: 0 ok, 1 cross-check or validation failure, 2 usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
-#include "obs/bench_report.hpp"
-#include "sim/simulator.hpp"
-#include "srv/shard_sweep.hpp"
+#include "srv/load_gen.hpp"
+#include "srv/sharded_cache.hpp"
 #include "trace/generator.hpp"
 #include "util/table.hpp"
 
@@ -65,55 +64,47 @@ WorkloadSpec golden_spec() {
 }
 constexpr std::uint64_t kGoldenCapacity = 8ULL << 20;
 
-struct Args {
-  bool smoke = false;
-  double scale = 0.25;       ///< CDN-T-like request-count scale
-  /// Closed-loop worker threads. Deliberately oversubscribed relative to
-  /// typical core counts: preemption of a lock holder is the contention
-  /// mode a single stripe suffers and sharding relieves, so oversubscribing
-  /// makes the sweep's scaling signal robust to how busy the host is.
-  std::size_t workers = 16;
-  std::size_t batch = 256;
-  std::size_t trials = 5;
-  std::string policy = "SCIP";
+constexpr const char* kPolicy = "SCIP";
+constexpr std::size_t kShardCounts[] = {1, 2, 4, 8, 16};
+/// Shard counts up to this one are expected to scale monotonically.
+constexpr std::size_t kMonotoneUpTo = 8;
+constexpr std::size_t kBatch = 256;  ///< requests per access_batch call
+
+/// Threads are closed-loop workers, deliberately oversubscribed relative
+/// to typical core counts: preemption of a lock holder is the contention
+/// mode a single stripe suffers and sharding relieves, so oversubscribing
+/// makes the scaling signal robust to how busy the host is. --smoke runs
+/// ~10^5 requests per trial: long enough that a trial spans many scheduler
+/// quanta and the scaling signal beats timer noise, small enough to finish
+/// in seconds.
+constexpr bench::BenchCli kCli{
+    "bench_throughput",
+    bench::kScaleFlag | bench::kThreadsFlag | bench::kTrialsFlag,
+    {.scale = 0.25, .threads = 16, .trials = 5},
+    {.scale = 0.12, .threads = 16, .trials = 3}};
+
+/// One shard count: its deterministic replay and best concurrent trial.
+struct ShardRow {
+  std::size_t shards = 0;
+  SimResult replay;
+  std::vector<ShardStats> shard_stats;  ///< end-of-replay snapshot
+  LoadGenResult loadgen;
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: bench_throughput [--smoke] [--scale F] [--workers N]\n"
-               "                        [--batch N] [--trials N] "
-               "[--policy NAME]\n");
-  return 2;
-}
-
-bool replay_matches_unsharded(const SimResult& sharded,
-                              const SimResult& unsharded) {
-  return sharded.requests == unsharded.requests &&
-         sharded.hits == unsharded.hits &&
-         sharded.bytes_total == unsharded.bytes_total &&
-         sharded.bytes_hit == unsharded.bytes_hit &&
-         sharded.warm_requests == unsharded.warm_requests &&
-         sharded.warm_hits == unsharded.warm_hits &&
-         sharded.warm_bytes_total == unsharded.warm_bytes_total &&
-         sharded.warm_bytes_hit == unsharded.warm_bytes_hit &&
-         sharded.window_miss_ratios == unsharded.window_miss_ratios;
-}
-
-obs::json::Value sweep_row(const std::string& policy, const ShardSweepRow& r,
-                           std::size_t workers) {
+obs::json::Value sweep_row(const ShardRow& r, const bench::BenchArgs& args) {
   obs::json::Value row = sim_result_row(r.replay);
-  row.set("policy", policy);  // replay reports "sharded(...)"; keep it flat
+  row.set("policy", kPolicy);  // replay reports "sharded(...)"; keep it flat
   row.set("service", r.replay.policy);
   row.set("shards", static_cast<std::uint64_t>(r.shards));
-  row.set("workers", static_cast<std::uint64_t>(workers));
-  row.set("trials", static_cast<std::uint64_t>(r.trials_run));
+  row.set("workers", static_cast<std::uint64_t>(args.threads));
+  row.set("trials", static_cast<std::uint64_t>(args.trials));
   row.set("rps", r.loadgen.rps());
   row.set("tps", r.loadgen.rps());  // tps == concurrent requests/sec here
   row.set("concurrent_object_hit_ratio", r.loadgen.object_hit_ratio());
   row.set("latency_p50_ns", r.loadgen.latency_p50_ns());
   row.set("latency_p99_ns", r.loadgen.latency_p99_ns());
   row.set("latency_p999_ns", r.loadgen.latency_p999_ns());
-  row.set("shard_skew", r.skew);
+  row.set("shard_skew", occupancy_skew(r.shard_stats));
   obs::json::Array used;
   for (const ShardStats& s : r.shard_stats) {
     used.push_back(obs::json::Value(s.used_bytes));
@@ -122,7 +113,7 @@ obs::json::Value sweep_row(const std::string& policy, const ShardSweepRow& r,
   return row;
 }
 
-int run(const Args& args) {
+int run(const bench::BenchArgs& args) {
   obs::BenchReport report("throughput");
 
   // --- Golden cross-check: 1-shard service == unsharded policy. ---------
@@ -144,7 +135,7 @@ int run(const Args& args) {
     ShardedCache service(cc);
     const SimResult sharded = simulate(service, golden, golden_opts);
 
-    const bool match = replay_matches_unsharded(sharded, unsharded);
+    const bool match = bench::same_counters(sharded, unsharded);
     golden_ok = golden_ok && match;
     golden_table.add_row({policy, std::to_string(unsharded.hits),
                           std::to_string(sharded.hits),
@@ -168,32 +159,46 @@ int run(const Args& args) {
 
   // --- Shard-count sweep on the CDN-T-like workload. --------------------
   const Trace trace = generate_trace(cdn_t_like(args.scale));
-  ShardSweepConfig config;
-  config.policy = args.policy;
-  config.capacity_bytes = static_cast<std::uint64_t>(
-      0.117 * static_cast<double>(trace.working_set_bytes()));
-  config.shard_counts = {1, 2, 4, 8, 16};
-  config.workers = args.workers;
-  config.batch_size = args.batch;
-  config.trials = args.trials;
-
+  const std::uint64_t capacity =
+      bench::cap_frac(trace, bench::kFig8MediumFrac);
+  const auto service_config = [&](std::size_t shards) {
+    ShardedCacheConfig cc;
+    cc.policy = kPolicy;
+    cc.capacity_bytes = capacity;
+    cc.shards = shards;
+    return cc;
+  };
   std::printf("\nsweeping %s over %zu requests (%s), %zu workers, "
               "%zu trials/shard-count...\n",
-              args.policy.c_str(), trace.size(), trace.name.c_str(),
-              args.workers, args.trials);
+              kPolicy, trace.size(), trace.name.c_str(), args.threads,
+              args.trials);
   std::fflush(stdout);
-  std::vector<ShardSweepRow> rows = run_shard_sweep(trace, config);
 
-  // Monotonicity repair over 1..8 shards: an inversion under min-wall
-  // measurement is noise (per-request work does not grow with shard count
-  // after the O(n + shards) batch grouping), so re-measure the contested
-  // prefix in coherent epochs until the curve settles; a genuinely slower
-  // configuration would survive all rounds and be reported below.
-  const bool monotone = repair_monotone_rps(trace, config, rows, 8, 4, 25);
+  std::vector<ShardRow> rows;
+  for (const std::size_t shards : kShardCounts) {
+    ShardedCache cache(service_config(shards));
+    ShardRow row;
+    row.shards = shards;
+    row.replay = simulate(cache, trace);
+    row.shard_stats = cache.snapshot();
+    rows.push_back(std::move(row));
+  }
+  LoadGenOptions lg;
+  lg.workers = args.threads;
+  lg.batch_size = kBatch;
+  const LoadGen gen(trace, lg);
+  ThreadPool pool(args.threads);
+  std::vector<LoadGenResult> best = bench::best_of_interleaved(
+      rows.size(), args.trials, [&](std::size_t k) {
+        ShardedCache cache(service_config(rows[k].shards));
+        return gen.run(cache, pool);
+      });
 
   Table table({"shards", "rps", "p50 us", "p99 us", "p99.9 us",
-               "warm obj miss", "warm byte miss", "skew", "trials"});
-  for (const ShardSweepRow& r : rows) {
+               "warm obj miss", "warm byte miss", "skew"});
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    ShardRow& r = rows[k];
+    r.loadgen = std::move(best[k]);
     table.add_row(
         {std::to_string(r.shards), Table::fmt(r.loadgen.rps(), 0),
          Table::fmt(static_cast<double>(r.loadgen.latency_p50_ns()) / 1e3, 1),
@@ -201,89 +206,30 @@ int run(const Args& args) {
          Table::fmt(static_cast<double>(r.loadgen.latency_p999_ns()) / 1e3,
                     1),
          Table::pct(r.replay.warm_object_miss_ratio()),
-         Table::pct(r.replay.warm_byte_miss_ratio()), Table::fmt(r.skew, 3),
-         std::to_string(r.trials_run)});
-    report.add_row(sweep_row(args.policy, r, args.workers));
+         Table::pct(r.replay.warm_byte_miss_ratio()),
+         Table::fmt(occupancy_skew(r.shard_stats), 3)});
+    report.add_row(sweep_row(r, args));
   }
-  std::printf("\n== Throughput vs shard count (%s, %s) ==\n%s",
-              args.policy.c_str(), trace.name.c_str(), table.str().c_str());
+  std::printf("\n== Throughput vs shard count (%s, %s) ==\n%s", kPolicy,
+              trace.name.c_str(), table.str().c_str());
 
-  if (!monotone) {
-    for (std::size_t k = 1; k < rows.size() && rows[k].shards <= 8; ++k) {
-      if (rows[k].loadgen.rps() < rows[k - 1].loadgen.rps()) {
-        std::fprintf(stderr,
-                     "warning: rps not monotone at %zu -> %zu shards "
-                     "(%.0f -> %.0f) after re-measurement\n",
-                     rows[k - 1].shards, rows[k].shards,
-                     rows[k - 1].loadgen.rps(), rows[k].loadgen.rps());
-      }
+  for (std::size_t k = 1; k < rows.size() && rows[k].shards <= kMonotoneUpTo;
+       ++k) {
+    if (rows[k].loadgen.rps() < rows[k - 1].loadgen.rps()) {
+      std::fprintf(stderr,
+                   "warning: rps not monotone at %zu -> %zu shards "
+                   "(%.0f -> %.0f)\n",
+                   rows[k - 1].shards, rows[k].shards,
+                   rows[k - 1].loadgen.rps(), rows[k].loadgen.rps());
     }
   }
-
-  // --- Validate + write. ------------------------------------------------
-  const std::string violation =
-      obs::validate_bench_report(report.document());
-  if (!violation.empty()) {
-    std::fprintf(stderr, "FAIL: BENCH_throughput.json schema: %s\n",
-                 violation.c_str());
-    return 1;
-  }
-  const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
-  if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "FAIL: could not write %s\n",
-                 report.file_name().c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (%zu rows, schema valid)\n",
-              report.file_name().c_str(), report.rows());
-  return 0;
+  return bench::write_report(report);
 }
 
 }  // namespace
 }  // namespace cdn::srv
 
 int main(int argc, char** argv) {
-  cdn::srv::Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--smoke") {
-      args.smoke = true;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return cdn::srv::usage();
-      args.scale = std::atof(v);
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return cdn::srv::usage();
-      args.workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return cdn::srv::usage();
-      args.batch = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--trials") {
-      const char* v = next();
-      if (!v) return cdn::srv::usage();
-      args.trials = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--policy") {
-      const char* v = next();
-      if (!v) return cdn::srv::usage();
-      args.policy = v;
-    } else {
-      return cdn::srv::usage();
-    }
-  }
-  if (args.smoke) {
-    // CI-sized run: long enough per trial (~10^5 requests) that a trial
-    // spans many scheduler quanta and the scaling signal beats timer noise,
-    // small enough to finish in seconds.
-    args.scale = 0.12;
-    args.trials = 3;
-  }
-  if (args.scale <= 0.0 || args.workers == 0 || args.batch == 0) {
-    return cdn::srv::usage();
-  }
-  return cdn::srv::run(args);
+  const auto args = cdn::bench::parse_args(cdn::srv::kCli, argc, argv);
+  return args ? cdn::srv::run(*args) : cdn::bench::kUsageExit;
 }
