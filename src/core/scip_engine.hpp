@@ -260,7 +260,7 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
 
 // ---- hot-path inline definitions -----------------------------------------
 
-CDN_ALWAYS_INLINE void ScipAdvisor::on_miss_hashed(const Request& req, std::uint64_t h) {
+inline void ScipAdvisor::on_miss_hashed(const Request& req, std::uint64_t h) {
   // Algorithm 1, lines 6-13: consult and DELETE. The history hit adjusts
   // this object's own placement (per-object override) and nudges the
   // judged expert's ambient weight through the duel counters.
@@ -300,7 +300,7 @@ CDN_ALWAYS_INLINE void ScipAdvisor::on_miss_hashed(const Request& req, std::uint
   pending_override_id_ = req.id;
 }
 
-CDN_ALWAYS_INLINE bool ScipAdvisor::choose_mru_for_miss(const Request& req) {
+inline bool ScipAdvisor::choose_mru_for_miss(const Request& req) {
   bool mru;
   if (pending_override_ != 0 && pending_override_id_ == req.id) {
     mru = pending_override_ > 0;
@@ -313,7 +313,7 @@ CDN_ALWAYS_INLINE bool ScipAdvisor::choose_mru_for_miss(const Request& req) {
   return mru;
 }
 
-CDN_ALWAYS_INLINE bool ScipAdvisor::choose_mru_for_hit(const Request& /*req*/,
+inline bool ScipAdvisor::choose_mru_for_hit(const Request& /*req*/,
                                             std::uint32_t residency_hits) {
   // Promotion is a special insertion: SELECT over the promotion weights.
   // An "LIP" outcome re-inserts the hit object near the LRU end — the
@@ -326,7 +326,7 @@ CDN_ALWAYS_INLINE bool ScipAdvisor::choose_mru_for_hit(const Request& /*req*/,
   return mru;
 }
 
-CDN_ALWAYS_INLINE void ScipAdvisor::on_evict_hashed(std::uint64_t id, std::uint64_t size,
+inline void ScipAdvisor::on_evict_hashed(std::uint64_t id, std::uint64_t size,
                                          bool was_mru_inserted, bool had_hits,
                                          std::uint64_t h) {
   // Algorithm 1, lines 15-19 (ADD keeps each list FIFO).
@@ -337,7 +337,7 @@ CDN_ALWAYS_INLINE void ScipAdvisor::on_evict_hashed(std::uint64_t id, std::uint6
   }
 }
 
-CDN_ALWAYS_INLINE void ScipAdvisor::on_request_hashed(const Request& req, bool hit,
+inline void ScipAdvisor::on_request_hashed(const Request& req, bool hit,
                                            std::uint64_t h) {
   // Feed the shadow-monitor duels from disjoint 1/2^shift traffic slices.
   if (params_.use_monitors) {

@@ -149,7 +149,7 @@ class GhostList {
 
 // ---- hot-path inline definitions -----------------------------------------
 
-CDN_ALWAYS_INLINE CDN_HOT std::uint32_t GhostList::alloc_rec() {
+inline CDN_HOT std::uint32_t GhostList::alloc_rec() {
   if (!free_list_.empty()) {
     const std::uint32_t idx = free_list_.back();
     free_list_.pop_back();
@@ -159,12 +159,12 @@ CDN_ALWAYS_INLINE CDN_HOT std::uint32_t GhostList::alloc_rec() {
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
-CDN_ALWAYS_INLINE CDN_HOT void GhostList::free_rec(std::uint32_t idx) {
+inline CDN_HOT void GhostList::free_rec(std::uint32_t idx) {
   slab_[idx] = Rec{};  // reset for reuse
   free_list_.push_back(idx);
 }
 
-CDN_ALWAYS_INLINE CDN_HOT void GhostList::unlink(std::uint32_t idx) {
+inline CDN_HOT void GhostList::unlink(std::uint32_t idx) {
   Rec& r = slab_[idx];
   if (r.prev_ != kNull) {
     slab_[r.prev_].next_ = r.next_;
@@ -179,7 +179,7 @@ CDN_ALWAYS_INLINE CDN_HOT void GhostList::unlink(std::uint32_t idx) {
   r.prev_ = r.next_ = kNull;
 }
 
-CDN_ALWAYS_INLINE CDN_HOT void GhostList::evict_to_fit() {
+inline CDN_HOT void GhostList::evict_to_fit() {
   while (used_bytes_ > capacity_ && tail_ != kNull) {
     const std::uint32_t idx = tail_;
     const Rec& oldest = slab_[idx];
@@ -196,7 +196,7 @@ CDN_ALWAYS_INLINE CDN_HOT void GhostList::evict_to_fit() {
   }
 }
 
-CDN_ALWAYS_INLINE CDN_HOT void GhostList::add_hashed(std::uint64_t id,
+inline CDN_HOT void GhostList::add_hashed(std::uint64_t id,
                                                       std::uint64_t size,
                                   bool tag, std::uint64_t h) {
   if (size > capacity_) {
@@ -247,7 +247,7 @@ CDN_ALWAYS_INLINE CDN_HOT void GhostList::add_hashed(std::uint64_t id,
   evict_to_fit();
 }
 
-CDN_ALWAYS_INLINE CDN_HOT bool GhostList::erase_hashed(std::uint64_t id,
+inline CDN_HOT bool GhostList::erase_hashed(std::uint64_t id,
                                                         std::uint64_t h,
                                     std::uint64_t* size_out, bool* tag_out) {
   const std::uint32_t* p = index_.find_hashed(id, h);

@@ -73,11 +73,9 @@ SimResult simulate_impl(Cache& cache, const Stream& stream,
   // request and sets the throughput numbers the paper tables quote.
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDistance < n) {
-      // detlint:allow(virtual-in-hot, advisory hint through the Cache API; devirtualized per-policy in the registry's sealed final classes)
       cache.prefetch(stream.id(i + kPrefetchDistance));
     }
     const auto& req = stream.req(i);
-    // detlint:allow(virtual-in-hot, the one polymorphic dispatch per request the harness is built around; cost tracked by bench_throughput)
     const bool hit = cache.access(req);
 
     ++res.requests;
@@ -105,7 +103,6 @@ SimResult simulate_impl(Cache& cache, const Stream& stream,
     if (opts.metadata_sample_every != 0 &&
         i % opts.metadata_sample_every == 0) {
       res.metadata_peak_bytes =
-          // detlint:allow(virtual-in-hot, metadata sampling is opt-in and strided; off by default in benches)
           std::max(res.metadata_peak_bytes, cache.metadata_bytes());
     }
   }

@@ -166,7 +166,6 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
       const std::size_t idx = (first_shard + off) % n_shards;
       if (done[idx]) continue;
       Shard& s = *shards_[idx];
-      // detlint:allow(lock-in-hot, lock striping IS the concurrency design: one non-blocking acquire per touched shard per batch)
       if (!s.mu.try_lock()) continue;
       serve_run_locked(s, reqs, order, start[idx], start[idx + 1], hits_out);
       s.mu.unlock();
@@ -182,7 +181,6 @@ void ShardedCache::access_batch(const Request* reqs, std::size_t n,
       if (done[idx]) continue;
       Shard& s = *shards_[idx];
       {
-        // detlint:allow(lock-in-hot, blocking fallback taken only when every pending stripe is held elsewhere; guarantees forward progress)
         MutexLock lk(s.mu);
         serve_run_locked(s, reqs, order, start[idx], start[idx + 1],
                          hits_out);
@@ -205,11 +203,9 @@ void ShardedCache::serve_run_locked(Shard& s, const Request* reqs,
   constexpr std::uint32_t kPrefetchDistance = 4;
   for (std::uint32_t k = begin; k < end; ++k) {
     if (k + kPrefetchDistance < end) {
-      // detlint:allow(virtual-in-hot, prefetch is an advisory hint; the registry boundary is one indirect call, measured in bench_throughput)
       s.cache->prefetch(reqs[order[k + kPrefetchDistance]].id);
     }
     const std::size_t i = order[k];
-    // detlint:allow(virtual-in-hot, the polymorphic policy dispatch is the service's API boundary; per-request cost measured in bench_throughput)
     const bool hit = s.cache->access(reqs[i]);
     hits_out[i] = hit;
     ++s.counters.requests;

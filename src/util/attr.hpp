@@ -1,23 +1,11 @@
-// Function attributes for the per-request hot path.
+// Annotations for the per-request hot path.
 #pragma once
 
-// Forces inlining of a hot-path function the optimizer's size heuristics
-// would otherwise keep out of line. Use ONLY for functions with exactly one
-// hot call site (the devirtualized request loop): there the call overhead
-// is pure loss and the usual code-bloat argument is moot. Falls back to a
-// plain inline hint off GCC/Clang.
-#if defined(__GNUC__) || defined(__clang__)
-#define CDN_ALWAYS_INLINE inline  // A/B toggle
-#else
-#define CDN_ALWAYS_INLINE inline
-#endif
-
-// Marks a function as replay-loop hot for detlint's purity passes (see
-// tools/detlint/passes.hpp): inside its body, allocation, throw, IO, lock
-// acquisition, and calls that resolve to virtual methods become findings
-// unless each carries a reasoned `// detlint:allow(...)`. Expands to
-// nothing — it is a lint annotation, not a codegen attribute, so marking a
-// function hot can never perturb the golden masters. For hot code in free
-// functions where no declaration can carry the marker, use a
+// Marks a function as replay-loop hot for detlint's purity pass (see
+// tools/detlint/passes.hpp): inside its body, allocation, throw and IO
+// become findings unless each carries a reasoned detlint suppression.
+// Expands to nothing — it is a lint annotation, not a codegen attribute,
+// so marking a function hot can never perturb the golden masters. For hot
+// code in free functions where no declaration can carry the marker, use a
 // `// detlint:hot-begin` .. `// detlint:hot-end` comment region instead.
 #define CDN_HOT

@@ -4,13 +4,18 @@
 //   * report contains() consistently with admissions,
 //   * be deterministic for a fixed seed,
 //   * produce hit counts bounded by requests,
+//   * behave identically through the hashed and the plain entry points,
 //   * survive pathological inputs (oversized objects, capacity 1, repeats).
+// The policy set is the registry's, so a new policy cannot skip the suite.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/oracle.hpp"
+#include "util/rng.hpp"
 
 namespace cdn {
 namespace {
@@ -62,6 +67,27 @@ TEST_P(PolicyInvariants, DeterministicForFixedSeed) {
   EXPECT_EQ(ra.bytes_hit, rb.bytes_hit);
 }
 
+TEST_P(PolicyInvariants, HashedPathMatchesPlain) {
+  // access_hashed / contains_hashed with h == hash64(id) must behave
+  // exactly like access / contains (sim/cache.hpp): two same-seed caches,
+  // one driven through each path, agree on every request.
+  const Trace& t = shared_trace();
+  auto plain = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
+  auto hashed = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
+  const std::size_t n = std::min<std::size_t>(t.size(), 60000);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Request& req = t[i];
+    ASSERT_EQ(plain->access(req), hashed->access_hashed(req, hash64(req.id)))
+        << "hit differs at request " << i;
+    // The object just accessed, and an older one that may have left.
+    for (const std::uint64_t id : {req.id, t[i / 2].id}) {
+      ASSERT_EQ(plain->contains(id), hashed->contains_hashed(id, hash64(id)))
+          << "contains(" << id << ") differs at request " << i;
+    }
+  }
+  EXPECT_EQ(plain->used_bytes(), hashed->used_bytes());
+}
+
 TEST_P(PolicyInvariants, FirstAccessIsAlwaysAMiss) {
   auto cache = make_cache(GetParam(), 1ULL << 20);
   Request r{0, 12345, 100, Request::kNoNext};
@@ -99,12 +125,7 @@ TEST_P(PolicyInvariants, MetadataReportedNonZeroAfterLoad) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyInvariants,
-    ::testing::Values("LRU", "LIP", "BIP", "DIP", "PIPP", "SHiP", "DTA",
-                      "DGIPPR", "DAAIP", "ASC-IP", "SCI", "SCIP", "LRU-2",
-                      "S4LRU", "SS-LRU", "GDSF", "LHD", "LeCaR", "CACHEUS",
-                      "LRB", "GL-Cache", "Belady", "LRU-2-SCIP",
-                      "LRU-2-ASC-IP", "LRB-SCIP", "LRB-ASC-IP", "ARC", "LIRS",
-                      "2Q", "TinyLFU", "AdaptSize", "S4LRU-SCIP"),
+    ::testing::ValuesIn(all_policy_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {

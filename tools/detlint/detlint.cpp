@@ -4,6 +4,8 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -11,18 +13,16 @@
 #include <utility>
 
 #include "model.hpp"
-#include "obs/json.hpp"
 #include "passes.hpp"
 
 namespace cdn::detlint {
 namespace {
 
 namespace fs = std::filesystem;
-namespace json = cdn::obs::json;
 
 bool path_matches_any(const std::string& rel,
-                      const std::vector<std::string>& fragments) {
-  for (const std::string& f : fragments) {
+                      std::initializer_list<const char*> fragments) {
+  for (const char* f : fragments) {
     if (rel.find(f) != std::string::npos) return true;
   }
   return false;
@@ -32,13 +32,6 @@ bool is_header(const std::string& rel) {
   return rel.size() >= 2 &&
          (rel.rfind(".hpp") == rel.size() - 4 ||
           rel.rfind(".h") == rel.size() - 2);
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
 }
 
 // Collects identifiers declared in this file with an unordered container
@@ -129,6 +122,8 @@ struct RuleInfo {
   const char* help;
 };
 
+// The listed rules, then the suppression check (always last: all_rules()
+// and rule_from_id() stop before it).
 const RuleInfo kRules[] = {
     {Rule::kWallClock, "wall-clock",
      "wall-clock time source outside src/util/stopwatch"},
@@ -146,21 +141,20 @@ const RuleInfo kRules[] = {
     {Rule::kLockOrderCycle, "lock-order-cycle",
      "cycle in the cross-TU mutex acquisition-order graph (potential "
      "deadlock)"},
-    {Rule::kLockInHot, "lock-in-hot",
-     "lock acquisition inside an annotated hot region"},
     {Rule::kAllocInHot, "alloc-in-hot",
      "allocation (new/make_unique/string temporary/unreserved container "
      "growth) inside an annotated hot region"},
     {Rule::kThrowInHot, "throw-in-hot",
      "'throw' inside an annotated hot region"},
-    {Rule::kVirtualInHot, "virtual-in-hot",
-     "call resolving to a virtual method inside an annotated hot region"},
     {Rule::kIoInHot, "io-in-hot",
      "stream/stdio IO inside an annotated hot region"},
     {Rule::kAccounting, "accounting",
      "metadata_bytes() does not reference every container/slab member "
      "(accounting drift)"},
+    {Rule::kBadAllow, "bad-allow",
+     "detlint:allow that names no rule or gives no reason"},
 };
+constexpr std::size_t kListedRules = std::size(kRules) - 1;
 
 }  // namespace
 
@@ -179,8 +173,8 @@ const char* rule_help(Rule r) {
 }
 
 std::optional<Rule> rule_from_id(const std::string& id) {
-  for (const RuleInfo& info : kRules) {
-    if (id == info.id) return info.rule;
+  for (std::size_t i = 0; i < kListedRules; ++i) {
+    if (id == kRules[i].id) return kRules[i].rule;
   }
   return std::nullopt;
 }
@@ -188,28 +182,36 @@ std::optional<Rule> rule_from_id(const std::string& id) {
 const std::vector<Rule>& all_rules() {
   static const std::vector<Rule> rules = [] {
     std::vector<Rule> r;
-    for (const RuleInfo& info : kRules) r.push_back(info.rule);
+    for (std::size_t i = 0; i < kListedRules; ++i) r.push_back(kRules[i].rule);
     return r;
   }();
   return rules;
 }
 
+std::ostream& operator<<(std::ostream& os, const Finding& f) {
+  return os << f.file << ":" << f.line << ": [" << rule_id(f.rule) << "] "
+            << f.message;
+}
+
 std::vector<Finding> scan_source(const std::string& rel_path,
-                                 const std::string& text,
-                                 const Options& opts) {
-  // v2: the shared phase-1 tokenizer (model.hpp) handles raw strings,
-  // line-continued // comments, and digit separators that the v1 stripper
-  // mis-lexed.
+                                 const std::string& text) {
   const CodeView view = build_code_view(text);
   const std::vector<std::string>& raw = view.raw;
   const std::vector<std::string>& code = view.code;
-  const std::vector<std::set<std::string>> allowed =
-      allowed_rules_per_line(raw);
+  const Suppressions suppressions = parse_suppressions(raw);
+  const std::vector<std::set<Rule>>& allowed = suppressions.allowed;
 
   std::vector<Finding> findings;
+  for (const auto& [line, problem] : suppressions.malformed) {
+    findings.push_back(Finding{
+        rel_path, line, Rule::kBadAllow,
+        "detlint:allow " + problem +
+            "; write // detlint:allow(<rule-id>[, <rule-id>...], <reason>) "
+            "with ids from --list-rules"});
+  }
   auto emit = [&](int line, Rule rule, std::string message) {
     const std::size_t idx = static_cast<std::size_t>(line - 1);
-    if (idx < allowed.size() && allowed[idx].count(rule_id(rule))) return;
+    if (idx < allowed.size() && allowed[idx].count(rule) != 0) return;
     findings.push_back(Finding{rel_path, line, rule, std::move(message)});
   };
 
@@ -223,13 +225,17 @@ std::vector<Finding> scan_source(const std::string& rel_path,
   static const std::regex kRawMutex(
       R"(std\s*::\s*((recursive_|timed_|shared_)?mutex|lock_guard|unique_lock|scoped_lock|condition_variable(_any)?)\b)");
 
-  const bool wall_exempt = path_matches_any(rel_path, opts.wall_clock_exempt);
-  const bool rng_exempt = path_matches_any(rel_path, opts.raw_rng_exempt);
-  const bool mutex_exempt = path_matches_any(rel_path, opts.raw_mutex_exempt);
+  // The sanctioned clock shim, the deterministic RNG itself, and the
+  // annotated wrappers that must hold the raw std locking types.
+  const bool wall_exempt = path_matches_any(rel_path, {"src/util/stopwatch"});
+  const bool rng_exempt = path_matches_any(rel_path, {"src/util/rng"});
+  const bool mutex_exempt = path_matches_any(rel_path, {"src/util/"});
+  // Modules whose iteration order reaches simulator output, and modules
+  // that aggregate float metrics (ordering changes the bits).
   const bool ordered_module =
-      path_matches_any(rel_path, opts.ordered_output_modules);
+      path_matches_any(rel_path, {"src/obs", "src/sim", "src/analysis"});
   const bool accum_module =
-      path_matches_any(rel_path, opts.float_accum_modules);
+      path_matches_any(rel_path, {"src/obs", "src/ml", "src/analysis"});
 
   const std::set<std::string> unordered_names =
       ordered_module ? unordered_container_names(code)
@@ -322,31 +328,17 @@ std::vector<Finding> scan_source(const std::string& rel_path,
 
 namespace {
 
-/// One path component against the exclude list: exact match, or prefix
-/// match when the exclude fragment ends with '*'.
-bool component_excluded(const std::string& comp,
-                        const std::vector<std::string>& excludes) {
-  for (const std::string& ex : excludes) {
-    if (!ex.empty() && ex.back() == '*') {
-      const std::string prefix = ex.substr(0, ex.size() - 1);
-      if (comp.compare(0, prefix.size(), prefix) == 0) return true;
-    } else if (comp == ex) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool path_excluded(const fs::path& rel, const Options& opts) {
+/// Prunes stale build trees and VCS metadata under the scan root.
+bool path_excluded(const fs::path& rel) {
   for (const fs::path& comp : rel) {
-    if (component_excluded(comp.string(), opts.exclude_dirs)) return true;
+    const std::string c = comp.string();
+    if (c == ".git" || c.compare(0, 5, "build") == 0) return true;
   }
   return false;
 }
 
 std::vector<std::string> list_sources(const std::string& root,
-                                      const std::vector<std::string>& subdirs,
-                                      const Options& opts) {
+                                      const std::vector<std::string>& subdirs) {
   std::vector<std::string> files;
   for (const std::string& sub : subdirs) {
     const fs::path dir = fs::path(root) / sub;
@@ -356,7 +348,7 @@ std::vector<std::string> list_sources(const std::string& root,
     for (auto it = fs::recursive_directory_iterator(dir);
          it != fs::recursive_directory_iterator(); ++it) {
       const fs::path rel = fs::relative(it->path(), root);
-      if (it->is_directory() && path_excluded(rel, opts)) {
+      if (it->is_directory() && path_excluded(rel)) {
         it.disable_recursion_pending();
         continue;
       }
@@ -365,7 +357,7 @@ std::vector<std::string> list_sources(const std::string& root,
       if (ext != ".cpp" && ext != ".cc" && ext != ".hpp" && ext != ".h") {
         continue;
       }
-      if (path_excluded(rel, opts)) continue;
+      if (path_excluded(rel)) continue;
       files.push_back(rel.generic_string());
     }
   }
@@ -383,245 +375,27 @@ std::string read_file(const std::string& root, const std::string& rel) {
 
 }  // namespace
 
-std::vector<Finding> scan_tree(const std::string& root,
-                               const std::vector<std::string>& subdirs,
-                               const Options& opts) {
-  std::vector<Finding> findings;
-  for (const std::string& rel : list_sources(root, subdirs, opts)) {
-    std::vector<Finding> f = scan_source(rel, read_file(root, rel), opts);
-    findings.insert(findings.end(), std::make_move_iterator(f.begin()),
-                    std::make_move_iterator(f.end()));
-  }
-  return findings;
-}
-
 std::vector<Finding> scan_project(const std::string& root,
-                                  const std::vector<std::string>& subdirs,
-                                  const Options& opts) {
+                                  const std::vector<std::string>& subdirs) {
   ProjectModel pm;
   std::vector<Finding> findings;
-  for (const std::string& rel : list_sources(root, subdirs, opts)) {
+  for (const std::string& rel : list_sources(root, subdirs)) {
     const std::string text = read_file(root, rel);
-    std::vector<Finding> f = scan_source(rel, text, opts);
+    std::vector<Finding> f = scan_source(rel, text);
     findings.insert(findings.end(), std::make_move_iterator(f.begin()),
                     std::make_move_iterator(f.end()));
     pm.add(build_file_model(rel, text));
   }
   pm.finalize();
-  std::vector<Finding> v2 = run_project_passes(pm, opts);
-  findings.insert(findings.end(), std::make_move_iterator(v2.begin()),
-                  std::make_move_iterator(v2.end()));
-  return findings;
-}
-
-std::string to_json(const std::vector<Finding>& findings) {
-  json::Array arr;
-  arr.reserve(findings.size());
-  for (const Finding& f : findings) {
-    json::Value row{json::Object{}};
-    row.set("file", f.file);
-    row.set("line", static_cast<std::int64_t>(f.line));
-    row.set("rule", rule_id(f.rule));
-    row.set("message", f.message);
-    arr.push_back(std::move(row));
-  }
-  return json::Value(std::move(arr)).dump(2) + "\n";
-}
-
-std::string to_sarif(const std::vector<Finding>& findings) {
-  json::Array rules;
-  for (const Rule r : all_rules()) {
-    json::Value rule{json::Object{}};
-    rule.set("id", rule_id(r));
-    json::Value desc{json::Object{}};
-    desc.set("text", rule_help(r));
-    rule.set("shortDescription", std::move(desc));
-    rules.push_back(std::move(rule));
-  }
-  json::Value driver{json::Object{}};
-  driver.set("name", "detlint");
-  driver.set("informationUri",
-             "tools/detlint — repo-specific determinism and hot-path lint");
-  driver.set("rules", json::Value(std::move(rules)));
-  json::Value tool{json::Object{}};
-  tool.set("driver", std::move(driver));
-
-  json::Array results;
-  for (const Finding& f : findings) {
-    json::Value result{json::Object{}};
-    result.set("ruleId", rule_id(f.rule));
-    result.set("level",
-               (f.rule == Rule::kLockOrderCycle || f.rule == Rule::kAccounting)
-                   ? "error"
-                   : "warning");
-    json::Value message{json::Object{}};
-    message.set("text", f.message);
-    result.set("message", std::move(message));
-    json::Value artifact{json::Object{}};
-    artifact.set("uri", f.file);
-    json::Value region{json::Object{}};
-    region.set("startLine", static_cast<std::int64_t>(f.line));
-    json::Value physical{json::Object{}};
-    physical.set("artifactLocation", std::move(artifact));
-    physical.set("region", std::move(region));
-    json::Value location{json::Object{}};
-    location.set("physicalLocation", std::move(physical));
-    json::Array locations;
-    locations.push_back(std::move(location));
-    result.set("locations", json::Value(std::move(locations)));
-    results.push_back(std::move(result));
-  }
-
-  json::Value run{json::Object{}};
-  run.set("tool", std::move(tool));
-  run.set("results", json::Value(std::move(results)));
-  json::Array runs;
-  runs.push_back(std::move(run));
-  json::Value doc{json::Object{}};
-  doc.set("$schema",
-          "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-          "Schemata/sarif-schema-2.1.0.json");
-  doc.set("version", "2.1.0");
-  doc.set("runs", json::Value(std::move(runs)));
-  return doc.dump(2) + "\n";
-}
-
-bool rule_is_fixable(Rule r) { return r != Rule::kLockOrderCycle; }
-
-namespace {
-
-/// Appends `rule` to the line's trailing `// detlint:allow(...)` list, or
-/// starts one. No-op if the list already carries the rule.
-std::string with_suppression(const std::string& line, const std::string& rule) {
-  static const std::string kMarker = "detlint:allow(";
-  const std::size_t at = line.find(kMarker);
-  if (at == std::string::npos) {
-    return line + "  // detlint:allow(" + rule + ", TODO: justify)";
-  }
-  const std::size_t open = at + kMarker.size();
-  const std::size_t close = line.find(')', open);
-  const std::string args = close == std::string::npos
-                               ? ""
-                               : line.substr(open, close - open);
-  std::stringstream ss(args);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (trim(tok) == rule) return line;  // already suppressed
-  }
-  return line.substr(0, open) + rule + ", " + line.substr(open);
-}
-
-}  // namespace
-
-int apply_fixes(const std::string& root,
-                const std::vector<Finding>& findings,
-                std::vector<std::string>* fixed_files) {
-  // Per file: line -> rules to suppress, plus pending pragma-once inserts.
-  std::map<std::string, std::map<int, std::set<std::string>>> suppress;
-  std::set<std::string> need_pragma;
-  for (const Finding& f : findings) {
-    if (!rule_is_fixable(f.rule)) continue;
-    if (f.rule == Rule::kPragmaOnce) {
-      need_pragma.insert(f.file);
-    } else {
-      suppress[f.file][f.line].insert(rule_id(f.rule));
-    }
-  }
-  std::set<std::string> touched;
-  for (const Finding& f : findings) {
-    if (rule_is_fixable(f.rule)) touched.insert(f.file);
-  }
-
-  int edits = 0;
-  for (const std::string& rel : touched) {
-    const std::string text = read_file(root, rel);
-    std::vector<std::string> lines;
-    {
-      std::string cur;
-      for (const char c : text) {
-        if (c == '\n') {
-          lines.push_back(cur);
-          cur.clear();
-        } else if (c != '\r') {
-          cur.push_back(c);
-        }
-      }
-      if (!cur.empty()) lines.push_back(cur);
-    }
-    const auto per_line = suppress.find(rel);
-    if (per_line != suppress.end()) {
-      for (const auto& [line, rules] : per_line->second) {
-        const std::size_t idx = static_cast<std::size_t>(line - 1);
-        if (idx >= lines.size()) continue;
-        for (const std::string& rule : rules) {
-          const std::string fixed = with_suppression(lines[idx], rule);
-          if (fixed != lines[idx]) {
-            lines[idx] = fixed;
-            ++edits;
-          }
-        }
-      }
-    }
-    if (need_pragma.count(rel) != 0) {
-      // Insert after the leading comment block. Applied last so the
-      // line-anchored suppressions above used original numbering.
-      std::size_t at = 0;
-      while (at < lines.size()) {
-        const std::string t = trim(lines[at]);
-        if (t.empty() || t.compare(0, 2, "//") == 0) {
-          ++at;
-        } else {
-          break;
-        }
-      }
-      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
-                   "#pragma once");
-      ++edits;
-    }
-    std::ofstream out(fs::path(root) / rel,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) throw std::runtime_error("detlint: cannot write " + rel);
-    for (const std::string& line : lines) out << line << "\n";
-    if (fixed_files) fixed_files->push_back(rel);
-  }
-  if (fixed_files) std::sort(fixed_files->begin(), fixed_files->end());
-  return edits;
-}
-
-std::optional<std::vector<Finding>> apply_baseline(
-    std::vector<Finding> findings, const std::string& baseline_json,
-    std::string* error) {
-  std::string parse_error;
-  const std::optional<json::Value> doc =
-      json::parse(baseline_json, &parse_error);
-  if (!doc || !doc->is_array()) {
-    if (error) {
-      *error = doc ? "baseline is not a JSON array" : parse_error;
-    }
-    return std::nullopt;
-  }
-  std::set<std::string> keys;
-  for (const json::Value& row : doc->as_array()) {
-    const json::Value* file = row.find("file");
-    const json::Value* line = row.find("line");
-    const json::Value* rule = row.find("rule");
-    if (!file || !line || !rule || !file->is_string() ||
-        !line->is_number() || !rule->is_string()) {
-      if (error) *error = "baseline entry missing file/line/rule";
-      return std::nullopt;
-    }
-    keys.insert(file->as_string() + ":" +
-                std::to_string(static_cast<long long>(line->as_number())) +
-                ":" + rule->as_string());
-  }
-  findings.erase(
-      std::remove_if(findings.begin(), findings.end(),
-                     [&](const Finding& f) {
-                       return keys.count(f.file + ":" +
-                                         std::to_string(f.line) + ":" +
-                                         rule_id(f.rule)) != 0;
-                     }),
-      findings.end());
+  std::vector<Finding> passes = run_project_passes(pm);
+  findings.insert(findings.end(), std::make_move_iterator(passes.begin()),
+                  std::make_move_iterator(passes.end()));
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              return std::string(rule_id(a.rule)) < rule_id(b.rule);
+            });
   return findings;
 }
 

@@ -6,7 +6,7 @@
 // into the golden masters. detlint is the static gate for those hazards:
 // a lexical scanner (deliberately not a compiler plugin — it must stay
 // trivial to build and fast enough to run as a ctest on every build) that
-// walks src/, bench/ and tests/ and reports:
+// walks src/, bench/ and tests/ and reports, per file:
 //
 //   wall-clock      system_clock / time() / localtime / gettimeofday
 //                   outside src/util/stopwatch (the one sanctioned shim)
@@ -17,7 +17,8 @@
 //                   src/analysis) where hash order would leak into results
 //   float-accum     order-sensitive float reductions (std::accumulate with
 //                   a float init, std::reduce, std::transform_reduce) in
-//                   metrics-aggregation modules
+//                   metrics-aggregation modules (src/obs, src/ml,
+//                   src/analysis)
 //   raw-mutex       std::mutex / std::lock_guard / std::unique_lock /
 //                   std::scoped_lock / std::condition_variable outside
 //                   src/util/ — all locking must go through the thread-
@@ -25,16 +26,22 @@
 //                   clang's -Wthread-safety can check the protocol
 //   pragma-once     headers missing `#pragma once`
 //
-// Suppressions: `// detlint:allow(rule-id)` (comma-separated list allowed)
-// on the offending line or the line directly above silences the finding;
-// each surviving suppression in the tree must carry a justification after
-// the closing paren.
+// plus the cross-TU passes of passes.hpp: lock-order-cycle, alloc-in-hot,
+// throw-in-hot, io-in-hot and accounting.
+//
+// Suppressions: `// detlint:allow(<rule-id>[, <rule-id>...], <reason>)` on
+// the offending line or the line directly above silences the finding. The
+// reason runs to the last `)` on the line and must not be empty. A
+// suppression whose first id is not a rule, or that gives no reason,
+// silences nothing and is itself reported as `bad-allow`, so a waiver can
+// neither go unexplained nor outlive the rule it names.
 //
 // Kept to C++17 on purpose so the tool builds on any toolchain the CI may
 // pin, independent of the C++20 library targets.
 #pragma once
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -47,19 +54,23 @@ enum class Rule {
   kFloatAccum,
   kRawMutex,
   kPragmaOnce,
-  // v2 cross-TU passes (see passes.hpp).
+  // Cross-TU passes (see passes.hpp).
   kLockOrderCycle,
-  kLockInHot,
   kAllocInHot,
   kThrowInHot,
-  kVirtualInHot,
   kIoInHot,
   kAccounting,
+  /// Not a rule: a malformed `detlint:allow`. Always on, never suppressible,
+  /// and not listed by all_rules().
+  kBadAllow,
 };
 
-/// Stable rule identifier used in reports, suppressions, and baselines.
+/// Stable rule identifier used in reports and suppressions.
 const char* rule_id(Rule r);
+/// The listed rule with this id; std::nullopt for anything else, including
+/// "bad-allow".
 std::optional<Rule> rule_from_id(const std::string& id);
+/// The rules a suppression may name, in --list-rules order.
 const std::vector<Rule>& all_rules();
 /// One-line description for --list-rules.
 const char* rule_help(Rule r);
@@ -71,78 +82,21 @@ struct Finding {
   std::string message;
 };
 
-struct Options {
-  /// Path fragments exempt from wall-clock (the sanctioned clock shim).
-  std::vector<std::string> wall_clock_exempt = {"src/util/stopwatch"};
-  /// Path fragments exempt from raw-rng (the deterministic RNG itself).
-  std::vector<std::string> raw_rng_exempt = {"src/util/rng"};
-  /// Modules whose iteration order reaches simulator output.
-  std::vector<std::string> ordered_output_modules = {"src/obs", "src/sim",
-                                                     "src/analysis"};
-  /// Modules that aggregate float metrics (ordering changes the bits).
-  std::vector<std::string> float_accum_modules = {"src/obs", "src/ml",
-                                                  "src/analysis"};
-  /// Path fragments exempt from raw-mutex (the annotated wrappers
-  /// themselves live here and must wrap the std types).
-  std::vector<std::string> raw_mutex_exempt = {"src/util/"};
-  /// Directory names pruned from tree scans, matched against each path
-  /// component; a trailing '*' makes the match a prefix ("build*" prunes
-  /// build, build-asan, build.release). Keeps stale build trees and VCS
-  /// metadata under --root from being linted.
-  std::vector<std::string> exclude_dirs = {"build*", ".git"};
-};
+/// `file:line: [rule-id] message`, the CLI's report line.
+std::ostream& operator<<(std::ostream& os, const Finding& f);
 
-/// Scans one translation unit. `rel_path` (relative to the scan root)
-/// selects which rules apply; `text` is the file contents. Suppressed
-/// findings are already removed.
+/// Scans one translation unit with the per-file rules. `rel_path`
+/// (relative to the scan root) selects which rules apply; `text` is the
+/// file contents. Suppressed findings are already removed.
 std::vector<Finding> scan_source(const std::string& rel_path,
-                                 const std::string& text,
-                                 const Options& opts = Options());
+                                 const std::string& text);
 
-/// Recursively scans C++ sources (.cpp/.cc/.hpp/.h) under root/<subdir>
-/// for each subdir, in sorted path order. Throws std::runtime_error on IO
-/// failure.
-std::vector<Finding> scan_tree(const std::string& root,
-                               const std::vector<std::string>& subdirs,
-                               const Options& opts = Options());
-
-/// Two-phase project scan: runs the v1 per-file rules on every file AND
-/// the v2 cross-TU passes (lock-order, hot-path purity, accounting — see
-/// passes.hpp) over the merged project model. This is what the CLI runs;
-/// scan_tree stays v1-only for callers that want the lexical layer alone.
+/// The project scan the CLI runs: the per-file rules on every C++ source
+/// (.cpp/.cc/.hpp/.h) under root/<subdir> for each subdir, then the
+/// cross-TU passes (passes.hpp) over the merged project model. Skips
+/// directories named `build*` or `.git`. Findings come back sorted by
+/// (file, line, rule id). Throws std::runtime_error on IO failure.
 std::vector<Finding> scan_project(const std::string& root,
-                                  const std::vector<std::string>& subdirs,
-                                  const Options& opts = Options());
-
-/// Machine-readable findings report (JSON array, stable field order).
-std::string to_json(const std::vector<Finding>& findings);
-
-/// SARIF 2.1.0 report (one run, one result per finding) for code-scanning
-/// upload. Stable field order; level "error" for lock-order-cycle and
-/// accounting, "warning" otherwise.
-std::string to_sarif(const std::vector<Finding>& findings);
-
-/// True when `--fix` can mechanically silence this rule with a single-line
-/// edit (a trailing `// detlint:allow(...)` or a `#pragma once` insert).
-/// Cross-TU graph findings (lock-order-cycle) are never auto-fixed.
-bool rule_is_fixable(Rule r);
-
-/// Applies mechanical fixes for `findings` to the files under `root`:
-/// pragma-once inserts `#pragma once` after the leading comment block; all
-/// other fixable rules append `// detlint:allow(<rule>, TODO: justify)` to
-/// the offending line (merging into an existing allow list). Returns the
-/// number of edits; fills `fixed_files` (sorted, unique) when non-null.
-/// Idempotent: re-linting after a fix pass yields no fixable findings.
-int apply_fixes(const std::string& root,
-                const std::vector<Finding>& findings,
-                std::vector<std::string>* fixed_files = nullptr);
-
-/// Removes findings recorded in `baseline_json` (the ratchet: CI fails
-/// only on findings NOT in the checked-in baseline). A baseline entry
-/// matches on (file, rule, line). Returns std::nullopt and sets `error`
-/// if the baseline does not parse.
-std::optional<std::vector<Finding>> apply_baseline(
-    std::vector<Finding> findings, const std::string& baseline_json,
-    std::string* error);
+                                  const std::vector<std::string>& subdirs);
 
 }  // namespace cdn::detlint

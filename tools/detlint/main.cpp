@@ -1,21 +1,11 @@
 // detlint CLI. Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 //
-//   detlint --root <dir> [options] <subdir>...
-//     --json FILE            write machine-readable findings (JSON array)
-//     --sarif FILE           write a SARIF 2.1.0 report (code scanning)
-//     --baseline FILE        ignore findings recorded in FILE (the ratchet)
-//     --write-baseline FILE  snapshot current findings as a baseline, exit 0
-//     --fix                  apply mechanical fixes (allow-suppressions,
-//                            pragma-once inserts) for the findings, exit 0
-//     --list-rules           print rule ids and exit
-//     --quiet                suppress the per-finding text report
+//   detlint --root <dir> [--list-rules] <subdir>...
 //
-// Runs the two-phase project scan (v1 lexical rules + v2 cross-TU passes:
-// lock-order, hot-path purity, accounting — see passes.hpp).
-#include <algorithm>
-#include <fstream>
+// Runs the project scan (per-file lexical rules + cross-TU passes:
+// lock-order, hot-path purity, accounting — see passes.hpp) over
+// root/<subdir>... and prints one line per unsuppressed finding.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,81 +13,30 @@
 
 namespace {
 
-int usage(const char* msg) {
-  if (msg != nullptr) std::cerr << "detlint: " << msg << "\n";
-  std::cerr << "usage: detlint --root <dir> [--json FILE] [--sarif FILE]\n"
-               "               [--baseline FILE] [--write-baseline FILE]\n"
-               "               [--fix] [--list-rules] [--quiet] <subdir>...\n";
+int usage(const std::string& msg) {
+  std::cerr << "detlint: " << msg << "\n"
+            << "usage: detlint --root <dir> [--list-rules] <subdir>...\n";
   return 2;
-}
-
-std::string read_file(const std::string& path, bool* ok) {
-  std::ifstream in(path, std::ios::binary);
-  *ok = static_cast<bool>(in);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root;
-  std::string json_out;
-  std::string sarif_out;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  bool fix = false;
-  bool quiet = false;
   std::vector<std::string> subdirs;
-
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "detlint: " << flag << " needs an argument\n";
-        return nullptr;
-      }
-      return argv[++i];
-    };
     if (arg == "--root") {
-      const char* v = next("--root");
-      if (v == nullptr) return 2;
-      root = v;
-    } else if (arg == "--json") {
-      const char* v = next("--json");
-      if (v == nullptr) return 2;
-      json_out = v;
-    } else if (arg == "--sarif") {
-      const char* v = next("--sarif");
-      if (v == nullptr) return 2;
-      sarif_out = v;
-    } else if (arg == "--fix") {
-      fix = true;
-    } else if (arg == "--baseline") {
-      const char* v = next("--baseline");
-      if (v == nullptr) return 2;
-      baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = next("--write-baseline");
-      if (v == nullptr) return 2;
-      write_baseline_path = v;
+      if (i + 1 >= argc) return usage("--root needs an argument");
+      root = argv[++i];
     } else if (arg == "--list-rules") {
       for (const auto rule : cdn::detlint::all_rules()) {
         std::cout << cdn::detlint::rule_id(rule) << "  "
                   << cdn::detlint::rule_help(rule) << "\n";
       }
       return 0;
-    } else if (arg == "--quiet") {
-      quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
-      return usage(("unknown option " + arg).c_str());
+      return usage("unknown option " + arg);
     } else {
       subdirs.push_back(arg);
     }
@@ -112,82 +51,7 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  std::sort(findings.begin(), findings.end(),
-            [](const cdn::detlint::Finding& a,
-               const cdn::detlint::Finding& b) {
-              if (a.file != b.file) return a.file < b.file;
-              if (a.line != b.line) return a.line < b.line;
-              return std::string(rule_id(a.rule)) < rule_id(b.rule);
-            });
-
-  if (!write_baseline_path.empty()) {
-    if (!write_file(write_baseline_path, cdn::detlint::to_json(findings))) {
-      std::cerr << "detlint: cannot write " << write_baseline_path << "\n";
-      return 2;
-    }
-    std::cout << "detlint: wrote baseline with " << findings.size()
-              << " finding(s) to " << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!baseline_path.empty()) {
-    bool ok = false;
-    const std::string baseline = read_file(baseline_path, &ok);
-    if (!ok) {
-      std::cerr << "detlint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::string error;
-    auto filtered = cdn::detlint::apply_baseline(std::move(findings),
-                                                 baseline, &error);
-    if (!filtered) {
-      std::cerr << "detlint: bad baseline: " << error << "\n";
-      return 2;
-    }
-    findings = std::move(*filtered);
-  }
-
-  if (!json_out.empty() &&
-      !write_file(json_out, cdn::detlint::to_json(findings))) {
-    std::cerr << "detlint: cannot write " << json_out << "\n";
-    return 2;
-  }
-  if (!sarif_out.empty() &&
-      !write_file(sarif_out, cdn::detlint::to_sarif(findings))) {
-    std::cerr << "detlint: cannot write " << sarif_out << "\n";
-    return 2;
-  }
-
-  if (fix) {
-    std::vector<std::string> fixed;
-    int edits = 0;
-    try {
-      edits = cdn::detlint::apply_fixes(root, findings, &fixed);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << "\n";
-      return 2;
-    }
-    std::cout << "detlint: applied " << edits << " fix(es) across "
-              << fixed.size() << " file(s)\n";
-    for (const std::string& f : fixed) std::cout << "  fixed " << f << "\n";
-    int skipped = 0;
-    for (const auto& f : findings) {
-      if (!cdn::detlint::rule_is_fixable(f.rule)) ++skipped;
-    }
-    if (skipped != 0) {
-      std::cout << "detlint: " << skipped
-                << " finding(s) need a real fix (not auto-fixable)\n";
-    }
-    return 0;
-  }
-
-  if (!quiet) {
-    for (const auto& f : findings) {
-      std::cout << f.file << ":" << f.line << ": ["
-                << cdn::detlint::rule_id(f.rule) << "] " << f.message
-                << "\n";
-    }
-  }
+  for (const auto& f : findings) std::cout << f << "\n";
   if (!findings.empty()) {
     std::cout << "detlint: " << findings.size()
               << " unsuppressed finding(s)\n";

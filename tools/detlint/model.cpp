@@ -7,7 +7,6 @@
 #include <utility>
 
 namespace cdn::detlint {
-namespace {
 
 bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
@@ -19,6 +18,72 @@ std::string trim(const std::string& s) {
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
 }
+
+bool contains_word(const std::string& s, const std::string& w) {
+  std::size_t pos = 0;
+  while ((pos = s.find(w, pos)) != std::string::npos) {
+    const bool left_ok = pos == 0 || !is_ident_char(s[pos - 1]);
+    const std::size_t end = pos + w.size();
+    const bool right_ok = end >= s.size() || !is_ident_char(s[end]);
+    if (left_ok && right_ok) return true;
+    pos = end;
+  }
+  return false;
+}
+
+/// Walks backward from `pos` (exclusive) over a receiver expression chain:
+/// identifiers joined by `.`, `->`, `::` and [...] index suffixes. Returns
+/// the chain text ("s.cache", "shards_[i]->mu") or "".
+std::string receiver_chain_before(const std::string& s, std::size_t pos) {
+  std::size_t e = pos;
+  while (e > 0 && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  std::size_t b = e;
+  bool expect_ident = true;
+  while (b > 0) {
+    const char c = s[b - 1];
+    if (expect_ident) {
+      if (c == ']') {  // skip [...] back to the matching [
+        int depth = 0;
+        std::size_t j = b;
+        while (j > 0) {
+          --j;
+          if (s[j] == ']') ++depth;
+          if (s[j] == '[' && --depth == 0) break;
+        }
+        if (depth != 0) break;
+        b = j;
+        continue;
+      }
+      if (is_ident_char(c)) {
+        while (b > 0 && is_ident_char(s[b - 1])) --b;
+        expect_ident = false;
+        continue;
+      }
+      break;
+    }
+    // After an identifier: accept a joining . / -> / :: and expect another.
+    if (c == '.') {
+      --b;
+      expect_ident = true;
+      continue;
+    }
+    if (c == '>' && b >= 2 && s[b - 2] == '-') {
+      b -= 2;
+      expect_ident = true;
+      continue;
+    }
+    if (c == ':' && b >= 2 && s[b - 2] == ':') {
+      b -= 2;
+      expect_ident = true;
+      continue;
+    }
+    break;
+  }
+  if (expect_ident) return "";  // dangling joiner; malformed
+  return trim(s.substr(b, e - b));
+}
+
+namespace {
 
 std::string collapse_ws(const std::string& s) {
   std::string out;
@@ -35,18 +100,6 @@ std::string collapse_ws(const std::string& s) {
   }
   while (!out.empty() && out.back() == ' ') out.pop_back();
   return out;
-}
-
-bool contains_word(const std::string& s, const std::string& w) {
-  std::size_t pos = 0;
-  while ((pos = s.find(w, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !is_ident_char(s[pos - 1]);
-    const std::size_t end = pos + w.size();
-    const bool right_ok = end >= s.size() || !is_ident_char(s[end]);
-    if (left_ok && right_ok) return true;
-    pos = end;
-  }
-  return false;
 }
 
 }  // namespace
@@ -185,23 +238,49 @@ CodeView build_code_view(const std::string& text) {
   return view;
 }
 
-std::vector<std::set<std::string>> allowed_rules_per_line(
-    const std::vector<std::string>& raw) {
-  static const std::regex kAllow(R"(detlint:allow\(([^)]*)\))");
-  std::vector<std::set<std::string>> allowed(raw.size());
+Suppressions parse_suppressions(const std::vector<std::string>& raw) {
+  static const std::string kMarker = "detlint:allow(";
+  Suppressions out;
+  out.allowed.resize(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    std::smatch m;
-    if (!std::regex_search(raw[i], m, kAllow)) continue;
-    std::stringstream ss(m[1].str());
-    std::string id;
-    while (std::getline(ss, id, ',')) {
-      id = trim(id);
-      if (id.empty()) continue;
-      allowed[i].insert(id);
-      if (i + 1 < raw.size()) allowed[i + 1].insert(id);
+    const std::string& text = raw[i];
+    const std::size_t at = text.find(kMarker);
+    if (at == std::string::npos) continue;
+    const int line = static_cast<int>(i) + 1;
+    const std::size_t close = text.rfind(')');
+    std::size_t pos = at + kMarker.size();
+    if (close == std::string::npos || close < pos) {
+      out.malformed.emplace_back(line, "has no closing ')'");
+      continue;
+    }
+    // Rule ids up to the first token that is not one; the reason is that
+    // token through the last ')'.
+    std::set<Rule> rules;
+    std::string first_token;
+    while (true) {
+      const std::size_t end = std::min(text.find(',', pos), close);
+      const std::string token = trim(text.substr(pos, end - pos));
+      const std::optional<Rule> rule = rule_from_id(token);
+      if (!rule) {
+        if (rules.empty()) first_token = token;
+        break;
+      }
+      rules.insert(*rule);
+      pos = end == close ? close : end + 1;
+    }
+    if (rules.empty()) {
+      out.malformed.emplace_back(
+          line, "names '" + first_token + "', which is not a rule id");
+    } else if (trim(text.substr(pos, close - pos)).empty()) {
+      out.malformed.emplace_back(line, "gives no reason");
+    } else {
+      out.allowed[i].insert(rules.begin(), rules.end());
+      if (i + 1 < raw.size()) {
+        out.allowed[i + 1].insert(rules.begin(), rules.end());
+      }
     }
   }
-  return allowed;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -240,58 +319,6 @@ std::vector<std::string> capture_requires(const std::string& head) {
   return out;
 }
 
-/// Walks backward from `pos` (exclusive) over a receiver expression chain:
-/// identifiers joined by `.`, `->`, `::` and [...] index suffixes. Returns
-/// the chain text ("s.cache", "shards_[i]->mu") or "".
-std::string receiver_chain_before(const std::string& s, std::size_t pos) {
-  std::size_t e = pos;
-  while (e > 0 && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  std::size_t b = e;
-  bool expect_ident = true;
-  while (b > 0) {
-    const char c = s[b - 1];
-    if (expect_ident) {
-      if (c == ']') {  // skip [...] back to the matching [
-        int depth = 0;
-        std::size_t j = b;
-        while (j > 0) {
-          --j;
-          if (s[j] == ']') ++depth;
-          if (s[j] == '[' && --depth == 0) break;
-        }
-        if (depth != 0) break;
-        b = j;
-        continue;
-      }
-      if (is_ident_char(c)) {
-        while (b > 0 && is_ident_char(s[b - 1])) --b;
-        expect_ident = false;
-        continue;
-      }
-      break;
-    }
-    // After an identifier: accept a joining . / -> / :: and expect another.
-    if (c == '.') {
-      --b;
-      expect_ident = true;
-      continue;
-    }
-    if (c == '>' && b >= 2 && s[b - 2] == '-') {
-      b -= 2;
-      expect_ident = true;
-      continue;
-    }
-    if (c == ':' && b >= 2 && s[b - 2] == ':') {
-      b -= 2;
-      expect_ident = true;
-      continue;
-    }
-    break;
-  }
-  if (expect_ident) return "";  // dangling joiner; malformed
-  return trim(s.substr(b, e - b));
-}
-
 const std::set<std::string>& call_keyword_blocklist() {
   static const std::set<std::string> kw = {
       "if",      "for",      "while",    "switch",   "catch",
@@ -307,7 +334,6 @@ struct ScopeFrame {
   int class_index = -1;  ///< valid for kClass
   int func_index = -1;   ///< valid for kFunction
   int saved_paren = 0;   ///< paren depth restored when this frame pops
-  int open_line = 0;
   /// For expression-level braces (brace-init, default args `= {}`): the
   /// interrupted statement, restored when the block closes so the
   /// declaration keeps parsing (`LrbCache(LrbParams p = {}, ...);`).
@@ -393,7 +419,6 @@ struct Parser {
       LockSite site;
       site.expr = expr;
       site.line = line;
-      site.is_try = op == "try_lock";
       site.held = held_exprs();
       fn.locks.push_back(site);
       lock_stack.emplace_back(expr, scopes.size());
@@ -625,7 +650,6 @@ struct Parser {
   void open_brace(int line) {
     ScopeFrame frame;
     frame.saved_paren = paren_depth;
-    frame.open_line = line;
 
     const bool in_function = innermost_function() >= 0 &&
                              (scopes.empty() ||
@@ -769,7 +793,6 @@ struct Parser {
         }
       }
       fn.head_line = line;
-      fn.begin_line = line;
       fn.hot = hot;
       fn.entry_locks = reqs;
       // Parameter types become resolvable locals.
@@ -860,7 +883,6 @@ struct Parser {
     if (frame.kind == ScopeFrame::kFunction && frame.func_index >= 0) {
       Function& fn = fm.functions[static_cast<std::size_t>(frame.func_index)];
       fn.end_line = line;
-      if (fn.begin_line == fn.head_line) fn.begin_line = frame.open_line;
     }
   }
 
@@ -942,7 +964,7 @@ FileModel build_file_model(const std::string& rel_path,
   FileModel fm;
   fm.path = rel_path;
   fm.view = build_code_view(text);
-  fm.allowed = allowed_rules_per_line(fm.view.raw);
+  fm.allowed = parse_suppressions(fm.view.raw).allowed;
   fm.hot_regions = find_hot_regions(fm.view.raw);
   Parser parser{fm, {}, 0, {}, {}};
   parser.run();
@@ -986,7 +1008,6 @@ void ProjectModel::add(FileModel fm) { files.push_back(std::move(fm)); }
 
 void ProjectModel::finalize() {
   classes.clear();
-  virtual_methods.clear();
   accounting_classes.clear();
   mutex_members.clear();
   aliases.clear();
@@ -999,7 +1020,6 @@ void ProjectModel::finalize() {
       const Class& cls = fm.classes[ci];
       classes.emplace(cls.name, std::make_pair(fi, ci));
       for (const MethodDecl& d : cls.method_decls) {
-        if (d.is_virtual) virtual_methods.insert(d.name);
         if (d.name == "metadata_bytes") accounting_classes.insert(cls.name);
       }
       for (const Member& m : cls.members) {

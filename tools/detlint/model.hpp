@@ -1,16 +1,16 @@
 // detlint phase 1: the per-file model.
 //
-// v1 detlint matched regexes against a comment/string-stripped view of each
-// line in isolation. The v2 passes (lock-order graphs, hot-path purity,
-// accounting contracts — see passes.hpp) need structure: which class a line
-// belongs to, which members that class declares, where function bodies
-// begin and end, which locks a statement acquires while which others are
-// held. This header defines that structure and the single-pass heuristic
-// parser that builds it.
+// The lexical rules match regexes against a comment/string-stripped view
+// of each line in isolation. The cross-TU passes (lock-order graphs,
+// hot-path purity, accounting contracts — see passes.hpp) need structure:
+// which class a line belongs to, which members that class declares, where
+// function bodies begin and end, which locks a statement acquires while
+// which others are held. This header defines that structure and the
+// single-pass heuristic parser that builds it.
 //
 // The parser is deliberately NOT a compiler frontend. It is a brace/paren
 // tracking scanner over the tokenized code view, with the same design goal
-// as v1: trivial to build (C++17, no deps beyond the repo's JSON reader),
+// as the lexical layer: trivial to build (C++17, no dependencies),
 // fast enough to run as a ctest on every build, and predictable enough
 // that its blind spots are documentable (DESIGN.md §5i). Known
 // approximations, each pinned by a fixture test:
@@ -18,17 +18,33 @@
 //     through the declared type of `s` when the declaration is visible in
 //     the same file, else through a project-wide unique-member-name lookup;
 //   * virtual dispatch is an analysis boundary: calls through a receiver
-//     whose resolved class declares the method `virtual` are reported to
-//     the purity pass but never traversed by the lock pass;
+//     whose resolved class declares the method `virtual` are never
+//     traversed by the lock pass;
 //   * preprocessor lines (and their continuations) are skipped entirely.
 #pragma once
 
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "detlint.hpp"
+
 namespace cdn::detlint {
+
+// ---------------------------------------------------------------------------
+// String helpers shared by the scanner and the passes.
+// ---------------------------------------------------------------------------
+
+bool is_ident_char(char c);
+std::string trim(const std::string& s);
+/// True when `w` occurs in `s` as a whole identifier.
+bool contains_word(const std::string& s, const std::string& w);
+/// Walks backward from `pos` (exclusive) over a receiver expression chain:
+/// identifiers joined by `.`, `->`, `::` and [...] index suffixes. Returns
+/// the chain text ("s.cache", "shards_[i]->mu") or "".
+std::string receiver_chain_before(const std::string& s, std::size_t pos);
 
 // ---------------------------------------------------------------------------
 // Tokenizer: the code view.
@@ -49,13 +65,18 @@ struct CodeView {
 
 CodeView build_code_view(const std::string& text);
 
-/// Per-line suppression sets parsed from `// detlint:allow(a, b, why)`
-/// comments in the raw text. Every comma-separated token is recorded; the
-/// pass layer only consults tokens equal to real rule ids, so trailing
-/// prose justifications are inert. A suppression covers its own line and
-/// the line directly below.
-std::vector<std::set<std::string>> allowed_rules_per_line(
-    const std::vector<std::string>& raw);
+/// Suppressions parsed from the raw text. The one grammar is
+/// `// detlint:allow(<rule-id>[, <rule-id>...], <reason>)`: leading
+/// comma-separated rule ids, then a reason that runs to the last `)` on the
+/// line. A suppression covers its own line and the line directly below. One
+/// whose first id is not a rule, or whose reason is empty, suppresses
+/// nothing and is recorded in `malformed` instead.
+struct Suppressions {
+  std::vector<std::set<Rule>> allowed;                  ///< per line
+  std::vector<std::pair<int, std::string>> malformed;  ///< (line, problem)
+};
+
+Suppressions parse_suppressions(const std::vector<std::string>& raw);
 
 // ---------------------------------------------------------------------------
 // Structure: classes, members, functions, lock/call sites.
@@ -69,10 +90,9 @@ struct Member {
 
 /// One lock acquisition inside a function body.
 struct LockSite {
-  std::string expr;    ///< mutex expression as written (e.g. "mu_", "s.mu")
+  std::string expr;  ///< mutex expression as written (e.g. "mu_", "s.mu")
   int line = 0;
-  bool is_try = false;                  ///< via try_lock()
-  std::vector<std::string> held;        ///< exprs already held at this site
+  std::vector<std::string> held;  ///< exprs already held at this site
 };
 
 /// One call site inside a function body.
@@ -88,7 +108,6 @@ struct Function {
   std::string name;        ///< unqualified ("access_batch", "operator[]")
   std::string qual_class;  ///< enclosing or declarator class ("ShardedCache")
   int head_line = 0;       ///< line the signature's `{` closes on
-  int begin_line = 0;      ///< first body line
   int end_line = 0;        ///< line of the closing `}`
   bool hot = false;        ///< CDN_HOT in the signature
   std::vector<std::string> entry_locks;  ///< CDN_REQUIRES/CDN_ACQUIRE args
@@ -126,7 +145,7 @@ struct HotRegion {
 struct FileModel {
   std::string path;
   CodeView view;
-  std::vector<std::set<std::string>> allowed;  ///< per-line suppressions
+  std::vector<std::set<Rule>> allowed;  ///< per-line suppressions
   std::vector<Class> classes;
   std::vector<Function> functions;
   std::vector<HotRegion> hot_regions;
@@ -147,8 +166,6 @@ struct ProjectModel {
   /// unqualified class name -> (file index, class index); names declared in
   /// more than one file/class map to all occurrences.
   std::multimap<std::string, std::pair<std::size_t, std::size_t>> classes;
-  /// method names declared virtual anywhere in the project.
-  std::set<std::string> virtual_methods;
   /// unqualified class names that define or declare metadata_bytes().
   std::set<std::string> accounting_classes;
   /// mutex member name -> set of owning qualified class names ("Ns::C").

@@ -1,7 +1,6 @@
 #include "passes.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <map>
 #include <regex>
@@ -12,80 +11,6 @@
 
 namespace cdn::detlint {
 namespace {
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-bool contains_word(const std::string& s, const std::string& w) {
-  std::size_t pos = 0;
-  while ((pos = s.find(w, pos)) != std::string::npos) {
-    const bool left_ok = pos == 0 || !is_ident_char(s[pos - 1]);
-    const std::size_t end = pos + w.size();
-    const bool right_ok = end >= s.size() || !is_ident_char(s[end]);
-    if (left_ok && right_ok) return true;
-    pos = end;
-  }
-  return false;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-/// Walks backward from `pos` (exclusive) over a receiver expression chain
-/// of identifiers joined by `.` / `->` with [...] index suffixes.
-std::string receiver_before(const std::string& s, std::size_t pos) {
-  std::size_t e = pos;
-  while (e > 0 && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  std::size_t b = e;
-  bool expect_ident = true;
-  while (b > 0) {
-    const char c = s[b - 1];
-    if (expect_ident) {
-      if (c == ']') {
-        int depth = 0;
-        std::size_t j = b;
-        while (j > 0) {
-          --j;
-          if (s[j] == ']') ++depth;
-          if (s[j] == '[' && --depth == 0) break;
-        }
-        if (depth != 0) break;
-        b = j;
-        continue;
-      }
-      if (is_ident_char(c)) {
-        while (b > 0 && is_ident_char(s[b - 1])) --b;
-        expect_ident = false;
-        continue;
-      }
-      break;
-    }
-    if (c == '.') {
-      --b;
-      expect_ident = true;
-      continue;
-    }
-    if (c == '>' && b >= 2 && s[b - 2] == '-') {
-      b -= 2;
-      expect_ident = true;
-      continue;
-    }
-    break;
-  }
-  if (expect_ident) return "";
-  std::string out = s.substr(b, e - b);
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [](char c) {
-                             return std::isspace(static_cast<unsigned char>(c));
-                           }),
-            out.end());
-  return out;
-}
 
 /// Splits a member-access chain "a.b->c" / "a[i]->b" into its identifier
 /// components, dropping index suffixes and this->.
@@ -127,7 +52,6 @@ struct FnRef {
 
 struct Context {
   const ProjectModel& pm;
-  const Options& opts;
 
   /// "Class::name" and "name" (free) -> definitions.
   std::map<std::string, std::vector<FnRef>> fn_table;
@@ -139,8 +63,7 @@ struct Context {
   /// the class's methods (any TU).
   std::map<std::string, std::set<std::string>> reserved_by_class;
 
-  explicit Context(const ProjectModel& pm_in, const Options& opts_in)
-      : pm(pm_in), opts(opts_in) {
+  explicit Context(const ProjectModel& pm_in) : pm(pm_in) {
     for (std::size_t fi = 0; fi < pm.files.size(); ++fi) {
       const FileModel& fm = pm.files[fi];
       for (const auto& cls : fm.classes) {
@@ -327,7 +250,7 @@ struct Context {
 };
 
 // ---------------------------------------------------------------------------
-// Hot-span bookkeeping (shared by lock and purity passes).
+// Hot-span bookkeeping for the purity pass.
 // ---------------------------------------------------------------------------
 
 /// Per-file predicate: is this 1-based line inside a hot function body or a
@@ -335,7 +258,7 @@ struct Context {
 struct HotLines {
   std::vector<std::vector<std::pair<int, int>>> spans;  // per file index
 
-  HotLines(const Context& ctx) {
+  explicit HotLines(const Context& ctx) {
     spans.resize(ctx.pm.files.size());
     for (std::size_t fi = 0; fi < ctx.pm.files.size(); ++fi) {
       const FileModel& fm = ctx.pm.files[fi];
@@ -380,25 +303,20 @@ struct AcqSite {
 
 class LockPass {
  public:
-  LockPass(const Context& ctx, const HotLines& hot) : ctx_(ctx), hot_(hot) {}
+  explicit LockPass(const Context& ctx) : ctx_(ctx) {}
 
   void run(std::vector<Finding>* out) {
-    for (std::size_t fi = 0; fi < ctx_.pm.files.size(); ++fi) {
-      const FileModel& fm = ctx_.pm.files[fi];
-      for (const Function& fn : fm.functions) {
-        collect_function(fm, fi, fn);
-      }
+    for (const FileModel& fm : ctx_.pm.files) {
+      for (const Function& fn : fm.functions) collect_function(fm, fn);
     }
     emit_cycles(out);
   }
 
  private:
   const Context& ctx_;
-  const HotLines& hot_;
   std::map<std::pair<std::string, std::string>, Edge> edges_;
   std::map<const Function*, std::vector<AcqSite>> closure_;
   std::set<const Function*> in_progress_;
-  std::vector<Finding> hot_findings_;
 
   void add_edge(const std::string& from, const std::string& to,
                 const std::string& file, int line) {
@@ -445,8 +363,7 @@ class LockPass {
     return closure_.emplace(&fn, std::move(acq)).first->second;
   }
 
-  void collect_function(const FileModel& fm, std::size_t fi,
-                        const Function& fn) {
+  void collect_function(const FileModel& fm, const Function& fn) {
     const std::vector<std::string> entry = ctx_.merged_entry_locks(fn);
     std::vector<std::string> extra;  // REQUIRES seen only on the decl
     for (const std::string& l : entry) {
@@ -465,13 +382,6 @@ class LockPass {
       const std::string to = ctx_.canon_mutex(fn, site.expr);
       for (const std::string& from : held_ids(site.held)) {
         add_edge(from, to, fm.path, site.line);
-      }
-      if (hot_.hot(fi, site.line)) {
-        hot_findings_.push_back(Finding{
-            fm.path, site.line, Rule::kLockInHot,
-            "lock acquisition of '" + site.expr +
-                "' inside a hot region; hot paths must stay lock-free "
-                "(hoist the lock outside the region or shard the state)"});
       }
     }
     for (const CallSite& call : fn.calls) {
@@ -571,7 +481,6 @@ class LockPass {
       out->push_back(Finding{anchor->file, anchor->line,
                              Rule::kLockOrderCycle, msg.str()});
     }
-    out->insert(out->end(), hot_findings_.begin(), hot_findings_.end());
   }
 };
 
@@ -581,20 +490,18 @@ class LockPass {
 
 class PurityPass {
  public:
-  PurityPass(const Context& ctx, const HotLines& hot) : ctx_(ctx), hot_(hot) {}
+  explicit PurityPass(const Context& ctx) : ctx_(ctx), hot_(ctx) {}
 
   void run(std::vector<Finding>* out) {
     for (std::size_t fi = 0; fi < ctx_.pm.files.size(); ++fi) {
       if (!hot_.any(fi)) continue;
-      const FileModel& fm = ctx_.pm.files[fi];
-      scan_lines(fi, fm, out);
-      scan_calls(fi, fm, out);
+      scan_lines(fi, ctx_.pm.files[fi], out);
     }
   }
 
  private:
   const Context& ctx_;
-  const HotLines& hot_;
+  const HotLines hot_;
 
   /// Container-growth receiver is fine if something with the same base
   /// name is .reserve()d in the enclosing class or function.
@@ -656,8 +563,8 @@ class PurityPass {
       }
       for (auto it = std::sregex_iterator(code.begin(), code.end(), kGrow);
            it != std::sregex_iterator(); ++it) {
-        const std::string receiver =
-            receiver_before(code, static_cast<std::size_t>(it->position()));
+        const std::string receiver = receiver_chain_before(
+            code, static_cast<std::size_t>(it->position()));
         if (receiver.empty()) continue;
         if (is_reserved(fm, line, receiver)) continue;
         out->push_back(Finding{
@@ -665,31 +572,6 @@ class PurityPass {
             "container growth '" + receiver + "." + (*it)[1].str() +
                 "(...)' inside a hot region on a receiver that is never "
                 ".reserve()d; reserve capacity up front or use the slab"});
-      }
-    }
-  }
-
-  void scan_calls(std::size_t fi, const FileModel& fm,
-                  std::vector<Finding>* out) {
-    for (const Function& fn : fm.functions) {
-      for (const CallSite& call : fn.calls) {
-        if (!hot_.hot(fi, call.line)) continue;
-        std::string cls;
-        if (!call.receiver.empty()) {
-          cls = ctx_.resolve_chain_class(fn, call.receiver);
-        } else if (call.qualifier.empty() && !fn.qual_class.empty()) {
-          cls = fn.qual_class;  // implicit this->
-        }
-        if (cls.empty() || !ctx_.is_virtual_method(cls, call.name)) continue;
-        out->push_back(Finding{
-            fm.path, call.line, Rule::kVirtualInHot,
-            "virtual call '" +
-                (call.receiver.empty() ? call.name
-                                       : call.receiver + "." + call.name) +
-                "(...)' (resolves to " + cls + "::" + call.name +
-                ") inside a hot region; devirtualize (template/CRTP or a "
-                "direct call on the concrete type) or suppress with the "
-                "measured cost"});
       }
     }
   }
@@ -799,13 +681,11 @@ class AccountingPass {
 
 }  // namespace
 
-std::vector<Finding> run_project_passes(const ProjectModel& pm,
-                                        const Options& opts) {
-  Context ctx(pm, opts);
-  HotLines hot(ctx);
+std::vector<Finding> run_project_passes(const ProjectModel& pm) {
+  Context ctx(pm);
   std::vector<Finding> findings;
-  LockPass(ctx, hot).run(&findings);
-  PurityPass(ctx, hot).run(&findings);
+  LockPass(ctx).run(&findings);
+  PurityPass(ctx).run(&findings);
   AccountingPass(ctx).run(&findings);
 
   // Apply per-line suppressions, then dedupe (a line inside two
@@ -821,7 +701,7 @@ std::vector<Finding> run_project_passes(const ProjectModel& pm,
     if (it != file_index.end()) {
       const auto& allowed = pm.files[it->second].allowed;
       const std::size_t idx = static_cast<std::size_t>(f.line - 1);
-      if (idx < allowed.size() && allowed[idx].count(rule_id(f.rule)) != 0) {
+      if (idx < allowed.size() && allowed[idx].count(f.rule) != 0) {
         continue;
       }
     }
@@ -830,9 +710,6 @@ std::vector<Finding> run_project_passes(const ProjectModel& pm,
     if (!seen.insert(key).second) continue;
     kept.push_back(std::move(f));
   }
-  std::sort(kept.begin(), kept.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.file, a.line) < std::tie(b.file, b.line);
-  });
   return kept;
 }
 

@@ -1,6 +1,6 @@
 // detlint phase 2: cross-TU passes over the merged project model.
 //
-// Three pass families (ISSUE 8):
+// Three pass families:
 //
 //   lock-order        Every MutexLock / .lock() / .try_lock() site is an
 //                     acquisition; CDN_REQUIRES arguments (merged from
@@ -11,8 +11,7 @@
 //                     non-virtual calls (fixpoint closure). Any strongly
 //                     connected component — including a self-loop, i.e. a
 //                     re-acquisition — is a potential deadlock and fails
-//                     as `lock-order-cycle`. Acquisitions lexically inside
-//                     a hot region warn as `lock-in-hot`.
+//                     as `lock-order-cycle`.
 //
 //   hot-path purity   Hot code is a function marked CDN_HOT (on either the
 //                     declaration or the definition) or a
@@ -21,12 +20,10 @@
 //                     (stream/stdio identifiers), `alloc-in-hot` (new,
 //                     make_unique/make_shared, string temporaries, and
 //                     growth calls — push_back/resize/... — on a receiver
-//                     never .reserve()d in the same class or function),
-//                     and `virtual-in-hot` (calls whose receiver resolves
-//                     to a class declaring the method virtual). Analysis
-//                     is lexical per line plus the model's call sites;
-//                     callees of hot functions are NOT traversed — hotness
-//                     does not propagate (documented boundary, DESIGN §5i).
+//                     never .reserve()d in the same class or function).
+//                     Analysis is lexical per line; callees of hot
+//                     functions are NOT traversed — hotness does not
+//                     propagate (documented boundary, DESIGN §5i).
 //
 //   accounting        Every class defining metadata_bytes() must reference
 //                     each accountable member (std:: container, FlatMap /
@@ -34,8 +31,8 @@
 //                     defines metadata_bytes) by name inside the body, or
 //                     the definition must carry
 //                     `// detlint:allow(accounting, reason)`. This turns
-//                     the PR 5/6 "forgot to charge a container" bug class
-//                     into a lint failure.
+//                     the "forgot to charge a container" bug class into a
+//                     lint failure.
 #pragma once
 
 #include <vector>
@@ -47,7 +44,6 @@ namespace cdn::detlint {
 
 /// Runs all phase-2 passes. Findings already covered by a
 /// `// detlint:allow(...)` suppression in the model are removed.
-std::vector<Finding> run_project_passes(const ProjectModel& pm,
-                                        const Options& opts);
+std::vector<Finding> run_project_passes(const ProjectModel& pm);
 
 }  // namespace cdn::detlint

@@ -1,4 +1,4 @@
-// Fixture: a planted violation under a build/ directory. The default
-// exclude list must keep tree scans from ever reading this file; only a
-// scan with the excludes cleared may report the raw-rng finding below.
+// Fixture: a planted violation under a build/ directory. The excludes
+// must keep project scans from ever reading this file; only scanning it
+// directly may report the raw-rng finding below.
 int planted() { return std::rand(); }

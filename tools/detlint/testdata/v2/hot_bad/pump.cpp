@@ -1,17 +1,17 @@
-// Fixture: one violation per hot-purity rule family, each at a pinned
-// line. The CDN_HOT markers sit on the declarations in pump.hpp only.
+// Fixture: every hot-purity rule at a pinned line. The CDN_HOT markers of
+// drain() and peek() sit on the declarations in pump.hpp only.
 #include "pump.hpp"
 
 namespace cdn {
 
 void PumpBad::drain(int n) {
   for (int i = 0; i < n; ++i) {
-    sink_->put(i);
+    out_.push_back(i);
   }
 }
 
 int PumpBad::peek() {
-  MutexLock lk(mu_);
+  if (last_ < 0) throw last_;
   return last_;
 }
 

@@ -1,15 +1,8 @@
 // Fixture: the passing counterpart of hot_bad — hot code whose container
-// growth is exempt because the class .reserve()s the member, plus a
-// reasoned suppression for a deliberate virtual dispatch.
+// growth is exempt because the class .reserve()s the member.
 #pragma once
 
 namespace cdn {
-
-class SinkGood {
- public:
-  virtual ~SinkGood() = default;
-  virtual void put(int v) = 0;
-};
 
 class BufGood {
  public:
@@ -18,7 +11,6 @@ class BufGood {
 
  private:
   std::vector<int> v_;
-  std::unique_ptr<SinkGood> sink_;
 };
 
 }  // namespace cdn
