@@ -6,10 +6,9 @@
 //   SCI         — no promotion treatment (Algorithm 3)
 //   history x2  — history lists sized to the full cache instead of half
 // Run on all three workloads at the Fig. 8 base size.
-#include "bench_common.hpp"
-
 #include <memory>
 
+#include "bench_harness.hpp"
 #include "core/scip_cache.hpp"
 #include "core/scip_engine.hpp"
 #include "sim/sweep.hpp"
@@ -32,32 +31,30 @@ CachePtr make_variant(const std::string& variant, std::uint64_t cap) {
   return std::make_unique<AdvisedLruCache>(cap, std::move(adv));
 }
 
-void BM_Ablation(benchmark::State& state) {
-  for (auto _ : state) {
-    const std::vector<std::string> variants{
-        "full", "no-override", "no-monitor", "SCI", "history x2"};
-    Table table({"variant", "CDN-T", "CDN-W", "CDN-A"});
-    std::vector<SweepJob> jobs;
-    for (const auto& v : variants) {
-      for (const Trace& t : traces()) {
-        const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
-        jobs.push_back(SweepJob{
-            [v, cap] { return make_variant(v, cap); }, &t, SimOptions{}});
-      }
-    }
-    const auto res = run_sweep(jobs);
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      table.add_row({variants[v],
-                     Table::pct(res[v * 3 + 0].object_miss_ratio()),
-                     Table::pct(res[v * 3 + 1].object_miss_ratio()),
-                     Table::pct(res[v * 3 + 2].object_miss_ratio())});
-    }
-    print_block("SCIP mechanism ablation (object miss ratio)", table);
-  }
-}
-BENCHMARK(BM_Ablation)->Iterations(1)->Unit(benchmark::kSecond);
-
 }  // namespace
 }  // namespace cdn::bench
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  const std::vector<std::string> variants{
+      "full", "no-override", "no-monitor", "SCI", "history x2"};
+  Table table({"variant", "CDN-T", "CDN-W", "CDN-A"});
+  std::vector<SweepJob> jobs;
+  for (const auto& v : variants) {
+    for (const Trace& t : traces()) {
+      const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
+      jobs.push_back(SweepJob{
+          [v, cap] { return make_variant(v, cap); }, &t, SimOptions{}});
+    }
+  }
+  const auto res = run_sweep(jobs);
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    table.add_row({variants[v],
+                   Table::pct(res[v * 3 + 0].object_miss_ratio()),
+                   Table::pct(res[v * 3 + 1].object_miss_ratio()),
+                   Table::pct(res[v * 3 + 2].object_miss_ratio())});
+  }
+  print_block("SCIP mechanism ablation (object miss ratio)", table);
+  return 0;
+}

@@ -4,50 +4,41 @@
 //
 // Expected shape: Belady floor; SCIP competitive with the learned policies
 // at a fraction of their cost (the cost side is Fig. 11).
-#include "bench_common.hpp"
-
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
 #include "sim/sweep.hpp"
 
-namespace cdn::bench {
-namespace {
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  obs::BenchReport report("fig10_replacement");
+  std::vector<std::string> policies{"Belady"};
+  for (const auto& n : replacement_policy_names()) policies.push_back(n);
 
-void BM_Fig10(benchmark::State& state) {
-  BenchJson bench_json("fig10_replacement");
-  for (auto _ : state) {
-    std::vector<std::string> policies{"Belady"};
-    for (const auto& n : replacement_policy_names()) policies.push_back(n);
-
-    Table table({"policy", "CDN-T obj", "CDN-T byte", "CDN-W obj",
-                 "CDN-W byte", "CDN-A obj", "CDN-A byte"});
-    std::vector<SweepJob> jobs;
-    for (const auto& name : policies) {
-      for (const Trace& t : traces()) {
-        const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
-        jobs.push_back(SweepJob{
-            [name, cap] { return make_cache(name, cap); }, &t, SimOptions{}});
-      }
+  Table table({"policy", "CDN-T obj", "CDN-T byte", "CDN-W obj",
+               "CDN-W byte", "CDN-A obj", "CDN-A byte"});
+  std::vector<SweepJob> jobs;
+  for (const auto& name : policies) {
+    for (const Trace& t : traces()) {
+      const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
+      jobs.push_back(SweepJob{
+          [name, cap] { return make_cache(name, cap); }, &t, SimOptions{}});
     }
-    const auto res = run_sweep(jobs);
-    bench_json.add_all(res);
-    for (std::size_t p = 0; p < policies.size(); ++p) {
-      const auto& rt = res[p * 3 + 0];
-      const auto& rw = res[p * 3 + 1];
-      const auto& ra = res[p * 3 + 2];
-      table.add_row({policies[p], Table::pct(rt.object_miss_ratio()),
-                     Table::pct(rt.byte_miss_ratio()),
-                     Table::pct(rw.object_miss_ratio()),
-                     Table::pct(rw.byte_miss_ratio()),
-                     Table::pct(ra.object_miss_ratio()),
-                     Table::pct(ra.byte_miss_ratio())});
-    }
-    print_block("Fig. 10: replacement algorithms (cache = 5.8% of WSS)",
-                table);
   }
+  const auto res = run_sweep(jobs);
+  for (const SimResult& r : res) report.add_row(sim_result_row(r));
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    const auto& rt = res[p * 3 + 0];
+    const auto& rw = res[p * 3 + 1];
+    const auto& ra = res[p * 3 + 2];
+    table.add_row({policies[p], Table::pct(rt.object_miss_ratio()),
+                   Table::pct(rt.byte_miss_ratio()),
+                   Table::pct(rw.object_miss_ratio()),
+                   Table::pct(rw.byte_miss_ratio()),
+                   Table::pct(ra.object_miss_ratio()),
+                   Table::pct(ra.byte_miss_ratio())});
+  }
+  print_block("Fig. 10: replacement algorithms (cache = 5.8% of WSS)",
+              table);
+  return write_report(report);
 }
-BENCHMARK(BM_Fig10)->Iterations(1)->Unit(benchmark::kSecond);
-
-}  // namespace
-}  // namespace cdn::bench
-
-BENCHMARK_MAIN();

@@ -11,13 +11,12 @@
 //
 // Expected shape: every model identifies ZROs better than P-ZROs; the joint
 // task is the hardest; MAB is the most robust on the joint task.
-#include "bench_common.hpp"
-
 #include <memory>
 
 #include "analysis/feature_builder.hpp"
 #include "analysis/mab_classifier.hpp"
 #include "analysis/residency.hpp"
+#include "bench_harness.hpp"
 #include "ml/gbm.hpp"
 #include "ml/linear.hpp"
 #include "ml/metrics.hpp"
@@ -44,61 +43,55 @@ ml::Dataset subsample(const ml::Dataset& ds, std::size_t max_rows,
   return out;
 }
 
-void BM_Fig4(benchmark::State& state) {
-  for (auto _ : state) {
-    for (const Trace& t : traces()) {
-      const std::uint64_t cap = cap_frac(t, 0.05);
-      const auto an = analysis::analyze_zro(t, cap);
-      Table table({"model", "ZRO acc", "P-ZRO acc", "both acc"});
-      std::vector<std::vector<std::string>> rows(6);
-
-      const char* task_names[3] = {"ZRO", "P-ZRO", "both"};
-      (void)task_names;
-      std::vector<std::vector<double>> acc(6, std::vector<double>(3));
-
-      for (int task_i = 0; task_i < 3; ++task_i) {
-        const auto task = static_cast<LabelTask>(task_i);
-        std::vector<std::uint64_t> ids;
-        const auto ds = analysis::build_event_dataset(t, an, task, &ids);
-        auto [train_full, test] = ds.split(0.5);
-        Rng rng(1234 + task_i);
-        auto train = subsample(train_full, 40'000, rng);
-        train.shuffle(rng);
-
-        std::vector<std::unique_ptr<ml::BinaryClassifier>> models;
-        models.push_back(std::make_unique<ml::LinReg>());
-        models.push_back(std::make_unique<ml::LogReg>());
-        models.push_back(std::make_unique<ml::LinearSvm>());
-        models.push_back(std::make_unique<ml::Mlp>(
-            ml::MlpParams{.hidden = 256, .epochs = 3}));
-        models.push_back(std::make_unique<ml::GbmClassifier>());
-        for (std::size_t m = 0; m < models.size(); ++m) {
-          Rng fit_rng(99 + m);
-          models[m]->fit(train, fit_rng);
-          acc[m][static_cast<std::size_t>(task_i)] =
-              ml::evaluate(*models[m], test).accuracy;
-        }
-        // Online MAB over the test half (ids aligned with ds rows).
-        std::vector<std::uint64_t> test_ids(
-            ids.begin() + static_cast<std::ptrdiff_t>(train_full.rows()),
-            ids.end());
-        const auto scores = analysis::run_mab_classifier(test, test_ids);
-        acc[5][static_cast<std::size_t>(task_i)] =
-            ml::report_from_scores(scores, test.labels()).accuracy;
-      }
-      const char* names[6] = {"LinReg", "LogReg", "SVM", "NN", "GBM", "MAB"};
-      for (int m = 0; m < 6; ++m) {
-        table.add_row({names[m], Table::pct(acc[static_cast<std::size_t>(m)][0]),
-                       Table::pct(acc[static_cast<std::size_t>(m)][1]),
-                       Table::pct(acc[static_cast<std::size_t>(m)][2])});
-      }
-      print_block("Fig. 4 (" + t.name + ")", table);
-    }
-  }
-}
-BENCHMARK(BM_Fig4)->Iterations(1)->Unit(benchmark::kSecond);
-
 }  // namespace
 }  // namespace cdn::bench
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  for (const Trace& t : traces()) {
+    const std::uint64_t cap = cap_frac(t, 0.05);
+    const auto an = analysis::analyze_zro(t, cap);
+    Table table({"model", "ZRO acc", "P-ZRO acc", "both acc"});
+    std::vector<std::vector<double>> acc(6, std::vector<double>(3));
+
+    for (int task_i = 0; task_i < 3; ++task_i) {
+      const auto task = static_cast<LabelTask>(task_i);
+      std::vector<std::uint64_t> ids;
+      const auto ds = analysis::build_event_dataset(t, an, task, &ids);
+      auto [train_full, test] = ds.split(0.5);
+      Rng rng(1234 + task_i);
+      auto train = subsample(train_full, 40'000, rng);
+      train.shuffle(rng);
+
+      std::vector<std::unique_ptr<ml::BinaryClassifier>> models;
+      models.push_back(std::make_unique<ml::LinReg>());
+      models.push_back(std::make_unique<ml::LogReg>());
+      models.push_back(std::make_unique<ml::LinearSvm>());
+      models.push_back(std::make_unique<ml::Mlp>(
+          ml::MlpParams{.hidden = 256, .epochs = 3}));
+      models.push_back(std::make_unique<ml::GbmClassifier>());
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        Rng fit_rng(99 + m);
+        models[m]->fit(train, fit_rng);
+        acc[m][static_cast<std::size_t>(task_i)] =
+            ml::evaluate(*models[m], test).accuracy;
+      }
+      // Online MAB over the test half (ids aligned with ds rows).
+      std::vector<std::uint64_t> test_ids(
+          ids.begin() + static_cast<std::ptrdiff_t>(train_full.rows()),
+          ids.end());
+      const auto scores = analysis::run_mab_classifier(test, test_ids);
+      acc[5][static_cast<std::size_t>(task_i)] =
+          ml::report_from_scores(scores, test.labels()).accuracy;
+    }
+    const char* names[6] = {"LinReg", "LogReg", "SVM", "NN", "GBM", "MAB"};
+    for (int m = 0; m < 6; ++m) {
+      table.add_row({names[m], Table::pct(acc[static_cast<std::size_t>(m)][0]),
+                     Table::pct(acc[static_cast<std::size_t>(m)][1]),
+                     Table::pct(acc[static_cast<std::size_t>(m)][2])});
+    }
+    print_block("Fig. 4 (" + t.name + ")", table);
+  }
+  return 0;
+}

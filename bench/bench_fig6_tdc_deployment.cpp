@@ -10,8 +10,7 @@
 // smaller — but the direction and a double-digit relative reduction of BTO
 // traffic and latency reproduce. EXPERIMENTS.md discusses the layer
 // interaction we found when enabling SCIP on both layers at once.
-#include "bench_common.hpp"
-
+#include "bench_harness.hpp"
 #include "cluster/topology.hpp"
 #include "core/factories.hpp"
 #include "policies/replacement/lru.hpp"
@@ -36,59 +35,52 @@ cluster::ReplayResult run_chain(const Trace& t, bool scip) {
   return cluster::replay(chain, t, latency);
 }
 
-void BM_Fig6(benchmark::State& state) {
-  for (auto _ : state) {
-    const Trace& t = trace_w();
-    const cluster::ReplayResult r_before = run_chain(t, false);
-    const cluster::ReplayResult r_after = run_chain(t, true);
-
-    // (a) time series, one row per monitoring window.
-    Table series({"window", "BTO Gbps (LRU)", "BTO Gbps (SCIP)",
-                  "BTO ratio (LRU)", "BTO ratio (SCIP)", "lat ms (LRU)",
-                  "lat ms (SCIP)"});
-    // Both arms replay the same trace, so their windows line up.
-    for (std::size_t w = 0; w < r_before.windows.size(); ++w) {
-      const cluster::FlowWindow& wb = r_before.windows[w];
-      const cluster::FlowWindow& wa = r_after.windows[w];
-      series.add_row({std::to_string(wb.index),
-                      Table::fmt(wb.bto_gbps(), 3),
-                      Table::fmt(wa.bto_gbps(), 3),
-                      Table::pct(wb.bto_ratio()), Table::pct(wa.bto_ratio()),
-                      Table::fmt(wb.mean_latency_ms(), 1),
-                      Table::fmt(wa.mean_latency_ms(), 1)});
-    }
-    print_block("Fig. 6 time series (CDN-W-like, 1-minute windows)", series);
-
-    // (b) deployment summary.
-    Table summary({"metric", "before (LRU)", "after (SCIP)", "delta"});
-    auto rel = [](double b, double a) {
-      return b != 0.0 ? Table::pct((a - b) / b) : std::string("n/a");
-    };
-    const cluster::FlowWindow& before = r_before.total;
-    const cluster::FlowWindow& after = r_after.total;
-    summary.add_row({"BTO ratio", Table::pct(before.bto_ratio()),
-                     Table::pct(after.bto_ratio()),
-                     rel(before.bto_ratio(), after.bto_ratio())});
-    summary.add_row(
-        {"BTO bandwidth (Gbps)", Table::fmt(r_before.mean_bto_gbps(), 3),
-         Table::fmt(r_after.mean_bto_gbps(), 3),
-         rel(r_before.mean_bto_gbps(), r_after.mean_bto_gbps())});
-    summary.add_row(
-        {"mean latency (ms)", Table::fmt(before.mean_latency_ms(), 2),
-         Table::fmt(after.mean_latency_ms(), 2),
-         rel(before.mean_latency_ms(), after.mean_latency_ms())});
-    print_block("Fig. 6 summary (paper: BTO 8.87%->6.59%, latency -26.1%)",
-                summary);
-
-    state.counters["bto_before"] = before.bto_ratio();
-    state.counters["bto_after"] = after.bto_ratio();
-    state.counters["lat_before_ms"] = before.mean_latency_ms();
-    state.counters["lat_after_ms"] = after.mean_latency_ms();
-  }
-}
-BENCHMARK(BM_Fig6)->Iterations(1)->Unit(benchmark::kSecond);
-
 }  // namespace
 }  // namespace cdn::bench
 
-BENCHMARK_MAIN();
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  const Trace& t = trace_w();
+  const cluster::ReplayResult r_before = run_chain(t, false);
+  const cluster::ReplayResult r_after = run_chain(t, true);
+
+  // (a) time series, one row per monitoring window.
+  Table series({"window", "BTO Gbps (LRU)", "BTO Gbps (SCIP)",
+                "BTO ratio (LRU)", "BTO ratio (SCIP)", "lat ms (LRU)",
+                "lat ms (SCIP)"});
+  // Both arms replay the same trace, so their windows line up.
+  for (std::size_t w = 0; w < r_before.windows.size(); ++w) {
+    const cluster::FlowWindow& wb = r_before.windows[w];
+    const cluster::FlowWindow& wa = r_after.windows[w];
+    series.add_row({std::to_string(wb.index),
+                    Table::fmt(wb.bto_gbps(), 3),
+                    Table::fmt(wa.bto_gbps(), 3),
+                    Table::pct(wb.bto_ratio()), Table::pct(wa.bto_ratio()),
+                    Table::fmt(wb.mean_latency_ms(), 1),
+                    Table::fmt(wa.mean_latency_ms(), 1)});
+  }
+  print_block("Fig. 6 time series (CDN-W-like, 1-minute windows)", series);
+
+  // (b) deployment summary.
+  Table summary({"metric", "before (LRU)", "after (SCIP)", "delta"});
+  auto rel = [](double b, double a) {
+    return b != 0.0 ? Table::pct((a - b) / b) : std::string("n/a");
+  };
+  const cluster::FlowWindow& before = r_before.total;
+  const cluster::FlowWindow& after = r_after.total;
+  summary.add_row({"BTO ratio", Table::pct(before.bto_ratio()),
+                   Table::pct(after.bto_ratio()),
+                   rel(before.bto_ratio(), after.bto_ratio())});
+  summary.add_row(
+      {"BTO bandwidth (Gbps)", Table::fmt(r_before.mean_bto_gbps(), 3),
+       Table::fmt(r_after.mean_bto_gbps(), 3),
+       rel(r_before.mean_bto_gbps(), r_after.mean_bto_gbps())});
+  summary.add_row(
+      {"mean latency (ms)", Table::fmt(before.mean_latency_ms(), 2),
+       Table::fmt(after.mean_latency_ms(), 2),
+       rel(before.mean_latency_ms(), after.mean_latency_ms())});
+  print_block("Fig. 6 summary (paper: BTO 8.87%->6.59%, latency -26.1%)",
+              summary);
+  return 0;
+}

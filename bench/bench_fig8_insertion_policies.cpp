@@ -8,57 +8,48 @@
 // by 4.69/1.92/3.26 points). Note ASC-IP trades byte miss ratio for object
 // miss ratio via its size filter — we report both (the paper's simulator,
 // LRB's, reports byte miss ratio by default).
-#include "bench_common.hpp"
-
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
 #include "sim/sweep.hpp"
 
-namespace cdn::bench {
-namespace {
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  const struct {
+    double frac;
+    const char* label;
+  } sizes[] = {{kFig8SmallFrac, "(a) 5.8% of WSS  (paper: 64 GB)"},
+               {kFig8MediumFrac, "(b) 11.7% of WSS (paper: 128 GB)"},
+               {kFig8LargeFrac, "(c) 23.3% of WSS (paper: 256 GB)"}};
+  std::vector<std::string> policies{"Belady"};
+  for (const auto& n : insertion_policy_names()) policies.push_back(n);
 
-void BM_Fig8(benchmark::State& state) {
-  for (auto _ : state) {
-    const struct {
-      double frac;
-      const char* label;
-    } sizes[] = {{kFig8SmallFrac, "(a) 5.8% of WSS  (paper: 64 GB)"},
-                 {kFig8MediumFrac, "(b) 11.7% of WSS (paper: 128 GB)"},
-                 {kFig8LargeFrac, "(c) 23.3% of WSS (paper: 256 GB)"}};
-    std::vector<std::string> policies{"Belady"};
-    for (const auto& n : insertion_policy_names()) policies.push_back(n);
-
-    for (const auto& size : sizes) {
-      Table table({"policy", "CDN-T obj", "CDN-T byte", "CDN-W obj",
-                   "CDN-W byte", "CDN-A obj", "CDN-A byte"});
-      // One parallel sweep per size covering policies x traces.
-      std::vector<SweepJob> jobs;
-      for (const auto& name : policies) {
-        for (const Trace& t : traces()) {
-          const std::uint64_t cap = cap_frac(t, size.frac);
-          jobs.push_back(SweepJob{
-              [name, cap] { return make_cache(name, cap); }, &t,
-              SimOptions{}});
-        }
+  for (const auto& size : sizes) {
+    Table table({"policy", "CDN-T obj", "CDN-T byte", "CDN-W obj",
+                 "CDN-W byte", "CDN-A obj", "CDN-A byte"});
+    // One parallel sweep per size covering policies x traces.
+    std::vector<SweepJob> jobs;
+    for (const auto& name : policies) {
+      for (const Trace& t : traces()) {
+        const std::uint64_t cap = cap_frac(t, size.frac);
+        jobs.push_back(SweepJob{
+            [name, cap] { return make_cache(name, cap); }, &t,
+            SimOptions{}});
       }
-      const auto res = run_sweep(jobs);
-      for (std::size_t p = 0; p < policies.size(); ++p) {
-        const auto& rt = res[p * 3 + 0];
-        const auto& rw = res[p * 3 + 1];
-        const auto& ra = res[p * 3 + 2];
-        table.add_row({policies[p], Table::pct(rt.object_miss_ratio()),
-                       Table::pct(rt.byte_miss_ratio()),
-                       Table::pct(rw.object_miss_ratio()),
-                       Table::pct(rw.byte_miss_ratio()),
-                       Table::pct(ra.object_miss_ratio()),
-                       Table::pct(ra.byte_miss_ratio())});
-      }
-      print_block(std::string("Fig. 8 ") + size.label, table);
     }
+    const auto res = run_sweep(jobs);
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const auto& rt = res[p * 3 + 0];
+      const auto& rw = res[p * 3 + 1];
+      const auto& ra = res[p * 3 + 2];
+      table.add_row({policies[p], Table::pct(rt.object_miss_ratio()),
+                     Table::pct(rt.byte_miss_ratio()),
+                     Table::pct(rw.object_miss_ratio()),
+                     Table::pct(rw.byte_miss_ratio()),
+                     Table::pct(ra.object_miss_ratio()),
+                     Table::pct(ra.byte_miss_ratio())});
+    }
+    print_block(std::string("Fig. 8 ") + size.label, table);
   }
+  return 0;
 }
-BENCHMARK(BM_Fig8)->Iterations(1)->Unit(benchmark::kSecond);
-
-}  // namespace
-}  // namespace cdn::bench
-
-BENCHMARK_MAIN();

@@ -8,47 +8,33 @@
 // Expected shape: SCIP sits with the cheap heuristics (LIP/DIP/PIPP/SHiP/
 // ASC-IP), clearly cheaper than the learned baselines; its memory is LIP
 // plus the two history lists + monitors.
-#include "bench_common.hpp"
-
+#include "bench_harness.hpp"
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
 
-namespace cdn::bench {
-namespace {
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  obs::BenchReport report("fig9_resources_insertion");
+  const Trace& t = trace_t();
+  const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
+  std::vector<std::string> policies{"LRU"};
+  for (const auto& n : insertion_policy_names()) policies.push_back(n);
 
-void BM_Fig9(benchmark::State& state) {
-  BenchJson bench_json("fig9_resources_insertion");
-  for (auto _ : state) {
-    const Trace& t = trace_t();
-    const std::uint64_t cap = cap_frac(t, kFig8SmallFrac);
-    std::vector<std::string> policies{"LRU"};
-    for (const auto& n : insertion_policy_names()) policies.push_back(n);
-
-    Table table({"policy", "obj miss", "cpu s/Mreq", "peak metadata",
-                 "TPS (Mreq/s)"});
-    // Resource timing must be serial: one policy at a time, one thread.
-    for (const auto& name : policies) {
-      auto cache = make_cache(name, cap);
-      const auto res = simulate(*cache, t);
-      bench_json.add(res);
-      const double mreq = static_cast<double>(res.requests) / 1e6;
-      table.add_row(
-          {name, Table::pct(res.object_miss_ratio()),
-           Table::fmt(res.cpu_seconds / mreq, 3),
-           Table::bytes(static_cast<double>(res.metadata_peak_bytes)),
-           Table::fmt(res.tps() / 1e6, 2)});
-      if (name == "SCIP") {
-        state.counters["scip_tps_Mreq"] = res.tps() / 1e6;
-        state.counters["scip_meta_MB"] =
-            static_cast<double>(res.metadata_peak_bytes) / 1e6;
-      }
-    }
-    print_block("Fig. 9: insertion-policy resources (CDN-T)", table);
+  Table table({"policy", "obj miss", "cpu s/Mreq", "peak metadata",
+               "TPS (Mreq/s)"});
+  // Resource timing must be serial: one policy at a time, one thread.
+  for (const auto& name : policies) {
+    auto cache = make_cache(name, cap);
+    const auto res = simulate(*cache, t);
+    report.add_row(sim_result_row(res));
+    const double mreq = static_cast<double>(res.requests) / 1e6;
+    table.add_row(
+        {name, Table::pct(res.object_miss_ratio()),
+         Table::fmt(res.cpu_seconds / mreq, 3),
+         Table::bytes(static_cast<double>(res.metadata_peak_bytes)),
+         Table::fmt(res.tps() / 1e6, 2)});
   }
+  print_block("Fig. 9: insertion-policy resources (CDN-T)", table);
+  return write_report(report);
 }
-BENCHMARK(BM_Fig9)->Iterations(1)->Unit(benchmark::kSecond);
-
-}  // namespace
-}  // namespace cdn::bench
-
-BENCHMARK_MAIN();

@@ -1,7 +1,12 @@
-// Shared harness of the gated bench mains (bench_stress,
-// bench_orchestrator, bench_cluster, bench_throughput, bench_hotpath), and
-// the report writer the figure benches reach through bench_common.hpp:
+// Shared harness of every bench main: the five gated benches
+// (bench_stress, bench_orchestrator, bench_cluster, bench_throughput,
+// bench_hotpath) and the thirteen paper-figure mains (bench_table1_*,
+// bench_fig*_*, bench_ablation_scip, bench_admission):
 //
+//   traces               the three annotated synthetic workloads the
+//                        figure mains share, generated once per binary;
+//   print_block          a titled table block, so output reads like the
+//                        paper;
 //   parse_args           one strict command line: --smoke picks the
 //                        defaults, an explicit flag wins in either order,
 //                        and any bad value is a usage error (exit 2);
@@ -13,8 +18,9 @@
 //   write_report         schema validation, then BENCH_<name>.json under
 //                        $CDN_BENCH_JSON_DIR (default ".").
 //
-// It does not include google-benchmark, so the gated mains link only the
-// library.
+// The figure mains take no arguments and gate nothing; the three that
+// write a report (fig7, fig9, fig10) exit with write_report's code. Every
+// bench links only the library.
 #pragma once
 
 #include <charconv>
@@ -30,7 +36,10 @@
 
 #include "obs/bench_report.hpp"
 #include "sim/simulator.hpp"
+#include "trace/generator.hpp"
+#include "trace/oracle.hpp"
 #include "trace/request.hpp"
+#include "util/table.hpp"
 
 namespace cdn::bench {
 
@@ -48,6 +57,38 @@ inline std::uint64_t cap_frac(const Trace& t, double frac) {
 inline constexpr double kFig8SmallFrac = 0.058;   // "64 GB"
 inline constexpr double kFig8MediumFrac = 0.117;  // "128 GB"
 inline constexpr double kFig8LargeFrac = 0.233;   // "256 GB"
+
+// ------------------------------------------------------------ figures --
+
+/// Scale of the figure mains' synthetic traces relative to the defaults
+/// (~1 M requests).
+inline constexpr double kTraceScale = 0.5;
+
+/// CDN-T, CDN-W and CDN-A at kTraceScale, annotated with next accesses,
+/// generated on first use and kept for the life of the binary.
+inline const std::vector<Trace>& traces() {
+  static const auto* ts = [] {
+    auto* v = new std::vector<Trace>;
+    for (const auto& spec :
+         {cdn_t_like(kTraceScale), cdn_w_like(kTraceScale),
+          cdn_a_like(kTraceScale)}) {
+      Trace t = generate_trace(spec);
+      annotate_next_access(t);
+      v->push_back(std::move(t));
+    }
+    return v;
+  }();
+  return *ts;
+}
+
+inline const Trace& trace_t() { return traces()[0]; }
+inline const Trace& trace_w() { return traces()[1]; }
+
+/// Prints "== title ==" and the table, then flushes.
+inline void print_block(const std::string& title, const Table& table) {
+  std::printf("\n== %s ==\n%s", title.c_str(), table.str().c_str());
+  std::fflush(stdout);
+}
 
 // ------------------------------------------------------------------ CLI --
 
@@ -221,19 +262,17 @@ inline bool same_counters(const SimResult& a, const SimResult& b) {
 
 /// Validates `report` against the cdn-bench-report schema, then writes
 /// BENCH_<name>.json under $CDN_BENCH_JSON_DIR (default "."). Returns 0, or
-/// 1 on a schema violation or a failed write after printing the reason
-/// prefixed by `severity` (the figure benches only warn).
-inline int write_report(const obs::BenchReport& report,
-                        const char* severity = "FAIL") {
+/// 1 on a schema violation or a failed write after printing the reason.
+inline int write_report(const obs::BenchReport& report) {
   const std::string violation = obs::validate_bench_report(report.document());
   if (!violation.empty()) {
-    std::fprintf(stderr, "%s: %s schema: %s\n", severity,
+    std::fprintf(stderr, "FAIL: %s schema: %s\n",
                  report.file_name().c_str(), violation.c_str());
     return 1;
   }
   const char* dir = std::getenv("CDN_BENCH_JSON_DIR");
   if (!report.write(dir ? dir : ".")) {
-    std::fprintf(stderr, "%s: could not write %s\n", severity,
+    std::fprintf(stderr, "FAIL: could not write %s\n",
                  report.file_name().c_str());
     return 1;
   }

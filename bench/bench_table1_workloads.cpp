@@ -8,30 +8,15 @@
 // Our synthetic stand-ins are scaled ~1:80 in requests; the *relative*
 // structure (CDN-A most one-hit wonders, CDN-W smallest catalog / heaviest
 // reuse, mean sizes) is what the experiments depend on.
-#include "bench_common.hpp"
-
+#include "bench_harness.hpp"
 #include "trace/stats.hpp"
 
-namespace cdn::bench {
-namespace {
-
-void BM_Table1(benchmark::State& state) {
-  for (auto _ : state) {
-    std::vector<TraceStats> stats;
-    for (const auto& t : traces()) stats.push_back(compute_stats(t));
-    std::printf("\n== Table 1: workload summary (synthetic, scale %.2f) ==\n%s",
-                kTraceScale, format_table1(stats).c_str());
-    state.counters["cdnt_uniques"] =
-        static_cast<double>(stats[0].unique_objects);
-    state.counters["cdnw_uniques"] =
-        static_cast<double>(stats[1].unique_objects);
-    state.counters["cdna_uniques"] =
-        static_cast<double>(stats[2].unique_objects);
-  }
+int main() {
+  using namespace cdn;
+  using namespace cdn::bench;
+  std::vector<TraceStats> stats;
+  for (const auto& t : traces()) stats.push_back(compute_stats(t));
+  std::printf("\n== Table 1: workload summary (synthetic, scale %.2f) ==\n%s",
+              kTraceScale, format_table1(stats).c_str());
+  return 0;
 }
-BENCHMARK(BM_Table1)->Iterations(1)->Unit(benchmark::kSecond);
-
-}  // namespace
-}  // namespace cdn::bench
-
-BENCHMARK_MAIN();

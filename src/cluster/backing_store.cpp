@@ -18,7 +18,6 @@ double BackingStore::fetch(std::uint64_t id, std::uint64_t size) {
 BackingStorePtr make_backing_store(const std::string& name,
                                    const LatencyModel& latency) {
   if (name == "origin") return std::make_unique<OriginStore>(latency);
-  if (name == "remote") return std::make_unique<RemoteStore>(latency);
   if (name == "null") return std::make_unique<NullStore>();
   throw std::invalid_argument("make_backing_store: unknown store '" + name +
                               "'");

@@ -3,10 +3,8 @@
 // When every cluster node (and, for hot keys, every replica owner) misses,
 // or a request misses every tier of a Topology (topology.hpp), the object
 // is fetched from the backing store. The store models where those bytes
-// come from and what they cost; the DC layer of the TDC chain becomes one
-// concrete backend (`RemoteStore`, priced by LatencyModel's OC->DC hop)
-// instead of hard-coded topology, and the paper's BTO ("Backing To
-// Origin") bandwidth is simply the byte counter of an `OriginStore`.
+// come from and what they cost: the paper's BTO ("Backing To Origin")
+// bandwidth is simply the byte counter of an `OriginStore`.
 //
 // fetch() is deliberately non-virtual: it owns the accounting (fetch count,
 // bytes, modeled time) and delegates only the latency model to the
@@ -83,24 +81,6 @@ class OriginStore final : public BackingStore {
   LatencyModel latency_;
 };
 
-/// Latency-modeled remote store one hop away (the TDC DC layer as a
-/// backend): priced like an OC->DC transfer.
-class RemoteStore final : public BackingStore {
- public:
-  explicit RemoteStore(const LatencyModel& latency) : latency_(latency) {}
-  [[nodiscard]] std::string name() const override { return "remote"; }
-
- protected:
-  [[nodiscard]] double fetch_ms(std::uint64_t /*id*/,
-                                std::uint64_t size) const override {
-    return latency_.oc_to_dc_ms +
-           static_cast<double>(size) / latency_.dc_bandwidth;
-  }
-
- private:
-  LatencyModel latency_;
-};
-
 /// Free instantaneous backend: isolates pure cache behavior in tests and
 /// makes miss accounting checkable without latency noise.
 class NullStore final : public BackingStore {
@@ -116,7 +96,7 @@ class NullStore final : public BackingStore {
 
 using BackingStorePtr = std::unique_ptr<BackingStore>;
 
-/// Constructs a store by name: "origin", "remote" or "null". Throws
+/// Constructs a store by name: "origin" or "null". Throws
 /// std::invalid_argument for unknown names.
 [[nodiscard]] BackingStorePtr make_backing_store(
     const std::string& name, const LatencyModel& latency);

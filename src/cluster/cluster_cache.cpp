@@ -87,10 +87,8 @@ ClusterCache::ClusterCache(
                          ? 0
                          : srv::ShardedCache::shard_capacity(
                                config.capacity_bytes, config.nodes, 0)),
-      latency_(config.latency),
       factory_(std::move(make_node_cache)),
       schedule_(config.schedule),
-      ring_(config.vnodes_per_node),
       tracker_(config.hot_threshold, config.hot_window) {
   validate_config(config);
   MutexLock lk(cluster_mu_);

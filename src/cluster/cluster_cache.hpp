@@ -35,7 +35,7 @@
 // replay reproduces the exact same join/leave points every run.
 //
 // Misses that no owner can serve go to the pluggable BackingStore
-// ("origin" / "remote" / "null") — the BTO byte counter of the paper. Each
+// ("origin" / "null") — the BTO byte counter of the paper. Each
 // node owns its own store, so origin accounting is per node like every
 // other request counter.
 //
@@ -88,7 +88,6 @@ struct ClusterCacheConfig {
   /// spread); later joiners each get an initial node-0 share.
   std::uint64_t capacity_bytes = 1ULL << 30;
   std::size_t nodes = 4;             ///< initial node count
-  std::size_t vnodes_per_node = 64;  ///< ring points per node
   std::size_t replicas = 2;          ///< k-way ownership for hot keys
   bool replicate_hot = true;         ///< cooperative peer fill on miss
   std::uint32_t hot_threshold = 64;  ///< window count that makes a key hot
@@ -96,8 +95,7 @@ struct ClusterCacheConfig {
   /// Seed for node 0; node i gets seed + i. With one node this matches
   /// make_cache(policy, capacity, seed) exactly (the golden cross-check).
   std::uint64_t seed = 1;
-  std::string backing = "origin";  ///< "origin" | "remote" | "null"
-  LatencyModel latency{};
+  std::string backing = "origin";  ///< "origin" | "null"
   /// Must be sorted by at_request (validated at construction).
   std::vector<MembershipEvent> schedule;
 };
@@ -287,7 +285,7 @@ class ClusterCache final : public Cache {
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners
-  LatencyModel latency_;
+  const LatencyModel latency_{};  ///< default hop costs (latency_model.hpp)
   std::function<CachePtr(std::uint64_t, std::size_t)> factory_;
   std::vector<MembershipEvent> schedule_;
 

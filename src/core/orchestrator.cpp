@@ -27,19 +27,8 @@ OrchestratorCache::OrchestratorCache(std::uint64_t capacity_bytes,
           "OrchestratorCache: an orchestrator cannot be its own expert");
     }
   }
-  if (params_.slice_shift < 0 || params_.cap_shift < 0 ||
-      params_.slice_shift + params_.cap_shift >= 63) {
-    throw std::invalid_argument("OrchestratorCache: bad shift parameters");
-  }
-  // Miniature geometry (header comment): capacity scales by the sample
-  // fraction AND by 2^cap_shift; request sizes scale by 2^cap_shift only,
-  // so both the capacity/working-set ratio and the size/capacity ratio of
-  // the live cache carry over to the shadows.
-  shadow_capacity_ =
-      capacity_bytes >> static_cast<unsigned>(params_.slice_shift +
-                                              params_.cap_shift);
   enabled_ = params_.experts.size() >= 2 &&
-             shadow_capacity_ >= params_.monitor_min_bytes &&
+             capacity_bytes >= params_.monitor_min_bytes &&
              params_.window > 0;
   live_idx_ = params_.initial;
   live_ = make_cache(params_.experts[live_idx_], capacity_,
@@ -48,7 +37,7 @@ OrchestratorCache::OrchestratorCache(std::uint64_t capacity_bytes,
     shadows_.reserve(params_.experts.size());
     for (std::size_t j = 0; j < params_.experts.size(); ++j) {
       shadows_.push_back(
-          make_cache(params_.experts[j], shadow_capacity_, shadow_seed(j)));
+          make_cache(params_.experts[j], capacity_, shadow_seed(j)));
     }
     win_miss_bytes_.assign(params_.experts.size(), 0);
     // The dwell clock guards against switch thrashing, not against leaving
@@ -74,27 +63,12 @@ bool OrchestratorCache::access(const Request& req) {
 
 bool OrchestratorCache::access_hashed(const Request& req, std::uint64_t h) {
   if (enabled_) {
-    // Sample from the TOP hash bits: the low bits stay untouched for the
-    // experts' own internal slicing (SCIP's duels, SB-LRU's arms). The
-    // shift is branched on because x >> 64 is undefined, and slice_shift
-    // == 0 means "sample everything".
-    const bool sampled =
-        params_.slice_shift == 0 ||
-        (h >> (64U - static_cast<unsigned>(params_.slice_shift))) == 0;
-    if (sampled) {
-      // Scaled miniature (header comment): request sizes shrink with the
-      // shadow capacity so the size-to-capacity geometry stays the live
-      // cache's; an object the full cache cannot hold stays unholdable in
-      // miniature.
-      Request mini = req;
-      mini.size = std::max<std::uint64_t>(
-          1, req.size >> static_cast<unsigned>(params_.cap_shift));
-      if (mini.size <= shadow_capacity_) {
-        win_bytes_ += req.size;
-        for (std::size_t j = 0; j < shadows_.size(); ++j) {
-          if (!shadows_[j]->access_hashed(mini, h)) {
-            win_miss_bytes_[j] += req.size;
-          }
+    // An object the cache cannot hold is not evidence for any expert.
+    if (fits(req.size)) {
+      win_bytes_ += req.size;
+      for (std::size_t j = 0; j < shadows_.size(); ++j) {
+        if (!shadows_[j]->access_hashed(req, h)) {
+          win_miss_bytes_[j] += req.size;
         }
       }
     }
@@ -105,9 +79,9 @@ bool OrchestratorCache::access_hashed(const Request& req, std::uint64_t h) {
 }
 
 void OrchestratorCache::close_window_if_scorable() {
-  // Merge-on-no-evidence: the sample must have seen bytes, otherwise the
+  // Merge-on-no-evidence: the shadows must have seen bytes, otherwise the
   // window keeps accumulating (see header). Checked once per request past
-  // the window length, so a starved sample delays scoring, never skews it.
+  // the window length, so a starved window delays scoring, never skews it.
   if (win_bytes_ == 0) return;
   if (warmup_windows_left_ > 0) {
     // Cold-start discard (see OrchestratorParams::score_warmup_windows):
@@ -123,8 +97,8 @@ void OrchestratorCache::close_window_if_scorable() {
   std::vector<double> losses(shadows_.size());
   double min_loss = 1.0;
   for (std::size_t j = 0; j < shadows_.size(); ++j) {
-    // Plain sampled byte miss ratio: every expert shares the same sample,
-    // so its intrinsic difficulty is a common offset and Hedge's update is
+    // Plain byte miss ratio: every expert sees the same requests, so their
+    // intrinsic difficulty is a common offset and Hedge's update is
     // invariant to it (header comment).
     losses[j] = static_cast<double>(win_miss_bytes_[j]) /
                 static_cast<double>(win_bytes_);
@@ -140,7 +114,7 @@ void OrchestratorCache::close_window_if_scorable() {
   // Diagnostic regret (header comment): the incumbent's loss gap to the
   // best expert this window, folded into an EWMA with the same decay as
   // the learner. Offsets cancel here exactly as in Hedge: the gap is a
-  // DIFFERENCE of losses over the shared sample.
+  // DIFFERENCE of losses over the shared requests.
   regret_ewma_ = params_.decay * regret_ewma_ +
                  (1.0 - params_.decay) * (losses[live_idx_] - min_loss);
   const std::size_t best = bandit_.best();

@@ -4,43 +4,24 @@
 // of a nonstationary CDN workload, but a selector that keeps every
 // candidate warm in shadow and follows the current winner can track the
 // per-phase best. The orchestrator runs k registry-constructed experts in
-// shadow, every one replaying the SAME hash-sampled slice of the request
-// stream (SCIP's monitor_slice_shift discipline, scip_engine.hpp — the
-// sample is drawn from the TOP hash bits so an expert's internal
-// set-dueling, which slices the low bits, still sees its own sub-slices).
-// Sharing one sample is deliberate: disjoint per-expert slices are not
-// equally hard (a slice that happens to hold a heavier tail has a
-// persistently higher miss ratio under ANY policy — a bias windowing never
-// averages out), while identical evidence makes the experts' losses
-// directly comparable.
-//
-// By default the shadows are EXACT virtual replicas: slice_shift = 0
-// (every request) and cap_shift = 0 (full capacity), so each shadow is
-// byte-for-byte the cache its expert would have been had it run live from
-// request zero — the ACME design (Ari et al., "ACME: adaptive caching
+// shadow, every one replaying the SAME request stream. The shadows are
+// EXACT virtual replicas: each sees every request at full capacity, so it
+// is byte-for-byte the cache its expert would have been had it run live
+// from request zero — the ACME design (Ari et al., "ACME: adaptive caching
 // using multiple experts"), affordable because a shadow stores residency
 // metadata only, never content (tens of bytes per object against tens of
-// kilobytes of payload). Exact replicas matter more than they first
-// appear: scoring fidelity is policy-dependent. Both shifts also support
-// scaled MINIATURES for CPU-constrained deployments — shadow capacity is
-// the live capacity times the sample fraction divided by 2^cap_shift with
-// request sizes divided by 2^cap_shift to match, which preserves BOTH
-// ratios that determine a caching outcome (capacity over working-set
-// bytes, and object size over capacity; skipping the size scaling makes
-// every object larger than the small shadow unmeasurable, flipping
-// size-aware rankings — an inversion we observed between GDSF and S4LRU).
-// But even a geometry-true miniature is only bitwise-faithful for
-// size-oblivious policies: an admission-duel expert (TinyLFU) feeds every
-// admission decision back into its own victim selection, so the per-object
-// rounding of size >> cap_shift compounds into multi-percentage-point
-// trajectory drift (measured: LRU/S4LRU identical per-window at cap >> 3,
-// TinyLFU up to 9pp adrift, enough to misrank it against LRU). Shifted
-// configurations therefore trade exactly this fidelity for CPU.
+// kilobytes of payload). Exactness matters because scoring fidelity is
+// policy-dependent: scaled miniatures (sampled requests, shrunken
+// capacity and sizes) kept LRU/S4LRU identical per window but let an
+// admission-duel expert (TinyLFU) drift up to 9pp, enough to misrank it
+// against LRU, since its admission decisions feed back into its own victim
+// selection. Sharing one stream also makes the experts' losses directly
+// comparable.
 //
-// Every `window` requests each expert's sampled *byte* miss ratio — the
-// metric CDNs bill by — forms a loss vector for a full-information
-// DISCOUNTED Hedge learner (ml/mab.hpp; Hedge is invariant to per-window
-// offsets, so the sample's intrinsic difficulty cancels between experts,
+// Every `window` requests each expert's *byte* miss ratio — the metric
+// CDNs bill by — forms a loss vector for a full-information DISCOUNTED
+// Hedge learner (ml/mab.hpp; Hedge is invariant to per-window offsets, so
+// the window's intrinsic difficulty cancels between experts,
 // and the discount bounds the learner's memory so a regime REVERSAL —
 // drift handing leadership back — flips the ranking within ~1/(1-decay)
 // windows instead of after the incumbent's whole lead is repaid). The live
@@ -73,11 +54,11 @@
 // statistics-heavy expert (TinyLFU) live: switching OUT of it is cheap,
 // switching INTO it mid-trace is the one residually lossy move.
 //
-// Windows in which the sample saw no bytes (short traces, aggressive
-// sampling) are merged into the next window rather than scored — the
+// Windows in which the shadows saw no bytes (every request larger than
+// the cache) are merged into the next window rather than scored — the
 // zero-denominator rule pinned in SimResult's ratio accessors applies to
 // expert scoring too, and "no evidence" must not move the learner.
-// Below `monitor_min_bytes` of shadow capacity the whole apparatus is
+// Below `monitor_min_bytes` of capacity the whole apparatus is
 // disabled and the orchestrator degrades to its initial expert.
 #pragma once
 
@@ -109,18 +90,6 @@ struct OrchestratorParams {
   /// comment) — the safe starting seat is the one that is expensive to
   /// reach later.
   std::size_t initial = 2;
-  /// Sampling shift: shadows replay requests whose top slice_shift hash
-  /// bits are all zero (fraction 2^-slice_shift of traffic; 0 = every
-  /// request). Raising it cuts shadow CPU cost but also shrinks the
-  /// largest object a geometry-true shadow can represent (header comment).
-  int slice_shift = 0;
-  /// Miniature scale: shadows run at (capacity x sample fraction)
-  /// >> cap_shift with request sizes >> cap_shift, preserving both the
-  /// capacity-to-working-set ratio and the size-to-capacity geometry of
-  /// the live cache. 0 (exact replicas) by default: geometry-true
-  /// miniatures still misrank admission-duel experts (header comment), so
-  /// the shifts are a deliberate CPU-for-fidelity trade.
-  int cap_shift = 0;
   std::uint64_t monitor_min_bytes = 2ULL << 20;  ///< shadow floor (SCIP's)
   std::size_t window = 1024;     ///< requests per scoring window
   /// Scorable windows discarded before the learner sees any evidence: the
@@ -223,14 +192,13 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
 
   OrchestratorParams params_;
   bool enabled_ = false;
-  std::uint64_t shadow_capacity_ = 0;
   CachePtr live_;
   std::size_t live_idx_ = 0;
   std::vector<CachePtr> shadows_;
   ml::HedgeBandit bandit_;
 
-  // Current-window sampled byte counters (one shared denominator: every
-  // expert replays the same sample).
+  // Current-window byte counters (one shared denominator: every expert
+  // replays the same requests).
   std::uint64_t win_bytes_ = 0;
   std::vector<std::uint64_t> win_miss_bytes_;
   std::size_t window_reqs_ = 0;

@@ -54,48 +54,16 @@ WorkerTally drive_stream(ShardedCache& cache,
   return tally;
 }
 
-/// Generic-target worker loop: one access() per request, batch-windowed
-/// latency. Mirrors drive_stream's accounting exactly so results from the
-/// two paths are comparable row-for-row.
-WorkerTally drive_stream_generic(Cache& cache,
-                                 const std::vector<Request>& stream,
-                                 std::size_t batch_size) {
-  WorkerTally tally;
-  for (std::size_t lo = 0; lo < stream.size(); lo += batch_size) {
-    const std::size_t n = std::min(batch_size, stream.size() - lo);
-    Stopwatch sw;
-    std::uint64_t batch_hits = 0;
-    std::uint64_t batch_bytes_hit = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& req = stream[lo + i];
-      if (cache.access(req)) {
-        ++batch_hits;
-        batch_bytes_hit += req.size;
-      }
-      tally.flow.bytes_total += req.size;
-    }
-    const double secs = sw.seconds();
-    const auto ns = static_cast<std::uint64_t>(
-        std::max(0.0, std::round(secs * 1e9)));
-    tally.latency_ns.add(ns, n);
-    tally.flow.requests += n;
-    tally.flow.hits += batch_hits;
-    tally.flow.bytes_hit += batch_bytes_hit;
-  }
-  return tally;
-}
+}  // namespace
 
-/// Shared submit/merge shell over either worker loop.
-template <typename DriveFn>
-LoadGenResult run_streams(const std::vector<std::vector<Request>>& streams,
-                          ThreadPool& pool, const DriveFn& drive) {
+LoadGenResult LoadGen::run(ShardedCache& cache, ThreadPool& pool) const {
   std::vector<std::future<WorkerTally>> futures;
-  futures.reserve(streams.size());
+  futures.reserve(streams_.size());
   Stopwatch wall;
-  for (std::size_t w = 0; w < streams.size(); ++w) {
-    const std::vector<Request>* stream = &streams[w];
-    futures.push_back(pool.submit([stream, w, &drive] {
-      return drive(*stream, w);
+  for (std::size_t w = 0; w < streams_.size(); ++w) {
+    const std::vector<Request>* stream = &streams_[w];
+    futures.push_back(pool.submit([&cache, stream, batch = batch_size_, w] {
+      return drive_stream(cache, *stream, batch, w);
     }));
   }
   LoadGenResult result;
@@ -106,28 +74,6 @@ LoadGenResult run_streams(const std::vector<std::vector<Request>>& streams,
   }
   result.wall_seconds = wall.seconds();
   return result;
-}
-
-}  // namespace
-
-LoadGenResult LoadGen::run(ShardedCache& cache, ThreadPool& pool) const {
-  const std::size_t batch = batch_size_;
-  ShardedCache* c = &cache;
-  return run_streams(streams_, pool,
-                     [c, batch](const std::vector<Request>& stream,
-                                std::size_t w) {
-                       return drive_stream(*c, stream, batch, w);
-                     });
-}
-
-LoadGenResult LoadGen::run(Cache& cache, ThreadPool& pool) const {
-  const std::size_t batch = batch_size_;
-  Cache* c = &cache;
-  return run_streams(streams_, pool,
-                     [c, batch](const std::vector<Request>& stream,
-                                std::size_t /*w*/) {
-                       return drive_stream_generic(*c, stream, batch);
-                     });
 }
 
 }  // namespace cdn::srv

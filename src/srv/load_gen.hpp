@@ -75,15 +75,6 @@ class LoadGen {
   [[nodiscard]] LoadGenResult run(ShardedCache& cache,
                                   ThreadPool& pool) const;
 
-  /// Same closed loop against ANY thread-safe Cache (a ClusterCache, a
-  /// single locked node, ...). Requests go one at a time through
-  /// Cache::access — no batch API is assumed — but latency is still
-  /// recorded per batch_size window so percentiles are comparable across
-  /// targets. A ShardedCache& argument binds to the overload above
-  /// (exact match beats the base-class conversion), so existing callers
-  /// keep the bitwise-pinned batch path.
-  [[nodiscard]] LoadGenResult run(Cache& cache, ThreadPool& pool) const;
-
  private:
   std::vector<std::vector<Request>> streams_;
   std::size_t batch_size_;

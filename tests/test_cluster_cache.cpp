@@ -5,9 +5,9 @@
 // replication-knob contract (peer fill only re-attributes miss bytes,
 // never changes a hit/miss outcome), replica-set consistency, join/leave
 // warm-transfer rebalancing with structural audits, deterministic
-// schedule-driven churn pinned to literal counters, the generic LoadGen
-// drive path, exact per-node sums under concurrent drivers, and TSan-level
-// thread safety of concurrent access + snapshots.
+// schedule-driven churn pinned to literal counters, client-side counters
+// matching the totals, exact per-node sums under concurrent drivers, and
+// TSan-level thread safety of concurrent access + snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "sim/audit/invariants.hpp"
 #include "sim/queue_cache.hpp"
 #include "sim/simulator.hpp"
-#include "srv/load_gen.hpp"
 #include "trace/generator.hpp"
 #include "trace/stressors/scenarios.hpp"
 #include "util/rng.hpp"
@@ -500,22 +499,35 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
   expect_flow_conservation(cluster);
 }
 
-TEST(ClusterCache, LoadGenDrivesAClusterTarget) {
+TEST(ClusterCache, ConcurrentClientsSeeTheClusterTotals) {
+  // Four client threads, each driving a round-robin share of the trace
+  // through access() and counting what it saw: the clients' hit and byte
+  // counters must sum to the cluster's own totals.
   const Trace trace = generate_trace(small_spec(11));
   ClusterCacheConfig cfg;
   cfg.policy = "LRU";
   cfg.capacity_bytes = kCap;
   cfg.nodes = 4;
   ClusterCache cluster(cfg);
-  ThreadPool pool(4);
-  srv::LoadGenOptions opts;
-  opts.workers = 4;
-  const srv::LoadGen gen(trace, opts);
-  const srv::LoadGenResult res = gen.run(cluster, pool);
+  constexpr std::size_t kClients = 4;
+  std::vector<FlowStats> seen(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&cluster, &trace, &seen, c] {
+      for (std::size_t i = c; i < trace.requests.size(); i += kClients) {
+        const Request& req = trace.requests[i];
+        seen[c].record(req.size, cluster.access(req));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  FlowStats res;
+  for (const FlowStats& s : seen) res += s;
   EXPECT_EQ(res.requests, trace.requests.size());
   const ClusterTotals t = cluster.totals();
   EXPECT_EQ(t.requests, trace.requests.size());
   EXPECT_EQ(t.hits, res.hits);
+  EXPECT_EQ(t.bytes_total, res.bytes_total);
   EXPECT_EQ(t.bytes_hit, res.bytes_hit);
   expect_flow_conservation(cluster);
 }
