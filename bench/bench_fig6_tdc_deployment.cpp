@@ -29,10 +29,8 @@ cluster::ReplayResult run_chain(const Trace& t, bool scip) {
   }
   std::vector<CachePtr> dc;
   dc.push_back(std::make_unique<LruCache>(32ULL << 20));
-  const cluster::LatencyModel latency;
-  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)),
-                          cluster::make_backing_store("origin", latency));
-  return cluster::replay(chain, t, latency);
+  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)));
+  return cluster::replay(chain, t);
 }
 
 }  // namespace

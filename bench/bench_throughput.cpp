@@ -87,7 +87,7 @@ constexpr bench::BenchCli kCli{
 struct ShardRow {
   std::size_t shards = 0;
   SimResult replay;
-  std::vector<ShardStats> shard_stats;  ///< end-of-replay snapshot
+  std::vector<cluster::NodeStats> shard_stats;  ///< end-of-replay snapshot
   LoadGenResult loadgen;
 };
 
@@ -104,9 +104,9 @@ obs::json::Value sweep_row(const ShardRow& r, const bench::BenchArgs& args) {
   row.set("latency_p50_ns", r.loadgen.latency_p50_ns());
   row.set("latency_p99_ns", r.loadgen.latency_p99_ns());
   row.set("latency_p999_ns", r.loadgen.latency_p999_ns());
-  row.set("shard_skew", occupancy_skew(r.shard_stats));
+  row.set("shard_skew", cluster::occupancy_skew(r.shard_stats));
   obs::json::Array used;
-  for (const ShardStats& s : r.shard_stats) {
+  for (const cluster::NodeStats& s : r.shard_stats) {
     used.push_back(obs::json::Value(s.used_bytes));
   }
   row.set("shard_used_bytes", obs::json::Value(std::move(used)));
@@ -207,7 +207,7 @@ int run(const bench::BenchArgs& args) {
                     1),
          Table::pct(r.replay.warm_object_miss_ratio()),
          Table::pct(r.replay.warm_byte_miss_ratio()),
-         Table::fmt(occupancy_skew(r.shard_stats), 3)});
+         Table::fmt(cluster::occupancy_skew(r.shard_stats), 3)});
     report.add_row(sweep_row(r, args));
   }
   std::printf("\n== Throughput vs shard count (%s, %s) ==\n%s", kPolicy,

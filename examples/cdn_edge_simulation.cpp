@@ -37,10 +37,8 @@ int main(int argc, char** argv) {
   }
   std::vector<CachePtr> dc;
   dc.push_back(make_cache("LRU", trace.working_set_bytes() / 48, 200));
-  const cluster::LatencyModel latency;
-  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)),
-                          cluster::make_backing_store("origin", latency));
-  const cluster::ReplayResult res = cluster::replay(chain, trace, latency);
+  cluster::Topology chain(cluster::tdc_chain(std::move(oc), std::move(dc)));
+  const cluster::ReplayResult res = cluster::replay(chain, trace);
 
   Table series({"minute", "requests", "OC hit", "DC hit", "BTO Gbps",
                 "BTO ratio", "mean latency"});

@@ -1,13 +1,10 @@
 #include "cluster/cluster_cache.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "core/registry.hpp"
-#include "sim/queue_cache.hpp"
-#include "srv/sharded_cache.hpp"
 #include "util/rng.hpp"
 
 namespace cdn::cluster {
@@ -80,13 +77,10 @@ ClusterCache::ClusterCache(
     std::function<CachePtr(std::uint64_t, std::size_t)> make_node_cache)
     : Cache(config.capacity_bytes),
       policy_(config.policy),
-      backing_name_(config.backing),
+      free_origin_(config.backing == "null"),
       replicas_(config.replicas),
       replicate_hot_(config.replicate_hot),
-      initial_share_(config.nodes == 0
-                         ? 0
-                         : srv::ShardedCache::shard_capacity(
-                               config.capacity_bytes, config.nodes, 0)),
+      initial_share_(capacity_share(config.capacity_bytes, config.nodes, 0)),
       factory_(std::move(make_node_cache)),
       schedule_(config.schedule),
       tracker_(config.hot_threshold, config.hot_window) {
@@ -95,10 +89,8 @@ ClusterCache::ClusterCache(
   slots_.reserve(config.nodes);
   for (std::size_t i = 0; i < config.nodes; ++i) {
     const auto id = static_cast<std::uint32_t>(i);
-    slots_.push_back(make_slot(
-        srv::ShardedCache::shard_capacity(config.capacity_bytes, config.nodes,
-                                          i),
-        id));
+    slots_.push_back(
+        make_slot(capacity_share(config.capacity_bytes, config.nodes, i), id));
     ring_.add_node(id);
   }
 }
@@ -108,8 +100,7 @@ ClusterCache::NodeSlot ClusterCache::make_slot(std::uint64_t capacity,
   NodeSlot slot;
   slot.node = std::make_unique<Node>("node" + std::to_string(id),
                                      factory_(capacity, id));
-  slot.stats = std::make_unique<NodeCounters>(
-      make_backing_store(backing_name_, latency_));
+  slot.stats = std::make_unique<NodeCounters>();
   return slot;
 }
 
@@ -119,6 +110,10 @@ void ClusterCache::validate_config(const ClusterCacheConfig& config) const {
   }
   if (config.replicas == 0 || config.replicas > kMaxReplicas) {
     throw std::invalid_argument("ClusterCache: replicas must be in [1, 8]");
+  }
+  if (config.backing != "origin" && config.backing != "null") {
+    throw std::invalid_argument("ClusterCache: unknown backing '" +
+                                config.backing + "'");
   }
   if (!factory_) {
     throw std::invalid_argument("ClusterCache: node factory is required");
@@ -177,33 +172,27 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
     }
   }
 
-  // Node work and bookkeeping outside the cluster lock: requests to
-  // different nodes only contend on the routing decision above.
-  const bool hit = target->access_hashed(req, h);
+  // Node work outside the cluster lock: requests to different nodes only
+  // contend on the routing decision above. The node books the request.
+  if (target->serve(req, h)) return true;
+  // Cooperative peer fill: read-only probes (contains_hashed never
+  // mutates), so enabling the knob cannot change any hit/miss outcome —
+  // only where the miss bytes come from.
   bool peer_fill = false;
-  if (!hit) {
-    // Cooperative peer fill: read-only probes (contains_hashed never
-    // mutates), so enabling the knob cannot change any hit/miss outcome —
-    // only where the miss bytes come from.
-    for (std::size_t i = 0; i < peer_count && !peer_fill; ++i) {
-      peer_fill = peers[i]->contains_hashed(req.id, h);
-    }
+  for (std::size_t i = 0; i < peer_count && !peer_fill; ++i) {
+    peer_fill = peers[i]->contains_hashed(req.id, h);
   }
 
   MutexLock lk(stats->mu);
-  FlowStats& flow = stats->flow;
-  flow.record(req.size, hit);
-  if (hit) return true;
   if (peer_fill) {
-    ++flow.peer_fills;
-    flow.peer_fill_bytes += req.size;
-    const double ms = latency_.oc_to_dc_ms +
-                      static_cast<double>(req.size) / latency_.dc_bandwidth;
-    stats->peer_time_us +=
-        static_cast<std::uint64_t>(std::llround(ms * 1000.0));
+    ++stats->fills.peer_fills;
+    stats->fills.peer_fill_bytes += req.size;
+    stats->peer_time_us += latency_.peer_fill_us(req.size);
   } else {
-    flow.record_origin_fetch(req.size);
-    stats->backing->fetch(req.id, req.size);
+    stats->fills.record_origin_fetch(req.size);
+    if (!free_origin_) {
+      stats->origin_time_us += latency_.origin_fetch_us(req.size);
+    }
   }
   return false;
 }
@@ -315,18 +304,14 @@ void ClusterCache::leave_locked(std::uint32_t node) {
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 ClusterCache::residents_of_locked(std::uint32_t from) {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  // Enumeration order is LRU -> MRU, so re-inserting in this order
-  // reproduces the source's recency order at the destination (the last
-  // transfer lands at MRU). Non-queue policies expose no enumeration and
-  // hand off cold (their objects re-fetch on first access).
+  // Victims first, so re-inserting in this order reproduces the source's
+  // eviction order at the destination (the last transfer, the source's
+  // most-protected object, lands freshest).
   slots_[from].node->with_cache([&out](Cache& c) {
-    if (const auto* qc = dynamic_cast<const QueueCache*>(&c)) {
-      qc->audit_queue().for_each_from_lru(
-          [&out](const LruQueue::Node& n) {
-            out.emplace_back(n.id, n.size);
-            return true;
-          });
-    }
+    c.for_each_resident([&out](std::uint64_t id, std::uint64_t size) {
+      out.emplace_back(id, size);
+      return true;
+    });
   });
   return out;
 }
@@ -346,7 +331,7 @@ void ClusterCache::transfer_locked(
     req.id = id;
     req.size = size;
     NodeSlot& dest = slots_[owner];
-    dest.node->access_hashed(req, h);
+    dest.node->with_cache([&req, h](Cache& c) { c.access_hashed(req, h); });
     ++dest.migrated_in_keys;
     dest.migrated_in_bytes += size;
   }
@@ -365,8 +350,8 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
     ns.migrated_in_bytes = s.migrated_in_bytes;
     const NodeCounters& c = *s.stats;
     MutexLock stats_lk(c.mu);
-    static_cast<FlowStats&>(ns.shard) = c.flow;
-    ns.origin_time_us = c.backing->stats().total_us;
+    static_cast<FlowStats&>(ns.shard) += c.fills;
+    ns.origin_time_us = c.origin_time_us;
     ns.peer_time_us = c.peer_time_us;
     out.push_back(std::move(ns));
   }
@@ -374,32 +359,17 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
 }
 
 ClusterTotals ClusterCache::totals() const {
-  MutexLock lk(cluster_mu_);
   ClusterTotals t;
-  t.hot_spread_requests = hot_spread_requests_;
-  for (const NodeSlot& s : slots_) {
-    t.migrated_keys += s.migrated_in_keys;
-    t.migrated_bytes += s.migrated_in_bytes;
-    const NodeCounters& c = *s.stats;
-    MutexLock stats_lk(c.mu);
-    t += c.flow;
-    t.origin_time_us += c.backing->stats().total_us;
-    t.peer_time_us += c.peer_time_us;
+  for (const ClusterNodeStats& ns : node_stats()) {
+    t += ns.shard;
+    t.origin_time_us += ns.origin_time_us;
+    t.peer_time_us += ns.peer_time_us;
+    t.migrated_keys += ns.migrated_in_keys;
+    t.migrated_bytes += ns.migrated_in_bytes;
   }
-  return t;
-}
-
-BackingStoreStats ClusterCache::backing_stats() const {
   MutexLock lk(cluster_mu_);
-  BackingStoreStats sum;
-  for (const NodeSlot& s : slots_) {
-    MutexLock stats_lk(s.stats->mu);
-    const BackingStoreStats& b = s.stats->backing->stats();
-    sum.fetches += b.fetches;
-    sum.bytes += b.bytes;
-    sum.total_us += b.total_us;
-  }
-  return sum;
+  t.hot_spread_requests = hot_spread_requests_;
+  return t;
 }
 
 std::vector<std::uint32_t> ClusterCache::owners_of(std::uint64_t id) const {

@@ -1,10 +1,11 @@
 // ClusterCache: a simulated multi-node CDN cluster behind the Cache API.
 //
-// N registry-constructed policy nodes (SCIP included) sit behind a
-// consistent-hash ring (cluster/hash_ring.hpp). A request hashes its id
-// exactly once — `access()` computes hash64(req.id) and threads it through
-// ring lookup, the owning node's `access_hashed`, and every replication
-// probe (the PR-6 hash-once discipline, pinned by test_cluster_cache).
+// N registry-constructed policy nodes (SCIP included; cluster/node.hpp)
+// sit behind a consistent-hash ring (cluster/hash_ring.hpp). A request
+// hashes its id exactly once — `access()` computes hash64(req.id) and
+// threads it through ring lookup, the owning node's `serve` (the policy's
+// `access_hashed`), and every replication probe (the hash-once
+// discipline, pinned by test_cluster_cache).
 //
 // Hot-key replication. A ShadowMonitor-style windowed counter
 // (HotKeyTracker) classifies keys whose observed request rate crosses
@@ -25,7 +26,8 @@
 // seed = config seed + node id) and `leave()` retires one; both perform
 // incremental warm-transfer rebalancing: only residents whose ring owner
 // changed (ring-adjacent ranges, expected 1/N of the key space) are
-// re-inserted into their new owner via `access_hashed`. The old copy is
+// re-inserted into their new owner via `access_hashed`, victims first as
+// Cache::for_each_resident lists them. The old copy is
 // not erased — the Cache API has no erase, and a stale replica simply ages
 // out of its LRU queue (on leave, the retired node is excluded from the
 // ring and stats but its object stays alive, so in-flight concurrent
@@ -34,21 +36,28 @@
 // when the served-request counter reaches `at_request`, so a single-driver
 // replay reproduces the exact same join/leave points every run.
 //
-// Misses that no owner can serve go to the pluggable BackingStore
-// ("origin" / "null") — the BTO byte counter of the paper. Each
-// node owns its own store, so origin accounting is per node like every
-// other request counter.
+// Misses that no owner can serve are fetched from the origin: the BTO
+// bytes of the paper. `ClusterCacheConfig::backing` picks how an origin
+// fetch is priced — "origin" charges LatencyModel::origin_fetch_us, "null"
+// charges nothing, isolating pure cache behavior.
+//
+// Bookkeeping: each node (cluster/node.hpp) books a request's requests,
+// hits and bytes in the critical section that runs its policy. What the
+// node cannot know under its own lock — whether a miss was filled by a
+// peer or fetched from the origin, and the modeled time of that fill — is
+// booked afterwards in the node's NodeCounters. Warm transfers are not
+// requests and book nothing.
 //
 // Locking: cluster_mu_ guards the routing state (ring, tracker, schedule,
 // served count, slot table, migration counters) and is taken exactly once
-// per request, for the routing decision. Node mutexes (cluster/node.hpp)
-// guard each policy instance; each node's NodeCounters::mu guards that
-// node's request counters and backing store. The request path holds no two
-// of these at once: route under cluster_mu_, release, then the node mutex,
-// then the target's stats mutex. The nesting orders are cluster_mu_ ->
-// node mutex (migration, snapshots) and cluster_mu_ -> stats mutex
-// (totals / node_stats / backing_stats readers); nothing ever acquires
-// cluster_mu_ while holding another lock — no cycle exists.
+// per request, for the routing decision. Each node's mutex guards its
+// policy and flow; each NodeCounters::mu guards that node's fill counters.
+// The request path holds no two of these at once: a hit takes cluster_mu_,
+// then the node mutex, and nothing else; a miss then probes peers (one
+// node mutex at a time) and takes the target's NodeCounters::mu. The
+// nesting orders are cluster_mu_ -> node mutex (migration, snapshots) and
+// cluster_mu_ -> NodeCounters::mu (totals / node_stats readers); nothing
+// ever acquires cluster_mu_ while holding another lock — no cycle exists.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +66,11 @@
 #include <string>
 #include <vector>
 
-#include "cluster/backing_store.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/latency_model.hpp"
 #include "cluster/node.hpp"
 #include "sim/cache.hpp"
 #include "sim/flow_stats.hpp"
-#include "srv/shard_stats.hpp"
 #include "util/flat_map.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -84,8 +91,8 @@ struct MembershipEvent {
 
 struct ClusterCacheConfig {
   std::string policy = "SCIP";  ///< registry name (core/registry.hpp)
-  /// Total capacity split over the initial nodes (srv shard_capacity
-  /// spread); later joiners each get an initial node-0 share.
+  /// Total capacity split over the initial nodes (capacity_share in
+  /// node.hpp); later joiners each get an initial node-0 share.
   std::uint64_t capacity_bytes = 1ULL << 30;
   std::size_t nodes = 4;             ///< initial node count
   std::size_t replicas = 2;          ///< k-way ownership for hot keys
@@ -133,15 +140,15 @@ class HotKeyTracker {
   FlatMap<std::uint64_t, std::uint8_t> prev_hot_;  ///< hot set last window
 };
 
-/// Per-node statistics: the srv ShardStats record (capacity/used/metadata
-/// from the node snapshot, FlowStats counters from the node's request
-/// path) plus the modeled fill times and migration counters. Summed over
-/// every node (retired ones included) they give ClusterTotals.
+/// Per-node statistics: the node's snapshot (its flow and occupancy) with
+/// the peer fills and origin fetches the cluster booked for it, plus the
+/// modeled fill times and migration counters. Summed over every node
+/// (retired ones included) they give ClusterTotals.
 struct ClusterNodeStats {
   std::string name;
   bool live = true;
-  srv::ShardStats shard;
-  std::uint64_t origin_time_us = 0;  ///< this node's backing-store time
+  NodeStats shard;
+  std::uint64_t origin_time_us = 0;  ///< modeled, integer microseconds
   std::uint64_t peer_time_us = 0;
   std::uint64_t migrated_in_keys = 0;
   std::uint64_t migrated_in_bytes = 0;
@@ -206,15 +213,13 @@ class ClusterCache final : public Cache {
       CDN_EXCLUDES(cluster_mu_);
 
   /// Per-node stats (index == node id, retired nodes included with
-  /// live == false). Each node's record is read under its own stats lock,
-  /// so it is self-consistent; while drivers run, the records (and the
-  /// sums in totals() and backing_stats()) are not one atomic cut across
-  /// nodes. Once access() calls have returned they are exact.
+  /// live == false). While drivers run, a record (and the sums in
+  /// totals()) is not one atomic cut: the node's flow and its fill
+  /// counters are read under different locks. Once access() calls have
+  /// returned they are exact.
   [[nodiscard]] std::vector<ClusterNodeStats> node_stats() const
       CDN_EXCLUDES(cluster_mu_);
   [[nodiscard]] ClusterTotals totals() const CDN_EXCLUDES(cluster_mu_);
-  [[nodiscard]] BackingStoreStats backing_stats() const
-      CDN_EXCLUDES(cluster_mu_);
 
   // Test/audit helpers (not request-path API; each hashes internally).
   /// Current replica owner list for `id` at the configured k.
@@ -233,18 +238,17 @@ class ClusterCache final : public Cache {
   static constexpr std::size_t kMaxReplicas = 8;
 
  private:
-  /// One node's request-path bookkeeping under its own lock, so requests
-  /// served by different nodes never share a critical section. Heap-held
-  /// (slots_ grows on join while the request path holds this pointer
-  /// outside cluster_mu_) and cache-line aligned, so two nodes' counters
-  /// never share a line.
+  /// The fills of one node's misses, booked after its peer probes under
+  /// this block's own lock. Heap-held (slots_ grows on join while the
+  /// request path holds this pointer outside cluster_mu_) and cache-line
+  /// aligned, so two nodes' counters never share a line.
   struct alignas(64) NodeCounters {
-    explicit NodeCounters(BackingStorePtr store) : backing(std::move(store)) {}
-
     mutable Mutex mu;
-    FlowStats flow CDN_GUARDED_BY(mu);
+    /// Only the peer-fill and origin-fetch fields are written: the node
+    /// books requests, hits and bytes itself.
+    FlowStats fills CDN_GUARDED_BY(mu);
     std::uint64_t peer_time_us CDN_GUARDED_BY(mu) = 0;
-    BackingStorePtr backing CDN_PT_GUARDED_BY(mu);
+    std::uint64_t origin_time_us CDN_GUARDED_BY(mu) = 0;
   };
 
   struct NodeSlot {
@@ -259,7 +263,7 @@ class ClusterCache final : public Cache {
     std::uint64_t migrated_in_bytes = 0;
   };
 
-  /// Builds node `id`: its policy instance, counters and backing store.
+  /// Builds node `id`: its policy instance and fill counters.
   [[nodiscard]] NodeSlot make_slot(std::uint64_t capacity,
                                    std::uint32_t id) const;
   void validate_config(const ClusterCacheConfig& config) const;
@@ -267,8 +271,9 @@ class ClusterCache final : public Cache {
   void apply_due_events_locked() CDN_REQUIRES(cluster_mu_);
   std::uint32_t join_locked() CDN_REQUIRES(cluster_mu_);
   void leave_locked(std::uint32_t node) CDN_REQUIRES(cluster_mu_);
-  /// Copies out (id, size) of every resident of `from` (queue-based
-  /// policies only; others hand off cold).
+  /// Copies out (id, size) of every resident of `from`, victims first
+  /// (Cache::for_each_resident; a policy that cannot enumerate hands off
+  /// cold).
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
   residents_of_locked(std::uint32_t from) CDN_REQUIRES(cluster_mu_);
   /// Warm-transfers `objects` to their current ring owners. With
@@ -281,7 +286,7 @@ class ClusterCache final : public Cache {
       CDN_REQUIRES(cluster_mu_);
 
   std::string policy_;
-  std::string backing_name_;
+  bool free_origin_;  ///< backing == "null": origin fetches cost nothing
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners

@@ -1,31 +1,104 @@
-// A policy node of the elastic cluster's ring tier (cluster_cache.hpp): a
-// policy instance plus the mutex that serializes the concurrent callers
-// routed to it. The single-threaded tier topology (topology.hpp) holds its
-// caches directly and needs no lock.
+// Node: the one locked policy instance of the concurrent layers — a ring
+// node of the elastic cluster (cluster_cache.hpp) or a stripe of the
+// sharded service (srv/sharded_cache.hpp). Its mutex guards the policy and
+// the node's FlowStats, so a request runs the policy and books its
+// requests, hits and bytes in one critical section: the counters can never
+// disagree with the policy about which requests this node served. The
+// single-threaded tier topology (topology.hpp) holds its caches directly
+// and needs no lock.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/cache.hpp"
-#include "srv/shard_stats.hpp"
+#include "sim/flow_stats.hpp"
+#include "util/attr.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace cdn::cluster {
+
+/// A node's flow counters plus its occupancy, read in one critical section.
+struct NodeStats : FlowStats {
+  std::uint64_t capacity_bytes = 0;  ///< configured node capacity
+  std::uint64_t used_bytes = 0;      ///< resident bytes at snapshot time
+  std::uint64_t metadata_bytes = 0;  ///< policy metadata footprint
+
+  NodeStats& operator+=(const NodeStats& o) noexcept {
+    FlowStats::operator+=(o);
+    capacity_bytes += o.capacity_bytes;
+    used_bytes += o.used_bytes;
+    metadata_bytes += o.metadata_bytes;
+    return *this;
+  }
+};
+
+/// Occupancy skew: max over nodes of used_bytes divided by the mean.
+/// 1.0 means perfectly balanced; large values mean the key hash (or the
+/// workload's popularity skew) is concentrating bytes on few nodes.
+[[nodiscard]] inline double occupancy_skew(
+    const std::vector<NodeStats>& nodes) noexcept {
+  std::uint64_t total = 0;
+  std::uint64_t max_used = 0;
+  for (const NodeStats& s : nodes) {
+    total += s.used_bytes;
+    if (s.used_bytes > max_used) max_used = s.used_bytes;
+  }
+  if (total == 0) return 1.0;
+  const double mean =
+      static_cast<double>(total) / static_cast<double>(nodes.size());
+  return static_cast<double>(max_used) / mean;
+}
+
+/// Capacity of node `i` when `total` bytes split over `nodes` nodes:
+/// total/nodes rounded down, with the remainder spread over the first
+/// total%nodes nodes so the shares always sum to `total`.
+[[nodiscard]] constexpr std::uint64_t capacity_share(
+    std::uint64_t total, std::size_t nodes, std::size_t i) noexcept {
+  if (nodes == 0) return 0;
+  return total / nodes + (i < total % nodes ? 1 : 0);
+}
 
 class Node {
  public:
   Node(std::string name, CachePtr cache)
       : name_(std::move(name)), cache_(std::move(cache)) {}
 
-  /// Thread-safe access with the caller-precomputed hash64(req.id) — the
-  /// cluster routing layer hashes once per request and threads the hash
-  /// through every node it touches. Returns true on hit.
-  bool access_hashed(const Request& req, std::uint64_t h)
+  /// Serves one request with the caller-precomputed hash64(req.id) and
+  /// books it. Returns true on hit.
+  bool serve(const Request& req, std::uint64_t h) CDN_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    const bool hit = cache_->access_hashed(req, h);
+    flow_.record(req.size, hit);
+    return hit;
+  }
+
+  /// Serves the run reqs[order[k]], k in [begin, end), in that order under
+  /// one lock hold, with hash hashes[order[k]], writing each verdict to
+  /// hits_out[order[k]].
+  CDN_HOT void serve_run(const Request* reqs, const std::uint64_t* hashes,
+                         const std::uint32_t* order, std::uint32_t begin,
+                         std::uint32_t end, bool* hits_out)
       CDN_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    return cache_->access_hashed(req, h);
+    serve_run_locked(reqs, hashes, order, begin, end, hits_out);
+  }
+
+  /// serve_run() if the lock is free; returns false, serving nothing, when
+  /// another thread holds it.
+  CDN_HOT bool try_serve_run(const Request* reqs, const std::uint64_t* hashes,
+                             const std::uint32_t* order, std::uint32_t begin,
+                             std::uint32_t end, bool* hits_out)
+      CDN_EXCLUDES(mu_) {
+    if (!mu_.try_lock()) return false;
+    serve_run_locked(reqs, hashes, order, begin, end, hits_out);
+    mu_.unlock();
+    return true;
   }
 
   /// Read-only residency probe with the caller-precomputed hash64(id)
@@ -36,10 +109,9 @@ class Node {
     return cache_->contains_hashed(id, h);
   }
 
-  /// Runs `fn` over the wrapped policy under this node's lock — the
-  /// control-plane escape hatch for warm-transfer migration and structural
-  /// audits (enumerating residents, Inspector checks). Never used on a
-  /// request path.
+  /// Runs `fn` over the wrapped policy under this node's lock, booking
+  /// nothing — the control-plane path for warm-transfer migration and
+  /// structural audits. Never used on a request path.
   void with_cache(const std::function<void(Cache&)>& fn) CDN_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     fn(*cache_);
@@ -47,15 +119,14 @@ class Node {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// All occupancy reads in one critical section (the same ShardStats
-  /// record the srv shards report): one lock round-trip instead of one per
-  /// field, and used/capacity always come from a consistent point in time.
-  /// Capacity is immutable after construction, but the policy object is
-  /// not const-thread-safe in general, so even that read stays under the
-  /// (uncontended) lock rather than carving out an unchecked path.
-  [[nodiscard]] srv::ShardStats snapshot() const CDN_EXCLUDES(mu_) {
+  /// The flow and occupancy in one critical section, so used/capacity and
+  /// the counters come from one point in time. Capacity is immutable, but
+  /// the policy object is not const-thread-safe in general, so even that
+  /// read stays under the (uncontended) lock.
+  [[nodiscard]] NodeStats snapshot() const CDN_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    srv::ShardStats s;
+    NodeStats s;
+    static_cast<FlowStats&>(s) = flow_;
     s.capacity_bytes = cache_->capacity();
     s.used_bytes = cache_->used_bytes();
     s.metadata_bytes = cache_->metadata_bytes();
@@ -63,9 +134,30 @@ class Node {
   }
 
  private:
+  CDN_HOT void serve_run_locked(const Request* reqs,
+                                const std::uint64_t* hashes,
+                                const std::uint32_t* order,
+                                std::uint32_t begin, std::uint32_t end,
+                                bool* hits_out) CDN_REQUIRES(mu_) {
+    // Hint the index probe a few requests ahead, overlapping its potential
+    // cache miss with the current access. Advisory only: results are
+    // identical with the hint removed.
+    constexpr std::uint32_t kPrefetchDistance = 4;
+    for (std::uint32_t k = begin; k < end; ++k) {
+      if (k + kPrefetchDistance < end) {
+        cache_->prefetch(reqs[order[k + kPrefetchDistance]].id);
+      }
+      const std::uint32_t i = order[k];
+      const bool hit = cache_->access_hashed(reqs[i], hashes[i]);
+      hits_out[i] = hit;
+      flow_.record(reqs[i].size, hit);
+    }
+  }
+
   std::string name_;
-  CachePtr cache_ CDN_PT_GUARDED_BY(mu_);
   mutable Mutex mu_;
+  CachePtr cache_ CDN_PT_GUARDED_BY(mu_);
+  FlowStats flow_ CDN_GUARDED_BY(mu_);
 };
 
 }  // namespace cdn::cluster

@@ -5,14 +5,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cluster/latency_model.hpp"
+
 namespace cdn::cluster {
 
-Topology::Topology(std::vector<Tier> tiers, BackingStorePtr origin)
-    : tiers_(std::move(tiers)), origin_(std::move(origin)) {
+Topology::Topology(std::vector<Tier> tiers) : tiers_(std::move(tiers)) {
   if (tiers_.empty()) {
     throw std::invalid_argument("Topology: need at least one tier");
   }
-  if (!origin_) throw std::invalid_argument("Topology: origin is required");
   if (tiers_.front().placement == Placement::kChildBlock) {
     throw std::invalid_argument("Topology: the edge tier has no children");
   }
@@ -52,7 +52,6 @@ std::size_t Topology::access(const Request& req, std::uint64_t index) {
     if (hit) return t;
   }
   stats_.back()[node].record_origin_fetch(req.size);
-  origin_->fetch(req.id, req.size);
   return tiers_.size();
 }
 
@@ -70,8 +69,8 @@ std::vector<Tier> tdc_chain(std::vector<CachePtr> oc,
   return tiers;
 }
 
-ReplayResult replay(Topology& topo, const Trace& trace,
-                    const LatencyModel& latency) {
+ReplayResult replay(Topology& topo, const Trace& trace) {
+  const LatencyModel latency;
   const std::size_t n_tiers = topo.tier_count();
   ReplayResult res;
   res.total.tiers.resize(n_tiers);

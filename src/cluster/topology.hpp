@@ -1,5 +1,5 @@
 // Topology: a deterministic stack of cache tiers from the edge to the root,
-// ending in an origin BackingStore — the TDC chain of the paper's Fig. 6
+// in front of the origin — the TDC chain of the paper's Fig. 6
 // (user -> OC -> DC -> origin, Figure 2) and the leave-copy-everywhere
 // cache trees checked against the closed forms of Gallo et al. (PAPERS.md;
 // sim/network_analytic.hpp) are both Topology specs.
@@ -17,7 +17,8 @@
 //                  missed node `child` of the tier below: a tree's parents,
 //                  each owning one contiguous block of children.
 // The topology books one FlowStats per node; a miss at the root tier is
-// booked as an origin fetch at the root node and fetched from the origin.
+// booked as an origin fetch at the root node, so the root tier's records
+// count every origin fetch and byte. replay() prices them.
 //
 // Single-threaded and deterministic: a replay is one pass over the trace
 // in trace order, so node states, counters and the windowed result are
@@ -28,8 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/backing_store.hpp"
-#include "cluster/latency_model.hpp"
 #include "cluster/routing.hpp"
 #include "sim/cache.hpp"
 #include "sim/flow_stats.hpp"
@@ -49,8 +48,8 @@ class Topology {
  public:
   /// `tiers` run from the edge (index 0) to the root. Throws
   /// std::invalid_argument if there are no tiers, a tier has no nodes or a
-  /// null node, the edge tier is kChildBlock, or `origin` is null.
-  Topology(std::vector<Tier> tiers, BackingStorePtr origin);
+  /// null node, or the edge tier is kChildBlock.
+  explicit Topology(std::vector<Tier> tiers);
 
   /// Node of tier `t` serving request number `index` with id `id` that
   /// missed node `child` of tier t - 1 (`child` is ignored at the edge).
@@ -76,14 +75,10 @@ class Topology {
   [[nodiscard]] const Cache& cache_at(std::size_t t, std::size_t node) const {
     return *tiers_[t].nodes[node];
   }
-  [[nodiscard]] const BackingStore& origin() const noexcept {
-    return *origin_;
-  }
 
  private:
   std::vector<Tier> tiers_;
   std::vector<std::vector<FlowStats>> stats_;  ///< parallel to tiers_
-  BackingStorePtr origin_;
 };
 
 /// The TDC chain: `oc` nodes placed by salted mod with kOcRouteSalt in
@@ -143,10 +138,9 @@ struct ReplayResult {
 };
 
 /// Replays `trace` through `topo` in trace order (request i has index i)
-/// and sums the flow per kWindowMs window. `latency` prices each request
-/// by where it was served: the edge tier (LatencyModel::oc_hit_ms), a
-/// deeper tier (dc_hit_ms) or the origin (origin_ms).
-[[nodiscard]] ReplayResult replay(Topology& topo, const Trace& trace,
-                                  const LatencyModel& latency = {});
+/// and sums the flow per kWindowMs window. The default LatencyModel
+/// prices each request by where it was served: the edge tier (oc_hit_ms),
+/// a deeper tier (dc_hit_ms) or the origin (origin_ms).
+[[nodiscard]] ReplayResult replay(Topology& topo, const Trace& trace);
 
 }  // namespace cdn::cluster

@@ -1,25 +1,27 @@
 // ShardedCache: a lock-striped in-process cache service.
 //
-// Capacity is partitioned across N shards; each shard is an independent
-// registry-constructed policy instance (SCIP included) behind its own
-// annotated cdn::Mutex. Requests route to a shard by a pure function of the
-// 64-bit object id (splitmix-based hash64 reduced mod N), so routing is
-// bitwise-stable across runs, thread counts, and platforms, and a given
-// object always lives in exactly one shard.
+// Capacity is partitioned across N stripes; each stripe is a
+// registry-constructed policy instance (SCIP included) inside a
+// cluster::Node (cluster/node.hpp), which runs the policy and books the
+// request's flow under one annotated cdn::Mutex. Requests route to a
+// stripe by a pure function of the 64-bit object id (splitmix-based hash64
+// reduced mod N), so routing is bitwise-stable across runs, thread counts,
+// and platforms, and a given object always lives in exactly one stripe.
+// The routing hash is the only hash64 of a request: it is forwarded to the
+// stripe's access_hashed / contains_hashed.
 //
 // Concurrency model:
-//  * access()/access_batch() lock only the target shard, so requests to
-//    different shards never contend.
-//  * access_batch() acquires each touched shard's lock once per batch (not
-//    once per request) and visits shards opportunistically: try_lock,
+//  * access()/access_batch() lock only the target stripe, so requests to
+//    different stripes never contend.
+//  * access_batch() acquires each touched stripe's lock once per batch (not
+//    once per request) and visits stripes opportunistically: try_lock,
 //    serve whichever stripe is free, and block only when every stripe
 //    still pending is held elsewhere. Callers additionally stagger their
-//    walk order so concurrent batches start on different shards. More
-//    shards thus mean more alternatives when one is busy — the mechanism
+//    walk order so concurrent batches start on different stripes. More
+//    stripes thus mean more alternatives when one is busy — the mechanism
 //    that makes batch throughput scale with the shard count.
-//  * snapshot() reads each shard under its own lock, one at a time — there
-//    is no global lock anywhere; aggregate stats are computed from the
-//    per-shard snapshot by plain summation (srv/shard_stats.hpp).
+//  * snapshot() reads each stripe under its own lock, one at a time — there
+//    is no global lock anywhere; totals() sums the per-stripe snapshot.
 //
 // Determinism: with one shard and one driver thread, ShardedCache is
 // behaviorally identical to the wrapped policy at full capacity (same
@@ -39,11 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "cluster/node.hpp"
 #include "sim/cache.hpp"
 #include "util/attr.hpp"
-#include "srv/shard_stats.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace cdn::srv {
 
@@ -72,17 +72,13 @@ class ShardedCache final : public Cache {
   [[nodiscard]] static std::size_t shard_of(std::uint64_t id,
                                             std::size_t shards) noexcept;
 
-  /// Capacity of shard `s` when `total` bytes split over `shards` shards:
-  /// total/shards rounded down, with the remainder spread over the first
-  /// total%shards shards so shard capacities always sum to `total`.
-  [[nodiscard]] static std::uint64_t shard_capacity(std::uint64_t total,
-                                                    std::size_t shards,
-                                                    std::size_t s) noexcept;
-
   // Cache interface (thread-safe).
   [[nodiscard]] std::string name() const override;
   bool access(const Request& req) override;
+  bool access_hashed(const Request& req, std::uint64_t h) override;
   [[nodiscard]] bool contains(std::uint64_t id) const override;
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override;
   [[nodiscard]] std::uint64_t used_bytes() const override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
@@ -101,26 +97,17 @@ class ShardedCache final : public Cache {
 
   /// Point-in-time per-shard stats; one lock acquisition per shard, no
   /// global lock. Shards appear in index order.
-  [[nodiscard]] std::vector<ShardStats> snapshot() const;
+  [[nodiscard]] std::vector<cluster::NodeStats> snapshot() const;
 
   /// Field-wise sum of snapshot().
-  [[nodiscard]] ShardStats totals() const { return sum_stats(snapshot()); }
+  [[nodiscard]] cluster::NodeStats totals() const;
 
  private:
-  struct Shard {
-    mutable Mutex mu;
-    CachePtr cache CDN_PT_GUARDED_BY(mu);
-    ShardStats counters CDN_GUARDED_BY(mu);
-  };
+  /// shard_of() for a precomputed hash64(id).
+  [[nodiscard]] static std::size_t shard_of_hash(std::uint64_t h,
+                                                 std::size_t shards) noexcept;
 
-  /// Serves order[begin, end) of the batch against one shard; the caller
-  /// holds the shard's lock.
-  CDN_HOT void serve_run_locked(Shard& s, const Request* reqs,
-                                const std::uint32_t* order,
-                                std::uint32_t begin, std::uint32_t end,
-                                bool* hits_out) CDN_REQUIRES(s.mu);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<cluster::Node>> shards_;
   std::string policy_;
 };
 

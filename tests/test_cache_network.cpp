@@ -34,7 +34,6 @@
 namespace cdn::cluster {
 namespace {
 
-using fixtures::null_origin;
 using fixtures::tree_tier;
 
 /// Homogeneous two-tier tree: `leaves` identical round-robin leaves under
@@ -56,7 +55,7 @@ Topology two_tier_tree(const std::string& leaf_policy,
   tiers.push_back(tree_tier(leaves > 0 ? Placement::kChildBlock
                                        : Placement::kRoundRobin,
                             root_policy, root_capacity, seed, {0}));
-  return Topology(std::move(tiers), null_origin());
+  return Topology(std::move(tiers));
 }
 
 /// Unit-size Zipf IRM trace over ids [1, catalog] — the traffic model the
@@ -218,7 +217,7 @@ TEST(Topology, MissForwardingConservesRequests) {
   tiers.push_back(
       tree_tier(Placement::kChildBlock, "S4LRU", 256 << 10, 7, {1, 4}));
   tiers.push_back(tree_tier(Placement::kChildBlock, "SCIP", 1 << 20, 7, {0}));
-  Topology topo(std::move(tiers), null_origin());
+  Topology topo(std::move(tiers));
 
   const Trace t = unit_zipf_trace(200'000, 5'000, 0.9, 303);
   // Give the trace non-unit sizes so byte-capacity eviction paths run too.
@@ -243,7 +242,7 @@ TEST(Topology, MissForwardingConservesRequests) {
   // The origin sees exactly the root's misses, booked at the root.
   const FlowStats& root = topo.stats(2, 0);
   EXPECT_EQ(root.origin_fetches, root.misses());
-  EXPECT_EQ(topo.origin().stats().fetches, root.misses());
+  EXPECT_EQ(topo.tier_stats(2).origin_fetches, root.misses());
   EXPECT_EQ(run.total.tiers.back().origin_fetches, root.misses());
 
   // Literal counters captured from the recursive tree simulator this
@@ -261,7 +260,7 @@ TEST(Topology, MissForwardingConservesRequests) {
       EXPECT_EQ(topo.stats(tier, n).hits, kPins[tier][n][1]);
     }
   }
-  EXPECT_EQ(topo.origin().stats().fetches, 87156u);
+  EXPECT_EQ(topo.tier_stats(2).origin_fetches, 87156u);
 }
 
 TEST(Topology, OccupancyBoundsAndStructuralAuditsHold) {
@@ -282,7 +281,7 @@ TEST(Topology, OccupancyBoundsAndStructuralAuditsHold) {
   }
   tiers[1].placement = Placement::kChildBlock;
   tiers[1].nodes.push_back(audited(1, "LRU", 1'000, 11));
-  Topology topo(std::move(tiers), null_origin());
+  Topology topo(std::move(tiers));
 
   const Trace t = unit_zipf_trace(300'000, 4'000, 0.8, 404);
   (void)replay(topo, t);  // AuditedCache throws on any contract violation

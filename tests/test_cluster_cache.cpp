@@ -22,6 +22,7 @@
 
 #include "cluster/cluster_cache.hpp"
 #include "core/registry.hpp"
+#include "counting_cache.hpp"
 #include "sim/audit/invariants.hpp"
 #include "sim/queue_cache.hpp"
 #include "sim/simulator.hpp"
@@ -90,11 +91,6 @@ void expect_flow_conservation(const ClusterCache& cluster) {
   const ClusterTotals t = cluster.totals();
   EXPECT_EQ(t.requests, requests);
   EXPECT_EQ(t.requests, t.hits + t.peer_fills + t.origin_fetches);
-  // Every origin fetch went through the backing store, byte for byte.
-  const BackingStoreStats bs = cluster.backing_stats();
-  EXPECT_EQ(bs.fetches, t.origin_fetches);
-  EXPECT_EQ(bs.bytes, t.origin_bytes);
-  EXPECT_EQ(bs.total_us, t.origin_time_us);
 }
 
 void expect_queue_audits_pass(ClusterCache& cluster) {
@@ -135,47 +131,8 @@ TEST(ClusterCache, OneNodeMatchesUnshardedExactly) {
   }
 }
 
-/// Counting fake node cache: pins that the cluster calls only the hashed
-/// entry points, always with h == hash64(id), and never re-hashes.
-class CountingFake final : public Cache {
- public:
-  struct Counters {
-    std::atomic<std::uint64_t> access_hashed{0};
-    std::atomic<std::uint64_t> contains_hashed{0};
-    std::atomic<std::uint64_t> unhashed{0};  ///< access() or contains()
-    std::atomic<std::uint64_t> bad_hash{0};  ///< h != hash64(id)
-  };
-
-  CountingFake(std::uint64_t capacity, Counters* counters)
-      : Cache(capacity), counters_(counters) {}
-
-  [[nodiscard]] std::string name() const override { return "fake"; }
-  bool access(const Request&) override {
-    ++counters_->unhashed;
-    return false;
-  }
-  bool access_hashed(const Request& req, std::uint64_t h) override {
-    ++counters_->access_hashed;
-    if (h != hash64(req.id)) ++counters_->bad_hash;
-    return false;  // always miss: drives the peer-probe path too
-  }
-  [[nodiscard]] bool contains(std::uint64_t) const override {
-    ++counters_->unhashed;
-    return false;
-  }
-  [[nodiscard]] bool contains_hashed(std::uint64_t id,
-                                     std::uint64_t h) const override {
-    ++counters_->contains_hashed;
-    if (h != hash64(id)) ++counters_->bad_hash;
-    return false;
-  }
-  [[nodiscard]] std::uint64_t used_bytes() const override { return 0; }
-
- private:
-  Counters* counters_;
-};
-
 TEST(ClusterCache, HashesEachRequestExactlyOnce) {
+  using fakes::CountingFake;
   CountingFake::Counters counters;
   ClusterCacheConfig cfg;
   cfg.nodes = 4;
@@ -204,7 +161,11 @@ TEST(ClusterCache, HashesEachRequestExactlyOnce) {
   EXPECT_EQ(counters.contains_hashed.load(), kRequests);
   EXPECT_EQ(counters.unhashed.load(), 0u);
   EXPECT_EQ(counters.bad_hash.load(), 0u);
-  EXPECT_EQ(cluster.totals().hot_spread_requests, kRequests);
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.hot_spread_requests, kRequests);
+  // backing = "null": every miss went to the origin, free of charge.
+  EXPECT_EQ(t.origin_fetches, kRequests);
+  EXPECT_EQ(t.origin_time_us, 0u);
 }
 
 TEST(ClusterCache, FlowConservationUnderFlashCrowd) {
@@ -297,50 +258,56 @@ TEST(ClusterCache, CopiesStayWithinTheReplicaOwnerSet) {
 }
 
 TEST(ClusterCache, JoinWarmTransfersTheAdjacentRanges) {
+  // Queue policies and two that are not (S4LRU's segments, GDSF's
+  // priority order) all hand their residents over through
+  // Cache::for_each_resident.
   const std::size_t kIds = 1'000;
   const Trace trace = unique_trace(kIds, /*size=*/1'000);
-  ClusterCacheConfig cfg;
-  cfg.policy = "LRU";
-  cfg.capacity_bytes = 64ULL << 20;  // no eviction anywhere
-  cfg.nodes = 2;
-  cfg.replicas = 1;  // pure placement test, no spreading
-  ClusterCache cluster(cfg);
-  for (const Request& req : trace.requests) cluster.access(req);
-  ASSERT_EQ(cluster.totals().requests, kIds);
+  for (const std::string policy : {"LRU", "S4LRU", "GDSF"}) {
+    SCOPED_TRACE(policy);
+    ClusterCacheConfig cfg;
+    cfg.policy = policy;
+    cfg.capacity_bytes = 64ULL << 20;  // no eviction anywhere
+    cfg.nodes = 2;
+    cfg.replicas = 1;  // pure placement test, no spreading
+    ClusterCache cluster(cfg);
+    for (const Request& req : trace.requests) cluster.access(req);
+    ASSERT_EQ(cluster.totals().requests, kIds);
 
-  const std::uint32_t joiner = cluster.join();
-  EXPECT_EQ(joiner, 2u);
-  EXPECT_EQ(cluster.live_node_count(), 3u);
+    const std::uint32_t joiner = cluster.join();
+    EXPECT_EQ(joiner, 2u);
+    EXPECT_EQ(cluster.live_node_count(), 3u);
 
-  const ClusterTotals t = cluster.totals();
-  std::size_t reowned = 0;
-  for (const Request& req : trace.requests) {
-    const std::vector<std::uint32_t> owners = cluster.owners_of(req.id);
-    ASSERT_EQ(owners.size(), 1u);
-    if (owners[0] == joiner) {
-      ++reowned;
-      // Warm transfer: the joiner received its ranges' residents.
-      EXPECT_TRUE(cluster.node_contains(joiner, req.id));
+    const ClusterTotals t = cluster.totals();
+    std::size_t reowned = 0;
+    for (const Request& req : trace.requests) {
+      const std::vector<std::uint32_t> owners = cluster.owners_of(req.id);
+      ASSERT_EQ(owners.size(), 1u);
+      if (owners[0] == joiner) {
+        ++reowned;
+        // Warm transfer: the joiner received its ranges' residents.
+        EXPECT_TRUE(cluster.node_contains(joiner, req.id));
+      }
     }
-  }
-  EXPECT_EQ(t.migrated_keys, reowned);
-  EXPECT_EQ(t.migrated_bytes, reowned * 1'000u);
-  // Consistent-hashing bound: the joiner claims ~1/3 of the key space.
-  const double frac = static_cast<double>(reowned) / kIds;
-  EXPECT_LE(frac, 1.0 / 3 + 0.12);
-  EXPECT_GE(frac, 0.1);
-  // Migration used the normal admission path; every queue stays sound.
-  expect_queue_audits_pass(cluster);
-  expect_flow_conservation(cluster);
+    EXPECT_EQ(t.migrated_keys, reowned);
+    EXPECT_EQ(t.migrated_bytes, reowned * 1'000u);
+    // Consistent-hashing bound: the joiner claims ~1/3 of the key space.
+    const double frac = static_cast<double>(reowned) / kIds;
+    EXPECT_LE(frac, 1.0 / 3 + 0.12);
+    EXPECT_GE(frac, 0.1);
+    // Migration used the normal admission path; every queue stays sound.
+    if (policy == "LRU") expect_queue_audits_pass(cluster);
+    expect_flow_conservation(cluster);
 
-  // Re-accessing a migrated key hits its new owner (warm, not cold).
-  std::uint64_t hits = 0;
-  for (const Request& req : trace.requests) {
-    if (cluster.owners_of(req.id)[0] == joiner) {
-      hits += cluster.access(req) ? 1 : 0;
+    // Re-accessing a migrated key hits its new owner (warm, not cold).
+    std::uint64_t hits = 0;
+    for (const Request& req : trace.requests) {
+      if (cluster.owners_of(req.id)[0] == joiner) {
+        hits += cluster.access(req) ? 1 : 0;
+      }
     }
+    EXPECT_EQ(hits, reowned);
   }
-  EXPECT_EQ(hits, reowned);
 }
 
 TEST(ClusterCache, LeaveDrainsResidentsToTheirNewOwners) {
@@ -579,10 +546,9 @@ TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
 }
 
 TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
-  // Request counters and origin fetches are booked under per-node locks
-  // while a join() races the drivers. Afterwards every total must be
-  // exactly the sum of the node records, and the per-node backing stores
-  // exactly the origin counters.
+  // Requests are booked under the node locks and fills under the per-node
+  // counter locks while a join() races the drivers. Afterwards every total
+  // must be exactly the sum of the node records.
   const Trace trace =
       stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
   ClusterCacheConfig cfg;
@@ -630,21 +596,25 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   EXPECT_EQ(t, sum);
   EXPECT_GT(t.migrated_keys, 0u);
   EXPECT_GT(t.origin_time_us, 0u);
-  // Includes backing_stats() == (origin fetches, bytes, time).
   expect_flow_conservation(cluster);
 }
 
 TEST(Node, SnapshotReadsAllStatsConsistently) {
   Node node("node0", make_cache("LRU", 1ULL << 20));
-  srv::ShardStats s = node.snapshot();
+  NodeStats s = node.snapshot();
   EXPECT_EQ(s.capacity_bytes, 1ULL << 20);
   EXPECT_EQ(s.used_bytes, 0u);
-  node.access_hashed(Request{0, 1, 4096, -1}, hash64(1));
-  node.access_hashed(Request{1, 2, 8192, -1}, hash64(2));
+  EXPECT_EQ(s.requests, 0u);
+  node.serve(Request{0, 1, 4096, -1}, hash64(1));
+  node.serve(Request{1, 2, 8192, -1}, hash64(2));
   s = node.snapshot();
   EXPECT_EQ(s.capacity_bytes, 1ULL << 20);
   EXPECT_EQ(s.used_bytes, 4096u + 8192u);
   EXPECT_GT(s.metadata_bytes, 0u);
+  // The serve calls booked their flow in the same critical section.
+  EXPECT_EQ(s.requests, 2u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.bytes_total, 12288u);
 }
 
 TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {

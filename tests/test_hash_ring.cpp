@@ -43,8 +43,7 @@ TEST(Routing, TopologySaltedTiersReproduceTdcChainRouting) {
   // The TDC chain is a 2-tier Topology spec of salted-mod tiers; its
   // routing must be bit-for-bit what the golden masters pinned before the
   // port.
-  const Topology chain(tdc_chain(lru_nodes(4), lru_nodes(2)),
-                       make_backing_store("null", LatencyModel{}));
+  const Topology chain(tdc_chain(lru_nodes(4), lru_nodes(2)));
   for (std::uint64_t i = 0; i < 5000; ++i) {
     const std::uint64_t id = i * 0x9e3779b97f4a7c15ULL + 17;
     EXPECT_EQ(chain.place(0, id, i, 0), route_mod(id, kOcRouteSalt, 4));
@@ -55,8 +54,7 @@ TEST(Routing, TopologySaltedTiersReproduceTdcChainRouting) {
 }
 
 TEST(Routing, TopologyRejectsEmptyTiers) {
-  EXPECT_THROW(Topology(tdc_chain(lru_nodes(0), lru_nodes(1)),
-                        make_backing_store("null", LatencyModel{})),
+  EXPECT_THROW(Topology(tdc_chain(lru_nodes(0), lru_nodes(1))),
                std::invalid_argument);
 }
 

@@ -7,13 +7,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "core/registry.hpp"
+#include "counting_cache.hpp"
 #include "sim/simulator.hpp"
 #include "srv/load_gen.hpp"
-#include "srv/shard_stats.hpp"
 #include "srv/sharded_cache.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
@@ -21,6 +22,8 @@
 
 namespace cdn::srv {
 namespace {
+
+using cluster::NodeStats;
 
 WorkloadSpec small_spec(std::uint64_t seed = 7) {
   WorkloadSpec spec;
@@ -71,8 +74,7 @@ TEST(ShardCapacity, PartitionsSumToTotalAndAreBalanced) {
       std::uint64_t sum = 0;
       std::uint64_t lo = ~0ULL, hi = 0;
       for (std::size_t s = 0; s < shards; ++s) {
-        const std::uint64_t c =
-            ShardedCache::shard_capacity(total, shards, s);
+        const std::uint64_t c = cluster::capacity_share(total, shards, s);
         sum += c;
         lo = std::min(lo, c);
         hi = std::max(hi, c);
@@ -154,6 +156,34 @@ TEST(ShardedCacheTest, BatchMatchesSequentialAccess) {
   EXPECT_EQ(batched.used_bytes(), seq.used_bytes());
 }
 
+TEST(ShardedCacheTest, ForwardsTheRoutingHash) {
+  // The routing hash is the request's only hash64: access, contains and
+  // every request of a batch reach the shard's policy through the hashed
+  // entry points, with h == hash64(id).
+  using fakes::CountingFake;
+  CountingFake::Counters counters;
+  ShardedCacheConfig cc;
+  cc.shards = 4;
+  ShardedCache cache(cc, [&counters](std::uint64_t cap, std::size_t) {
+    return std::make_unique<CountingFake>(cap, &counters);
+  });
+  constexpr std::size_t kRequests = 100;
+  std::vector<Request> reqs(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    reqs[i].id = 7 * i + 3;
+    reqs[i].size = 100;
+    cache.access(reqs[i]);
+    (void)cache.contains(reqs[i].id);
+  }
+  bool hits[kRequests];
+  cache.access_batch(reqs.data(), kRequests, hits);
+  EXPECT_EQ(counters.access_hashed.load(), 2 * kRequests);
+  EXPECT_EQ(counters.contains_hashed.load(), kRequests);
+  EXPECT_EQ(counters.unhashed.load(), 0u);
+  EXPECT_EQ(counters.bad_hash.load(), 0u);
+  EXPECT_EQ(cache.totals().requests, 2 * kRequests);
+}
+
 TEST(ShardedCacheTest, SnapshotAggregatesCounters) {
   const Trace trace = generate_trace(small_spec(3));
   ShardedCacheConfig cc;
@@ -168,9 +198,9 @@ TEST(ShardedCacheTest, SnapshotAggregatesCounters) {
     bytes += r.size;
     bytes_hit += hit ? r.size : 0;
   }
-  const std::vector<ShardStats> per_shard = cache.snapshot();
+  const std::vector<NodeStats> per_shard = cache.snapshot();
   ASSERT_EQ(per_shard.size(), cc.shards);
-  const ShardStats total = cache.totals();
+  const NodeStats total = cache.totals();
   EXPECT_EQ(total.requests, trace.size());
   EXPECT_EQ(total.hits, hits);
   EXPECT_EQ(total.bytes_total, bytes);
@@ -186,7 +216,8 @@ TEST(ShardedCacheTest, SnapshotAggregatesCounters) {
   for (std::size_t s = 0; s < cc.shards; ++s) {
     EXPECT_EQ(per_shard[s].requests, routed[s]) << "shard " << s;
   }
-  EXPECT_GE(occupancy_skew(per_shard), 1.0);
+  EXPECT_GE(cluster::occupancy_skew(per_shard), 1.0);
+  EXPECT_EQ(cluster::occupancy_skew({}), 1.0);  // no bytes: balanced
 }
 
 TEST(ShardedCacheTest, SimulateDrivesTheServiceLikeAnyCache) {
@@ -244,7 +275,7 @@ TEST(LoadGenTest, RunCountsEveryRequestAndRecordsLatency) {
   EXPECT_LE(res.latency_p50_ns(), res.latency_p99_ns());
   EXPECT_LE(res.latency_p99_ns(), res.latency_p999_ns());
   // The service really processed the load: counters agree with the result.
-  const ShardStats total = cache.totals();
+  const NodeStats total = cache.totals();
   EXPECT_EQ(total.requests, res.requests);
   EXPECT_EQ(total.hits, res.hits);
   EXPECT_EQ(total.bytes_total, res.bytes_total);
@@ -270,7 +301,7 @@ TEST(ShardedCacheStress, ConcurrentBatchesAndSnapshotsAreRaceFree) {
   auto poller = pool.submit([&] {
     std::uint64_t polls = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const ShardStats t = cache.totals();
+      const NodeStats t = cache.totals();
       EXPECT_LE(t.used_bytes, t.capacity_bytes);
       (void)cache.contains(trace[polls % trace.size()].id);
       ++polls;

@@ -10,11 +10,13 @@
 // test_cache_network.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "cluster/latency_model.hpp"
 #include "cluster/topology.hpp"
 #include "core/factories.hpp"
 #include "policies/replacement/lru.hpp"
@@ -25,16 +27,14 @@ namespace cdn::cluster {
 namespace {
 
 using fixtures::lru_nodes;
-using fixtures::null_origin;
 using fixtures::tree_tier;
 
 /// An LRU TDC chain: `oc` edge nodes in front of `dc` shield nodes.
 Topology lru_chain(std::size_t oc = 4, std::size_t dc = 2,
                    std::uint64_t oc_capacity = 8ULL << 20,
                    std::uint64_t dc_capacity = 32ULL << 20) {
-  return Topology(tdc_chain(lru_nodes(oc, oc_capacity),
-                            lru_nodes(dc, dc_capacity)),
-                  make_backing_store("origin", LatencyModel{}));
+  return Topology(
+      tdc_chain(lru_nodes(oc, oc_capacity), lru_nodes(dc, dc_capacity)));
 }
 
 Trace times_trace(std::initializer_list<std::int64_t> times) {
@@ -60,28 +60,47 @@ TEST(LatencyModel, LargerObjectsTakeLonger) {
   EXPECT_LT(m.origin_ms(1 << 10), m.origin_ms(1 << 24));
 }
 
+TEST(LatencyModel, ClusterFillsAreQuantizedPerFetch) {
+  // Integer microseconds of the hop formula, rounded once per fill.
+  const LatencyModel m;
+  struct Pin {
+    std::uint64_t size, origin_us, peer_us;
+  };
+  const Pin kPins[] = {
+      {0, 70'000, 25'000},
+      {4096, 70'041, 25'010},
+      {1ULL << 20, 80'486, 27'621},
+      {1ULL << 32, 43'019'673, 10'762'418},
+  };
+  for (const Pin& p : kPins) {
+    SCOPED_TRACE("size " + std::to_string(p.size));
+    const auto size = static_cast<double>(p.size);
+    EXPECT_EQ(m.origin_fetch_us(p.size), p.origin_us);
+    EXPECT_EQ(m.peer_fill_us(p.size), p.peer_us);
+    const double origin_ms = m.dc_to_origin_ms + size / m.origin_bandwidth;
+    const double peer_ms = m.oc_to_dc_ms + size / m.dc_bandwidth;
+    EXPECT_EQ(m.origin_fetch_us(p.size),
+              static_cast<std::uint64_t>(std::llround(origin_ms * 1000.0)));
+    EXPECT_EQ(m.peer_fill_us(p.size),
+              static_cast<std::uint64_t>(std::llround(peer_ms * 1000.0)));
+  }
+}
+
 // --------------------------------------------------------------- structure
 
 TEST(Topology, RejectsBadSpecs) {
-  EXPECT_THROW(Topology({}, null_origin()), std::invalid_argument);
-  EXPECT_THROW(Topology(tdc_chain(lru_nodes(0, 100), lru_nodes(1, 100)),
-                        null_origin()),
-               std::invalid_argument);
-  EXPECT_THROW(Topology(tdc_chain(lru_nodes(1, 100), lru_nodes(1, 100)),
-                        nullptr),
+  EXPECT_THROW(Topology(std::vector<Tier>{}), std::invalid_argument);
+  EXPECT_THROW(Topology(tdc_chain(lru_nodes(0, 100), lru_nodes(1, 100))),
                std::invalid_argument);
   std::vector<CachePtr> with_null;
   with_null.push_back(nullptr);
-  EXPECT_THROW(
-      Topology(tdc_chain(std::move(with_null), lru_nodes(1, 100)),
-               null_origin()),
-      std::invalid_argument);
+  EXPECT_THROW(Topology(tdc_chain(std::move(with_null), lru_nodes(1, 100))),
+               std::invalid_argument);
   // A child-block tier needs a tier below it.
   std::vector<Tier> tiers(1);
   tiers[0].placement = Placement::kChildBlock;
   tiers[0].nodes = lru_nodes(1, 100);
-  EXPECT_THROW(Topology(std::move(tiers), null_origin()),
-               std::invalid_argument);
+  EXPECT_THROW(Topology(std::move(tiers)), std::invalid_argument);
 }
 
 TEST(Topology, PlacementInRangeAndSticky) {
@@ -99,7 +118,7 @@ TEST(Topology, PlacementInRangeAndSticky) {
                             {2, 3, 5, 6}));
   tiers.push_back(tree_tier(Placement::kChildBlock, "LRU", 100, 1, {1, 4}));
   tiers.push_back(tree_tier(Placement::kChildBlock, "LRU", 100, 1, {0}));
-  const Topology tree(std::move(tiers), null_origin());
+  const Topology tree(std::move(tiers));
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(tree.place(0, 77, i, 0), i % 4);
   }
@@ -132,7 +151,7 @@ TEST(Replay, RequestConservation) {
   // The DC sees exactly the OC misses; the origin exactly the DC misses.
   EXPECT_EQ(res.total.tiers[1].requests, res.total.tiers[0].misses());
   EXPECT_EQ(res.total.tiers[1].origin_fetches, res.total.tiers[1].misses());
-  EXPECT_EQ(chain.origin().stats().bytes, res.total.bto_bytes());
+  EXPECT_EQ(chain.tier_stats(1).origin_bytes, res.total.bto_bytes());
   EXPECT_LE(res.total.bto_bytes(), res.total.bytes_requested());
 }
 
@@ -218,8 +237,7 @@ Topology fig6_chain(bool scip, std::size_t oc, std::uint64_t oc_capacity,
     oc_nodes.push_back(scip ? make_scip_lru(oc_capacity, 100 + i)
                             : std::make_unique<LruCache>(oc_capacity));
   }
-  return Topology(tdc_chain(std::move(oc_nodes), lru_nodes(1, dc_capacity)),
-                  make_backing_store("origin", LatencyModel{}));
+  return Topology(tdc_chain(std::move(oc_nodes), lru_nodes(1, dc_capacity)));
 }
 
 TEST(Replay, ScipAtCacheLayerImprovesBtoAndLatency) {
@@ -291,7 +309,6 @@ TEST(Replay, TwoOcScipChainIsBitwiseRerunDeterministic) {
     EXPECT_EQ(nodes[i]->origin_bytes, kPins[i][5]);
   }
   EXPECT_EQ(ra.total.latency_ms_sum, 4282010.6655000011);
-  EXPECT_EQ(a.origin().stats().total_us, 2785626794u);
 }
 
 }  // namespace

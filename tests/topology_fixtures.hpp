@@ -17,8 +17,6 @@
 
 namespace cdn::cluster::fixtures {
 
-inline BackingStorePtr null_origin() { return std::make_unique<NullStore>(); }
-
 inline std::vector<CachePtr> lru_nodes(std::size_t n,
                                        std::uint64_t capacity) {
   std::vector<CachePtr> nodes;
