@@ -20,12 +20,25 @@ HotKeyTracker::HotKeyTracker(std::uint32_t threshold, std::uint64_t window)
   }
 }
 
-std::uint32_t HotKeyTracker::observe_hashed(std::uint64_t id,
-                                            std::uint64_t h) {
-  if (observed_ == window_) roll_window();
-  ++observed_;
+HotKeyTracker::Observation HotKeyTracker::observe_hashed(std::uint64_t id,
+                                                         std::uint64_t h,
+                                                         std::uint64_t idx) {
+  static_assert(kShards == 64, "shard index is the top 6 hash bits");
+  Shard& s = shards_[h >> 58];
+  const std::uint64_t w = idx / window_;
+  MutexLock lk(s.mu);
+  if (w > s.window) {
+    if (w == s.window + 1) {
+      s.prev_hot = std::move(s.cur_hot);
+    } else {
+      s.prev_hot = FlatMap<std::uint64_t, std::uint8_t>{};
+    }
+    s.cur_hot = FlatMap<std::uint64_t, std::uint8_t>{};
+    s.counts.clear();  // keeps capacity: no rehash churn at window boundaries
+    s.window = w;
+  }
   bool inserted = false;
-  std::uint32_t* count = counts_.upsert_hashed(id, h, &inserted);
+  std::uint32_t* count = s.counts.upsert_hashed(id, h, &inserted);
   if (inserted) *count = 0;
   ++*count;
   if (*count == threshold_) {
@@ -33,24 +46,24 @@ std::uint32_t HotKeyTracker::observe_hashed(std::uint64_t id,
     // window rollover never iterates the count table (FlatMap slot order
     // is an implementation detail no policy decision may read).
     bool hot_inserted = false;
-    std::uint8_t* flag = cur_hot_.upsert_hashed(id, h, &hot_inserted);
+    std::uint8_t* flag = s.cur_hot.upsert_hashed(id, h, &hot_inserted);
     *flag = 1;
   }
-  return *count;
+  return {*count, *count >= threshold_ ||
+                      s.prev_hot.find_hashed(id, h) != nullptr};
 }
 
-void HotKeyTracker::roll_window() {
-  prev_hot_ = std::move(cur_hot_);
-  cur_hot_ = FlatMap<std::uint64_t, std::uint8_t>{};
-  counts_.clear();  // keeps capacity: no rehash churn at window boundaries
-  observed_ = 0;
-}
-
-std::uint64_t HotKeyTracker::metadata_bytes() const noexcept {
+std::uint64_t HotKeyTracker::metadata_bytes() const {
   using CountMap = FlatMap<std::uint64_t, std::uint32_t>;
   using HotMap = FlatMap<std::uint64_t, std::uint8_t>;
-  return counts_.capacity() * CountMap::kSlotBytes +
-         (cur_hot_.capacity() + prev_hot_.capacity()) * HotMap::kSlotBytes;
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) {
+    MutexLock lk(s.mu);
+    total += sizeof(Shard) + s.counts.capacity() * CountMap::kSlotBytes +
+             (s.cur_hot.capacity() + s.prev_hot.capacity()) *
+                 HotMap::kSlotBytes;
+  }
+  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -77,7 +90,6 @@ ClusterCache::ClusterCache(
     std::function<CachePtr(std::uint64_t, std::size_t)> make_node_cache)
     : Cache(config.capacity_bytes),
       policy_(config.policy),
-      free_origin_(config.backing == "null"),
       replicas_(config.replicas),
       replicate_hot_(config.replicate_hot),
       initial_share_(capacity_share(config.capacity_bytes, config.nodes, 0)),
@@ -87,12 +99,15 @@ ClusterCache::ClusterCache(
   validate_config(config);
   MutexLock lk(cluster_mu_);
   slots_.reserve(config.nodes);
+  HashRing ring;
   for (std::size_t i = 0; i < config.nodes; ++i) {
     const auto id = static_cast<std::uint32_t>(i);
     slots_.push_back(
         make_slot(capacity_share(config.capacity_bytes, config.nodes, i), id));
-    ring_.add_node(id);
+    ring.add_node(id);
   }
+  publish_locked(std::move(ring));
+  publish_next_event_locked();
 }
 
 ClusterCache::NodeSlot ClusterCache::make_slot(std::uint64_t capacity,
@@ -111,7 +126,7 @@ void ClusterCache::validate_config(const ClusterCacheConfig& config) const {
   if (config.replicas == 0 || config.replicas > kMaxReplicas) {
     throw std::invalid_argument("ClusterCache: replicas must be in [1, 8]");
   }
-  if (config.backing != "origin" && config.backing != "null") {
+  if (config.backing != "origin") {
     throw std::invalid_argument("ClusterCache: unknown backing '" +
                                 config.backing + "'");
   }
@@ -136,63 +151,52 @@ bool ClusterCache::access(const Request& req) {
 
 bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   assert(h == hash64(req.id));
-  Node* target = nullptr;
-  NodeCounters* stats = nullptr;
-  Node* peers[kMaxReplicas] = {};
-  std::size_t peer_count = 0;
-  {
+  const std::uint64_t idx = served_.fetch_add(1, std::memory_order_relaxed);
+  if (idx >= next_event_at_.load(std::memory_order_acquire)) {
     MutexLock lk(cluster_mu_);
-    apply_due_events_locked();
-    ++served_;
-    const std::uint32_t count = tracker_.observe_hashed(req.id, h);
-    const bool hot = tracker_.hot_hashed(req.id, h, count);
-    std::uint32_t owners[kMaxReplicas];
-    std::size_t k = 1;
-    if (hot && replicas_ > 1) {
-      k = ring_.owners_hashed(h, replicas_, owners);
-    } else {
-      owners[0] = ring_.owner_hashed(h);
-    }
-    // Load-forced spreading: successive requests to a hot key rotate over
-    // its k owners regardless of the replication knob (a flash crowd is
-    // spread for load, not as part of the experiment arm).
-    const std::size_t pick =
-        k > 1 ? static_cast<std::size_t>(count % k) : 0;
-    const NodeSlot& slot = slots_[owners[pick]];
-    target = slot.node.get();
-    stats = slot.stats.get();
-    if (k > 1) {
-      ++hot_spread_requests_;
-      if (replicate_hot_) {
-        for (std::size_t i = 0; i < k; ++i) {
-          if (i == pick) continue;
-          peers[peer_count++] = slots_[owners[i]].node.get();
-        }
-      }
-    }
+    apply_due_events_locked(idx);
   }
+  // Loaded after the event check: a request at or past an event's index
+  // routes on the ring that event published.
+  const Route& route = *route_.load(std::memory_order_acquire);
+  const HotKeyTracker::Observation seen =
+      tracker_.observe_hashed(req.id, h, idx);
+  std::uint32_t owners[kMaxReplicas];
+  std::size_t k = 1;
+  if (seen.hot && replicas_ > 1) {
+    k = route.ring.owners_hashed(h, replicas_, owners);
+  } else {
+    owners[0] = route.ring.owner_hashed(h);
+  }
+  // Load-forced spreading: successive requests to a hot key rotate over
+  // its k owners regardless of the replication knob (a flash crowd is
+  // spread for load, not as part of the experiment arm).
+  const std::size_t pick = k > 1 ? static_cast<std::size_t>(seen.count % k) : 0;
+  const Route::Target& target = route.targets[owners[pick]];
+  if (k > 1) hot_spread_requests_.fetch_add(1, std::memory_order_relaxed);
 
-  // Node work outside the cluster lock: requests to different nodes only
-  // contend on the routing decision above. The node books the request.
-  if (target->serve(req, h)) return true;
+  // The node books the request.
+  if (target.node->serve(req, h)) return true;
   // Cooperative peer fill: read-only probes (contains_hashed never
   // mutates), so enabling the knob cannot change any hit/miss outcome —
   // only where the miss bytes come from.
   bool peer_fill = false;
-  for (std::size_t i = 0; i < peer_count && !peer_fill; ++i) {
-    peer_fill = peers[i]->contains_hashed(req.id, h);
+  if (k > 1 && replicate_hot_) {
+    for (std::size_t i = 0; i < k && !peer_fill; ++i) {
+      if (i == pick) continue;
+      peer_fill = route.targets[owners[i]].node->contains_hashed(req.id, h);
+    }
   }
 
-  MutexLock lk(stats->mu);
+  NodeCounters& stats = *target.counters;
+  MutexLock lk(stats.mu);
   if (peer_fill) {
-    ++stats->fills.peer_fills;
-    stats->fills.peer_fill_bytes += req.size;
-    stats->peer_time_us += latency_.peer_fill_us(req.size);
+    ++stats.fills.peer_fills;
+    stats.fills.peer_fill_bytes += req.size;
+    stats.peer_time_us += latency_.peer_fill_us(req.size);
   } else {
-    stats->fills.record_origin_fetch(req.size);
-    if (!free_origin_) {
-      stats->origin_time_us += latency_.origin_fetch_us(req.size);
-    }
+    stats.fills.record_origin_fetch(req.size);
+    stats.origin_time_us += latency_.origin_fetch_us(req.size);
   }
   return false;
 }
@@ -219,9 +223,14 @@ std::uint64_t ClusterCache::used_bytes() const {
 }
 
 std::uint64_t ClusterCache::metadata_bytes() const {
-  MutexLock lk(cluster_mu_);
-  std::uint64_t total = ring_.metadata_bytes() + tracker_.metadata_bytes() +
+  // The tracker locks its own shards; they never nest under cluster_mu_.
+  std::uint64_t total = tracker_.metadata_bytes() +
                         schedule_.capacity() * sizeof(MembershipEvent);
+  MutexLock lk(cluster_mu_);
+  for (const auto& r : routes_) {
+    total += sizeof(Route) + r->ring.metadata_bytes() +
+             r->targets.capacity() * sizeof(Route::Target);
+  }
   for (const NodeSlot& s : slots_) {
     if (s.live) total += s.node->snapshot().metadata_bytes;
   }
@@ -250,9 +259,22 @@ std::size_t ClusterCache::live_node_count() const {
   return live;
 }
 
-void ClusterCache::apply_due_events_locked() {
+void ClusterCache::publish_locked(HashRing ring) {
+  auto next = std::make_unique<Route>();
+  next->ring = std::move(ring);
+  next->targets.reserve(slots_.size());
+  for (const NodeSlot& s : slots_) {
+    next->targets.push_back({s.node.get(), s.stats.get()});
+  }
+  routes_.push_back(std::move(next));
+  route_.store(routes_.back().get(), std::memory_order_release);
+}
+
+void ClusterCache::apply_due_events_locked(std::uint64_t idx) {
+  // Requests past an event's index all wait here for it; the first one in
+  // fires it and the rest find it gone.
   while (next_event_ < schedule_.size() &&
-         schedule_[next_event_].at_request <= served_) {
+         schedule_[next_event_].at_request <= idx) {
     const MembershipEvent& ev = schedule_[next_event_++];
     if (ev.kind == MembershipEvent::Kind::kJoin) {
       join_locked();
@@ -260,20 +282,33 @@ void ClusterCache::apply_due_events_locked() {
       leave_locked(ev.node);
     }
   }
+  publish_next_event_locked();
+}
+
+void ClusterCache::publish_next_event_locked() {
+  // After the routes the events published (release: a request that reads
+  // this value also reads those routes).
+  next_event_at_.store(next_event_ < schedule_.size()
+                           ? schedule_[next_event_].at_request
+                           : UINT64_MAX,
+                       std::memory_order_release);
 }
 
 std::uint32_t ClusterCache::join_locked() {
   const auto id = static_cast<std::uint32_t>(slots_.size());
   slots_.push_back(make_slot(initial_share_, id));
-  ring_.add_node(id);
+  HashRing ring = route_locked().ring;
+  ring.add_node(id);
   // Pull phase: only residents whose owner changed to the joiner (the
   // ring-adjacent arcs its points claimed, expected 1/N of the key space)
-  // move; everything else keeps its placement.
+  // move; everything else keeps its placement. Requests keep routing on
+  // the old ring until the joiner is warm.
   for (std::uint32_t from = 0; from + 1 < slots_.size(); ++from) {
     if (!slots_[from].live) continue;
-    transfer_locked(residents_of_locked(from), id,
+    transfer_locked(residents_of_locked(from), ring, id,
                     /*restrict_to_new_owner=*/true);
   }
+  publish_locked(std::move(ring));
   return id;
 }
 
@@ -296,9 +331,11 @@ void ClusterCache::leave_locked(std::uint32_t node) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> residents =
       residents_of_locked(node);
   slots_[node].live = false;
-  ring_.remove_node(node);
-  transfer_locked(residents, /*only_new_owner=*/0,
+  HashRing ring = route_locked().ring;
+  ring.remove_node(node);
+  transfer_locked(residents, ring, /*only_new_owner=*/0,
                   /*restrict_to_new_owner=*/false);
+  publish_locked(std::move(ring));
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
@@ -318,10 +355,11 @@ ClusterCache::residents_of_locked(std::uint32_t from) {
 
 void ClusterCache::transfer_locked(
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& objects,
-    std::uint32_t only_new_owner, bool restrict_to_new_owner) {
+    const HashRing& ring, std::uint32_t only_new_owner,
+    bool restrict_to_new_owner) {
   for (const auto& [id, size] : objects) {
     const std::uint64_t h = hash64(id);
-    const std::uint32_t owner = ring_.owner_hashed(h);
+    const std::uint32_t owner = ring.owner_hashed(h);
     if (restrict_to_new_owner && owner != only_new_owner) continue;
     // Warm transfer: the object enters the new owner through its policy's
     // normal admission path (so SCIP's advisor, LIP's LRU insertion etc.
@@ -367,15 +405,16 @@ ClusterTotals ClusterCache::totals() const {
     t.migrated_keys += ns.migrated_in_keys;
     t.migrated_bytes += ns.migrated_in_bytes;
   }
-  MutexLock lk(cluster_mu_);
-  t.hot_spread_requests = hot_spread_requests_;
+  t.hot_spread_requests =
+      hot_spread_requests_.load(std::memory_order_relaxed);
   return t;
 }
 
 std::vector<std::uint32_t> ClusterCache::owners_of(std::uint64_t id) const {
   MutexLock lk(cluster_mu_);
   std::uint32_t owners[kMaxReplicas];
-  const std::size_t k = ring_.owners_hashed(hash64(id), replicas_, owners);
+  const std::size_t k =
+      route_locked().ring.owners_hashed(hash64(id), replicas_, owners);
   return std::vector<std::uint32_t>(owners, owners + k);
 }
 

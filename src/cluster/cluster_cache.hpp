@@ -33,13 +33,12 @@
 // ring and stats but its object stays alive, so in-flight concurrent
 // accesses never dangle). Deterministic churn scenarios drive membership
 // through `ClusterCacheConfig::schedule`: events fire inside `access()`
-// when the served-request counter reaches `at_request`, so a single-driver
-// replay reproduces the exact same join/leave points every run.
+// when the request index reaches `at_request`, so a single-driver replay
+// reproduces the exact same join/leave points every run.
 //
 // Misses that no owner can serve are fetched from the origin: the BTO
-// bytes of the paper. `ClusterCacheConfig::backing` picks how an origin
-// fetch is priced — "origin" charges LatencyModel::origin_fetch_us, "null"
-// charges nothing, isolating pure cache behavior.
+// bytes of the paper, priced by LatencyModel::origin_fetch_us
+// (`ClusterCacheConfig::backing` accepts only "origin").
 //
 // Bookkeeping: each node (cluster/node.hpp) books a request's requests,
 // hits and bytes in the critical section that runs its policy. What the
@@ -48,18 +47,29 @@
 // booked afterwards in the node's NodeCounters. Warm transfers are not
 // requests and book nothing.
 //
-// Locking: cluster_mu_ guards the routing state (ring, tracker, schedule,
-// served count, slot table, migration counters) and is taken exactly once
-// per request, for the routing decision. Each node's mutex guards its
-// policy and flow; each NodeCounters::mu guards that node's fill counters.
-// The request path holds no two of these at once: a hit takes cluster_mu_,
-// then the node mutex, and nothing else; a miss then probes peers (one
-// node mutex at a time) and takes the target's NodeCounters::mu. The
+// Locking: the request path takes no cluster-wide lock. It takes its
+// index from an atomic counter, routes on an immutable Route snapshot (the
+// ring plus the node and counter tables) read with one acquire load, and
+// counts its key under one of the tracker's 64 shard locks. cluster_mu_
+// guards membership: the slot table, the published routes, the schedule
+// cursor and the migration counters. The constructor, join(), leave() and
+// schedule events build a new Route under it and publish it; every route
+// stays alive until the cluster is destroyed, so readers need no epochs.
+// A request whose index reaches the next event's at_request takes
+// cluster_mu_ and fires every due event first; routes are published
+// before the next event's index, so any request at or past an event's
+// index routes on the ring that event published. After routing, a hit
+// takes the node mutex; a miss then probes peers (one node mutex at a
+// time) and takes the target's NodeCounters::mu. The request path never
+// holds two locks at once, and the tracker shard lock never nests. The
 // nesting orders are cluster_mu_ -> node mutex (migration, snapshots) and
 // cluster_mu_ -> NodeCounters::mu (totals / node_stats readers); nothing
-// ever acquires cluster_mu_ while holding another lock — no cycle exists.
+// acquires cluster_mu_ while holding another lock — no cycle exists.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -102,7 +112,8 @@ struct ClusterCacheConfig {
   /// Seed for node 0; node i gets seed + i. With one node this matches
   /// make_cache(policy, capacity, seed) exactly (the golden cross-check).
   std::uint64_t seed = 1;
-  std::string backing = "origin";  ///< "origin" | "null"
+  /// Only "origin" (origin fetches priced by LatencyModel) is accepted.
+  std::string backing = "origin";
   /// Must be sorted by at_request (validated at construction).
   std::vector<MembershipEvent> schedule;
 };
@@ -111,33 +122,50 @@ struct ClusterCacheConfig {
 /// counts over a fixed request window, plus the previous window's hot set
 /// so hotness does not flicker to cold at every window boundary. All
 /// probes take the caller's precomputed hash64(id).
+///
+/// The window is global: request `idx` (the cluster's served index) falls
+/// in window idx / window. The state is split into kShards shards by the
+/// top bits of the hash, each behind its own lock, and a shard rolls
+/// lazily on its next touch: one window on it keeps last window's hot set,
+/// a jump of two or more empties it (a shard left untouched for a window
+/// had no hot key in it). With one driver this is exactly one global
+/// window rolled at every boundary; under concurrency a request whose index
+/// is older than its shard's window counts in the shard's current one.
 class HotKeyTracker {
  public:
+  static constexpr std::size_t kShards = 64;
+
+  /// The count of this request's key in the current window (including
+  /// the request) and whether the key is hot: it reached the threshold
+  /// this window, or was hot last window.
+  struct Observation {
+    std::uint32_t count = 0;
+    bool hot = false;
+  };
+
   HotKeyTracker(std::uint32_t threshold, std::uint64_t window);
 
-  /// Records one request; returns the key's count in the current window
-  /// (including this request). Rolls the window first when it is full.
-  std::uint32_t observe_hashed(std::uint64_t id, std::uint64_t h);
+  /// Records request `idx` for key `id`, rolling its shard first when
+  /// `idx` opened a newer window. Takes one shard lock.
+  Observation observe_hashed(std::uint64_t id, std::uint64_t h,
+                             std::uint64_t idx);
 
-  /// Hot = reached the threshold this window, or was hot last window.
-  /// `count` is the value observe_hashed just returned for this request.
-  [[nodiscard]] bool hot_hashed(std::uint64_t id, std::uint64_t h,
-                                std::uint32_t count) const {
-    return count >= threshold_ || prev_hot_.find_hashed(id, h) != nullptr;
-  }
-
-  [[nodiscard]] std::uint32_t threshold() const noexcept { return threshold_; }
-  [[nodiscard]] std::uint64_t metadata_bytes() const noexcept;
+  [[nodiscard]] std::uint64_t metadata_bytes() const;
 
  private:
-  void roll_window();
+  struct alignas(64) Shard {
+    mutable Mutex mu;
+    std::uint64_t window CDN_GUARDED_BY(mu) = 0;  ///< last window touched
+    FlatMap<std::uint64_t, std::uint32_t> counts CDN_GUARDED_BY(mu);
+    /// Crossed the threshold in `window`.
+    FlatMap<std::uint64_t, std::uint8_t> cur_hot CDN_GUARDED_BY(mu);
+    /// Hot in window - 1.
+    FlatMap<std::uint64_t, std::uint8_t> prev_hot CDN_GUARDED_BY(mu);
+  };
 
   std::uint32_t threshold_;
   std::uint64_t window_;
-  std::uint64_t observed_ = 0;  ///< requests in the current window
-  FlatMap<std::uint64_t, std::uint32_t> counts_;
-  FlatMap<std::uint64_t, std::uint8_t> cur_hot_;   ///< crossed threshold now
-  FlatMap<std::uint64_t, std::uint8_t> prev_hot_;  ///< hot set last window
+  std::array<Shard, kShards> shards_;
 };
 
 /// Per-node statistics: the node's snapshot (its flow and occupancy) with
@@ -240,8 +268,8 @@ class ClusterCache final : public Cache {
  private:
   /// The fills of one node's misses, booked after its peer probes under
   /// this block's own lock. Heap-held (slots_ grows on join while the
-  /// request path holds this pointer outside cluster_mu_) and cache-line
-  /// aligned, so two nodes' counters never share a line.
+  /// request path holds this pointer) and cache-line aligned, so two
+  /// nodes' counters never share a line.
   struct alignas(64) NodeCounters {
     mutable Mutex mu;
     /// Only the peer-fill and origin-fetch fields are written: the node
@@ -253,8 +281,8 @@ class ClusterCache final : public Cache {
 
   struct NodeSlot {
     /// Owning pointers; the Node and its counters outlive every membership
-    /// change (leave only marks the slot dead), so raw pointers resolved
-    /// under cluster_mu_ stay valid after the lock is released.
+    /// change (leave only marks the slot dead), so the raw pointers a
+    /// Route holds stay valid for the cluster's lifetime.
     std::unique_ptr<Node> node;
     std::unique_ptr<NodeCounters> stats;
     bool live = true;
@@ -263,12 +291,35 @@ class ClusterCache final : public Cache {
     std::uint64_t migrated_in_bytes = 0;
   };
 
+  /// One immutable routing table: the ring plus each node and its fill
+  /// counters, indexed by node id (slots_ may reallocate on join, so the
+  /// request path never reads it). Never changed once published, and kept
+  /// until the cluster is destroyed, so a reader needs no lock.
+  struct Route {
+    struct Target {
+      Node* node = nullptr;
+      NodeCounters* counters = nullptr;
+    };
+    HashRing ring;
+    std::vector<Target> targets;
+  };
+
   /// Builds node `id`: its policy instance and fill counters.
   [[nodiscard]] NodeSlot make_slot(std::uint64_t capacity,
                                    std::uint32_t id) const;
   void validate_config(const ClusterCacheConfig& config) const;
-  /// Fires every schedule event due at the current served count.
-  void apply_due_events_locked() CDN_REQUIRES(cluster_mu_);
+  /// The route requests read now.
+  [[nodiscard]] const Route& route_locked() const CDN_REQUIRES(cluster_mu_) {
+    return *routes_.back();
+  }
+  /// Publishes `ring` with the current slot table as the new route.
+  void publish_locked(HashRing ring) CDN_REQUIRES(cluster_mu_);
+  /// Fires every schedule event due at request index `idx`, then
+  /// publishes the next event's index.
+  void apply_due_events_locked(std::uint64_t idx) CDN_REQUIRES(cluster_mu_);
+  /// Stores the at_request of schedule_[next_event_] (UINT64_MAX past the
+  /// end) in next_event_at_.
+  void publish_next_event_locked() CDN_REQUIRES(cluster_mu_);
   std::uint32_t join_locked() CDN_REQUIRES(cluster_mu_);
   void leave_locked(std::uint32_t node) CDN_REQUIRES(cluster_mu_);
   /// Copies out (id, size) of every resident of `from`, victims first
@@ -276,17 +327,16 @@ class ClusterCache final : public Cache {
   /// cold).
   [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
   residents_of_locked(std::uint32_t from) CDN_REQUIRES(cluster_mu_);
-  /// Warm-transfers `objects` to their current ring owners. With
+  /// Warm-transfers `objects` to their owners on `ring`. With
   /// `restrict_to_new_owner`, only objects whose owner is
   /// `only_new_owner` move (the join pull phase); otherwise every object
   /// moves to whoever owns it now (the leave drain).
   void transfer_locked(
       const std::vector<std::pair<std::uint64_t, std::uint64_t>>& objects,
-      std::uint32_t only_new_owner, bool restrict_to_new_owner)
-      CDN_REQUIRES(cluster_mu_);
+      const HashRing& ring, std::uint32_t only_new_owner,
+      bool restrict_to_new_owner) CDN_REQUIRES(cluster_mu_);
 
   std::string policy_;
-  bool free_origin_;  ///< backing == "null": origin fetches cost nothing
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners
@@ -296,11 +346,21 @@ class ClusterCache final : public Cache {
 
   mutable Mutex cluster_mu_;
   std::vector<NodeSlot> slots_ CDN_GUARDED_BY(cluster_mu_);
-  HashRing ring_ CDN_GUARDED_BY(cluster_mu_);
-  HotKeyTracker tracker_ CDN_GUARDED_BY(cluster_mu_);
+  /// Every route ever published, oldest first; route_ is the last.
+  std::vector<std::unique_ptr<const Route>> routes_
+      CDN_GUARDED_BY(cluster_mu_);
   std::size_t next_event_ CDN_GUARDED_BY(cluster_mu_) = 0;
-  std::uint64_t served_ CDN_GUARDED_BY(cluster_mu_) = 0;
-  std::uint64_t hot_spread_requests_ CDN_GUARDED_BY(cluster_mu_) = 0;
+
+  // The request path reads these without cluster_mu_. route_ is stored
+  // before next_event_at_, both under cluster_mu_, so a request that reads
+  // an event's index as passed also reads the route it published.
+  std::atomic<const Route*> route_{nullptr};
+  /// at_request of the next unfired event; UINT64_MAX when none is left.
+  std::atomic<std::uint64_t> next_event_at_{0};
+  HotKeyTracker tracker_;
+  /// Written by every request, so kept off the line route_ is read from.
+  alignas(64) std::atomic<std::uint64_t> served_{0};
+  alignas(64) std::atomic<std::uint64_t> hot_spread_requests_{0};
 };
 
 }  // namespace cdn::cluster

@@ -20,8 +20,9 @@
 // prefix-stable (owners(h, k) is a prefix of owners(h, k+1)), so raising
 // the replication factor never relocates existing copies.
 //
-// The ring itself is not thread-safe; ClusterCache guards it with the
-// cluster mutex alongside the membership list.
+// The ring itself is not thread-safe. ClusterCache never changes a ring
+// that requests read: each membership change builds a new ring and
+// publishes it in an immutable route snapshot.
 #pragma once
 
 #include <cstddef>

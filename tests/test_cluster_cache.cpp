@@ -13,9 +13,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,7 +143,6 @@ TEST(ClusterCache, HashesEachRequestExactlyOnce) {
   cfg.replicate_hot = true;
   cfg.hot_threshold = 1;  // every key is hot from its first request
   cfg.hot_window = 1 << 20;
-  cfg.backing = "null";
   ClusterCache cluster(cfg, [&counters](std::uint64_t capacity,
                                         std::size_t /*node*/) {
     return std::make_unique<CountingFake>(capacity, &counters);
@@ -163,9 +165,8 @@ TEST(ClusterCache, HashesEachRequestExactlyOnce) {
   EXPECT_EQ(counters.bad_hash.load(), 0u);
   const ClusterTotals t = cluster.totals();
   EXPECT_EQ(t.hot_spread_requests, kRequests);
-  // backing = "null": every miss went to the origin, free of charge.
+  // The fakes never hold anything: every miss went to the origin.
   EXPECT_EQ(t.origin_fetches, kRequests);
-  EXPECT_EQ(t.origin_time_us, 0u);
 }
 
 TEST(ClusterCache, FlowConservationUnderFlashCrowd) {
@@ -599,6 +600,101 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   expect_flow_conservation(cluster);
 }
 
+/// An LRU node that records the largest Request::time it served (tests
+/// carry the trace index there). Its calls run under the node's lock, so
+/// the relaxed load-then-store never races another update.
+class MaxTimeLru final : public Cache {
+ public:
+  MaxTimeLru(std::uint64_t capacity, std::atomic<std::int64_t>* max_time)
+      : Cache(capacity),
+        inner_(make_cache("LRU", capacity)),
+        max_time_(max_time) {}
+
+  [[nodiscard]] std::string name() const override { return "max-time-lru"; }
+  bool access(const Request& req) override {
+    return access_hashed(req, hash64(req.id));
+  }
+  bool access_hashed(const Request& req, std::uint64_t h) override {
+    if (req.time > max_time_->load(std::memory_order_relaxed)) {
+      max_time_->store(req.time, std::memory_order_relaxed);
+    }
+    return inner_->access_hashed(req, h);
+  }
+  [[nodiscard]] bool contains(std::uint64_t id) const override {
+    return inner_->contains(id);
+  }
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override {
+    return inner_->contains_hashed(id, h);
+  }
+  bool for_each_resident(const std::function<bool(std::uint64_t,
+                                                  std::uint64_t)>& fn)
+      const override {
+    return inner_->for_each_resident(fn);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+
+ private:
+  CachePtr inner_;
+  std::atomic<std::int64_t>* max_time_;
+};
+
+TEST(ClusterCache, ScheduledEventsPrecedeTheirIndexUnderConcurrency) {
+  // A scheduled leave(0) at request index n/2 with four drivers. Requests
+  // [0, n/2) run first and [n/2, n) after a join of the drivers, so a
+  // request's trace index and its cluster index fall on the same side of
+  // n/2. Every second-half driver then races the one that fires the leave
+  // and must route on the post-leave ring: node 0 may serve no request
+  // from the second half.
+  Trace trace = generate_trace(small_spec(17));
+  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
+    trace.requests[i].time = static_cast<std::int64_t>(i);
+  }
+  const std::size_t n = trace.requests.size();
+  ClusterCacheConfig cfg;
+  cfg.capacity_bytes = kCap;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.hot_threshold = 8;
+  cfg.hot_window = 2048;
+  cfg.schedule = {{n / 2, MembershipEvent::Kind::kLeave, 0}};
+  constexpr std::size_t kNodes = 4;
+  std::atomic<std::int64_t> max_time[kNodes];
+  for (auto& m : max_time) m.store(-1);
+  ClusterCache cluster(cfg, [&max_time](std::uint64_t capacity,
+                                        std::size_t node) -> CachePtr {
+    return std::make_unique<MaxTimeLru>(capacity, &max_time[node]);
+  });
+
+  constexpr std::size_t kDrivers = 4;
+  const auto drive = [&cluster, &trace](std::size_t begin, std::size_t end) {
+    std::vector<std::thread> drivers;
+    for (std::size_t d = 0; d < kDrivers; ++d) {
+      drivers.emplace_back([&cluster, &trace, begin, end, d] {
+        for (std::size_t i = begin + d; i < end; i += kDrivers) {
+          cluster.access(trace.requests[i]);
+        }
+      });
+    }
+    for (auto& t : drivers) t.join();
+  };
+  drive(0, n / 2);
+  ASSERT_EQ(cluster.live_node_count(), kNodes);
+  drive(n / 2, n);
+
+  EXPECT_EQ(cluster.live_node_count(), kNodes - 1);
+  const auto leave_at = static_cast<std::int64_t>(n / 2);
+  EXPECT_GE(max_time[0].load(), 0);  // node 0 served the first half
+  EXPECT_LT(max_time[0].load(), leave_at);
+  for (std::size_t node = 1; node < kNodes; ++node) {
+    EXPECT_GE(max_time[node].load(), leave_at) << "node " << node;
+  }
+  EXPECT_EQ(cluster.totals().requests, n);
+  expect_flow_conservation(cluster);
+}
+
 TEST(Node, SnapshotReadsAllStatsConsistently) {
   Node node("node0", make_cache("LRU", 1ULL << 20));
   NodeStats s = node.snapshot();
@@ -621,27 +717,106 @@ TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {
   HotKeyTracker tracker(/*threshold=*/4, /*window=*/8);
   const std::uint64_t id = 42;
   const std::uint64_t h = hash64(id);
+  std::uint64_t idx = 0;
   for (std::uint32_t i = 1; i <= 3; ++i) {
-    EXPECT_EQ(tracker.observe_hashed(id, h), i);
-    EXPECT_FALSE(tracker.hot_hashed(id, h, i));
+    const HotKeyTracker::Observation seen =
+        tracker.observe_hashed(id, h, idx++);
+    EXPECT_EQ(seen.count, i);
+    EXPECT_FALSE(seen.hot);
   }
-  EXPECT_EQ(tracker.observe_hashed(id, h), 4u);
-  EXPECT_TRUE(tracker.hot_hashed(id, h, 4));
+  HotKeyTracker::Observation seen = tracker.observe_hashed(id, h, idx++);
+  EXPECT_EQ(seen.count, 4u);
+  EXPECT_TRUE(seen.hot);
 
   // Fill the window with other traffic; after the roll the key's count
   // restarts at 1 but last window's hot set keeps it hot (no flicker).
   for (std::uint64_t other = 100; other < 104; ++other) {
-    tracker.observe_hashed(other, hash64(other));
+    tracker.observe_hashed(other, hash64(other), idx++);
   }
-  const std::uint32_t count = tracker.observe_hashed(id, h);
-  EXPECT_EQ(count, 1u);
-  EXPECT_TRUE(tracker.hot_hashed(id, h, count));
+  seen = tracker.observe_hashed(id, h, idx++);
+  EXPECT_EQ(seen.count, 1u);
+  EXPECT_TRUE(seen.hot);
   // A key that was never hot is still cold.
   const std::uint64_t cold = 100;
-  EXPECT_FALSE(tracker.hot_hashed(cold, hash64(cold), 1));
+  seen = tracker.observe_hashed(cold, hash64(cold), idx++);
+  EXPECT_EQ(seen.count, 1u);
+  EXPECT_FALSE(seen.hot);
 
   EXPECT_THROW(HotKeyTracker(0, 8), std::invalid_argument);
   EXPECT_THROW(HotKeyTracker(4, 0), std::invalid_argument);
+}
+
+TEST(HotKeyTracker, JumpOfTwoWindowsForgetsTheHotSet) {
+  // A shard untouched for a whole window rolls twice on its next touch:
+  // the window in between had no hot key, so nothing stays hot.
+  HotKeyTracker tracker(/*threshold=*/2, /*window=*/8);
+  const std::uint64_t id = 7;
+  const std::uint64_t h = hash64(id);
+  tracker.observe_hashed(id, h, 0);
+  ASSERT_TRUE(tracker.observe_hashed(id, h, 1).hot);
+  // One window later the key is still hot from window 0.
+  EXPECT_TRUE(tracker.observe_hashed(id, h, 8).hot);
+  // Window 1 saw it once (not hot), so window 2 forgets it...
+  EXPECT_FALSE(tracker.observe_hashed(id, h, 16).hot);
+  // ...and a key hot in window 3 is cold again after a jump to window 5.
+  tracker.observe_hashed(id, h, 24);
+  ASSERT_TRUE(tracker.observe_hashed(id, h, 25).hot);
+  const HotKeyTracker::Observation seen = tracker.observe_hashed(id, h, 40);
+  EXPECT_EQ(seen.count, 1u);
+  EXPECT_FALSE(seen.hot);
+}
+
+/// The single global-window tracker the sharded one replaced: one count
+/// table and hot sets, rolled after every `window` observations.
+class GlobalWindowTracker {
+ public:
+  GlobalWindowTracker(std::uint32_t threshold, std::uint64_t window)
+      : threshold_(threshold), window_(window) {}
+
+  HotKeyTracker::Observation observe(std::uint64_t id) {
+    if (observed_ == window_) {
+      prev_hot_ = std::move(cur_hot_);
+      cur_hot_.clear();
+      counts_.clear();
+      observed_ = 0;
+    }
+    ++observed_;
+    const std::uint32_t count = ++counts_[id];
+    if (count == threshold_) cur_hot_.insert(id);
+    return {count, count >= threshold_ || prev_hot_.count(id) != 0};
+  }
+
+ private:
+  std::uint32_t threshold_;
+  std::uint64_t window_;
+  std::uint64_t observed_ = 0;
+  std::map<std::uint64_t, std::uint32_t> counts_;
+  std::set<std::uint64_t> cur_hot_;
+  std::set<std::uint64_t> prev_hot_;
+};
+
+TEST(HotKeyTracker, LazyShardRollMatchesGlobalWindow) {
+  // With one driver, shards that roll lazily on their next touch must
+  // give every request the count and verdict of one global window.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.2));
+  constexpr std::size_t kRequests = 200'000;
+  ASSERT_GE(trace.requests.size(), kRequests);
+  HotKeyTracker sharded(/*threshold=*/32, /*window=*/4096);
+  GlobalWindowTracker global(/*threshold=*/32, /*window=*/4096);
+  std::size_t hot = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const std::uint64_t id = trace.requests[i].id;
+    const HotKeyTracker::Observation got =
+        sharded.observe_hashed(id, hash64(id), i);
+    const HotKeyTracker::Observation want = global.observe(id);
+    ASSERT_EQ(got.count, want.count) << "request " << i;
+    ASSERT_EQ(got.hot, want.hot) << "request " << i;
+    hot += got.hot ? 1 : 0;
+  }
+  // The flash crowd makes keys hot, so the verdicts were exercised.
+  EXPECT_GT(hot, 0u);
+  EXPECT_LT(hot, kRequests);
 }
 
 TEST(ClusterCache, RejectsInvalidConfigs) {
@@ -660,10 +835,10 @@ TEST(ClusterCache, RejectsInvalidConfigs) {
     cfg.replicas = ClusterCache::kMaxReplicas + 1;
     EXPECT_THROW(ClusterCache{cfg}, std::invalid_argument);
   }
-  {
+  for (const std::string backing : {"carrier-pigeon", "null"}) {
     ClusterCacheConfig cfg;
-    cfg.backing = "carrier-pigeon";
-    EXPECT_THROW(ClusterCache{cfg}, std::invalid_argument);
+    cfg.backing = backing;
+    EXPECT_THROW(ClusterCache{cfg}, std::invalid_argument) << backing;
   }
   {
     ClusterCacheConfig cfg;

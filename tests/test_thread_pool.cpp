@@ -1,14 +1,18 @@
-// Unit tests for the thread pool. The *Stress tests are sized for the TSan
-// CI job: they drive submit()/parallel_for concurrently so the analysis
-// sees the full locking protocol under contention.
+// Unit tests for the thread pool and cdn::Mutex. The *Stress tests are
+// sized for the TSan CI job: they drive submit()/parallel_for concurrently
+// so the analysis sees the full locking protocol under contention.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cdn {
@@ -132,6 +136,63 @@ TEST(ThreadPool, DestructorDrainsQueue) {
     }
   }  // destructor joins after draining
   EXPECT_EQ(counter.load(), 50);
+}
+
+struct GuardedCount {
+  Mutex mu;
+  std::uint64_t n CDN_GUARDED_BY(mu) = 0;
+};
+
+TEST(MutexStress, ContendedIncrementsAreNeverLost) {
+  // Plain (non-atomic) increments: any lost update or overlapping critical
+  // section shows in the total, and TSan reports the race.
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kIncrements = 100'000;
+  GuardedCount count;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&count] {
+      for (std::uint64_t i = 0; i < kIncrements; ++i) {
+        MutexLock lk(count.mu);
+        ++count.n;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  MutexLock lk(count.mu);
+  EXPECT_EQ(count.n, kThreads * kIncrements);
+}
+
+TEST(Mutex, TryLockFailsWhileHeldAndSleepersAreWoken) {
+  GuardedCount count;
+  std::atomic<bool> held{false};
+  std::atomic<bool> probed{false};
+  std::thread holder([&count, &held, &probed] {
+    MutexLock lk(count.mu);
+    held.store(true);
+    while (!probed.load()) std::this_thread::yield();
+    // Hold long past the waiter's spin, so the waiter blocks and only
+    // this unlock can wake it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    count.n = 41;
+  });
+  while (!held.load()) std::this_thread::yield();
+  std::thread waiter([&count] {
+    MutexLock lk(count.mu);
+    ++count.n;
+  });
+  const bool got_held = count.mu.try_lock();
+  if (got_held) count.mu.unlock();
+  EXPECT_FALSE(got_held);
+  probed.store(true);
+  holder.join();
+  waiter.join();
+  const bool got_free = count.mu.try_lock();
+  if (got_free) {
+    EXPECT_EQ(count.n, 42u);
+    count.mu.unlock();
+  }
+  EXPECT_TRUE(got_free);
 }
 
 }  // namespace
