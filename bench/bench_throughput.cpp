@@ -1,5 +1,6 @@
-// Throughput / latency benchmark for the sharded SCIP cache service
-// (src/srv). Not a paper figure: this measures the serving substrate —
+// Throughput / latency benchmark for the lock-striped SCIP cache service:
+// a one-tier cluster::Topology of N salt-0 nodes, driven by srv::LoadGen.
+// Not a paper figure: this measures the serving substrate —
 // how request throughput scales with shard count, what sharding costs in
 // hit ratio, and the service latency distribution under a closed-loop
 // multi-worker load.
@@ -32,9 +33,9 @@
 #include <vector>
 
 #include "bench_harness.hpp"
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
 #include "srv/load_gen.hpp"
-#include "srv/sharded_cache.hpp"
 #include "trace/generator.hpp"
 #include "util/table.hpp"
 
@@ -83,6 +84,16 @@ constexpr bench::BenchCli kCli{
     {.scale = 0.25, .threads = 16, .trials = 5},
     {.scale = 0.12, .threads = 16, .trials = 3}};
 
+/// The striped service: `shards` nodes of `policy` sharing `capacity`, node
+/// i seeded 1 + i, so one shard is make_cache(policy, capacity) exactly.
+cluster::Topology service(const std::string& policy, std::uint64_t capacity,
+                          std::size_t shards) {
+  return cluster::Topology(cluster::striped(
+      capacity, shards, [&policy](std::uint64_t share, std::size_t i) {
+        return make_cache(policy, share, 1 + i);
+      }));
+}
+
 /// One shard count: its deterministic replay and best concurrent trial.
 struct ShardRow {
   std::size_t shards = 0;
@@ -93,7 +104,7 @@ struct ShardRow {
 
 obs::json::Value sweep_row(const ShardRow& r, const bench::BenchArgs& args) {
   obs::json::Value row = sim_result_row(r.replay);
-  row.set("policy", kPolicy);  // replay reports "sharded(...)"; keep it flat
+  row.set("policy", kPolicy);  // replay reports "topology(...)"; keep it flat
   row.set("service", r.replay.policy);
   row.set("shards", static_cast<std::uint64_t>(r.shards));
   row.set("workers", static_cast<std::uint64_t>(args.threads));
@@ -128,12 +139,8 @@ int run(const bench::BenchArgs& args) {
     const SimResult unsharded =
         simulate(*unsharded_cache, golden, golden_opts);
 
-    ShardedCacheConfig cc;
-    cc.policy = policy;
-    cc.capacity_bytes = kGoldenCapacity;
-    cc.shards = 1;
-    ShardedCache service(cc);
-    const SimResult sharded = simulate(service, golden, golden_opts);
+    cluster::Topology one_shard = service(policy, kGoldenCapacity, 1);
+    const SimResult sharded = simulate(one_shard, golden, golden_opts);
 
     const bool match = bench::same_counters(sharded, unsharded);
     golden_ok = golden_ok && match;
@@ -152,7 +159,7 @@ int run(const bench::BenchArgs& args) {
               golden_table.str().c_str());
   if (!golden_ok) {
     std::fprintf(stderr,
-                 "FAIL: 1-shard ShardedCache diverged from the unsharded "
+                 "FAIL: the 1-shard service diverged from the unsharded "
                  "golden-master configs\n");
     return 1;
   }
@@ -161,13 +168,6 @@ int run(const bench::BenchArgs& args) {
   const Trace trace = generate_trace(cdn_t_like(args.scale));
   const std::uint64_t capacity =
       bench::cap_frac(trace, bench::kFig8MediumFrac);
-  const auto service_config = [&](std::size_t shards) {
-    ShardedCacheConfig cc;
-    cc.policy = kPolicy;
-    cc.capacity_bytes = capacity;
-    cc.shards = shards;
-    return cc;
-  };
   std::printf("\nsweeping %s over %zu requests (%s), %zu workers, "
               "%zu trials/shard-count...\n",
               kPolicy, trace.size(), trace.name.c_str(), args.threads,
@@ -176,11 +176,13 @@ int run(const bench::BenchArgs& args) {
 
   std::vector<ShardRow> rows;
   for (const std::size_t shards : kShardCounts) {
-    ShardedCache cache(service_config(shards));
+    cluster::Topology cache = service(kPolicy, capacity, shards);
     ShardRow row;
     row.shards = shards;
     row.replay = simulate(cache, trace);
-    row.shard_stats = cache.snapshot();
+    for (std::size_t s = 0; s < shards; ++s) {
+      row.shard_stats.push_back(cache.stats(0, s));
+    }
     rows.push_back(std::move(row));
   }
   LoadGenOptions lg;
@@ -190,7 +192,7 @@ int run(const bench::BenchArgs& args) {
   ThreadPool pool(args.threads);
   std::vector<LoadGenResult> best = bench::best_of_interleaved(
       rows.size(), args.trials, [&](std::size_t k) {
-        ShardedCache cache(service_config(rows[k].shards));
+        cluster::Topology cache = service(kPolicy, capacity, rows[k].shards);
         return gen.run(cache, pool);
       });
 

@@ -1,11 +1,10 @@
-// Node: the one locked policy instance of the concurrent layers — a ring
-// node of the elastic cluster (cluster_cache.hpp) or a stripe of the
-// sharded service (srv/sharded_cache.hpp). Its mutex guards the policy and
-// the node's FlowStats, so a request runs the policy and books its
-// requests, hits and bytes in one critical section: the counters can never
-// disagree with the policy about which requests this node served. The
-// single-threaded tier topology (topology.hpp) holds its caches directly
-// and needs no lock.
+// Node: the one locked policy instance of the multi-cache layers — a ring
+// node of the elastic cluster (cluster_cache.hpp) or a node of a tier
+// topology (topology.hpp), the lock-striped service's stripes included.
+// Its mutex guards the policy and the node's FlowStats, so a request runs
+// the policy and books its requests, hits and bytes in one critical
+// section: the counters can never disagree with the policy about which
+// requests this node served.
 #pragma once
 
 #include <cstddef>

@@ -3,9 +3,10 @@
 // Two placement families live here:
 //
 //  * Salted-mod placement (`route_mod`): the OC and DC tiers of the TDC
-//    chain (cluster/topology.hpp). Each tier owns a salt so the two tiers
-//    shard independently; the arithmetic — hash64(id ^ salt) % nodes — is
-//    pinned by test_hash_ring, so it must never change. A salted-mod tier
+//    chain and the lock-striped service's one tier (cluster/topology.hpp).
+//    Each tier owns a salt so the tiers shard independently; the
+//    arithmetic — hash64(id ^ salt) % nodes — is pinned by test_hash_ring
+//    and test_srv, so it must never change. A salted-mod tier
 //    is the degenerate ring: one equal segment per node, no virtual nodes,
 //    resize reshuffles everything.
 //
@@ -34,12 +35,22 @@ namespace cdn::cluster {
 inline constexpr std::uint64_t kOcRouteSalt = 0x0c;
 inline constexpr std::uint64_t kDcRouteSalt = 0xdc;
 
+/// h % nodes. Power-of-two counts (every count a deployment or the shard
+/// sweep uses) reduce by mask instead of 64-bit division; one node takes
+/// the same path (mask 0), so every node count pays the same routing cost.
+[[nodiscard]] inline std::size_t reduce_mod(std::uint64_t h,
+                                            std::size_t nodes) noexcept {
+  return (nodes & (nodes - 1)) == 0 ? static_cast<std::size_t>(h & (nodes - 1))
+                                    : static_cast<std::size_t>(h % nodes);
+}
+
 /// Salted modulo placement: hash64(id ^ salt) % nodes. The TDC chain's
-/// per-tier routing function, bit-for-bit (salts 0x0c and 0xdc).
+/// per-tier routing function, bit-for-bit (salts 0x0c and 0xdc); salt 0
+/// is the lock-striped service's hash64(id) % nodes.
 [[nodiscard]] inline std::size_t route_mod(std::uint64_t id,
                                            std::uint64_t salt,
                                            std::size_t nodes) noexcept {
-  return static_cast<std::size_t>(hash64(id ^ salt) % nodes);
+  return reduce_mod(hash64(id ^ salt), nodes);
 }
 
 /// Ring point of virtual node `replica` of physical node `node`. Node ids

@@ -32,7 +32,7 @@ struct WorkerTally {
   LogHistogram latency_ns;
 };
 
-WorkerTally drive_stream(ShardedCache& cache,
+WorkerTally drive_stream(cluster::Topology& cache,
                          const std::vector<Request>& stream,
                          std::size_t batch_size, std::size_t worker_index) {
   WorkerTally tally;
@@ -56,7 +56,8 @@ WorkerTally drive_stream(ShardedCache& cache,
 
 }  // namespace
 
-LoadGenResult LoadGen::run(ShardedCache& cache, ThreadPool& pool) const {
+LoadGenResult LoadGen::run(cluster::Topology& cache,
+                           ThreadPool& pool) const {
   std::vector<std::future<WorkerTally>> futures;
   futures.reserve(streams_.size());
   Stopwatch wall;

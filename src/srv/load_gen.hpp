@@ -1,4 +1,5 @@
-// LoadGen: closed-loop deterministic load generator for ShardedCache.
+// LoadGen: closed-loop deterministic load generator for a cluster::Topology
+// (the lock-striped service is a one-tier topology).
 //
 // The input trace (from src/trace's seeded generators) is pre-sharded into
 // per-worker request streams at construction time: worker w owns requests
@@ -6,7 +7,7 @@
 // touches memory sequentially. The partition is a pure function of
 // (trace, workers), so the request stream every worker drives is
 // reproducible run to run — what varies under concurrency is only the
-// interleaving of shard-lock acquisitions.
+// interleaving of node-lock acquisitions.
 //
 // Each worker runs a closed loop: issue one batch via access_batch, wait
 // for it to complete, immediately issue the next (no think time, no open-
@@ -22,8 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "cluster/topology.hpp"
 #include "sim/flow_stats.hpp"
-#include "srv/sharded_cache.hpp"
 #include "trace/request.hpp"
 #include "util/histogram.hpp"
 #include "util/thread_pool.hpp"
@@ -72,7 +73,7 @@ class LoadGen {
   /// Drives `cache` with every worker stream through `pool` and blocks
   /// until all streams are exhausted. Each call replays the same streams,
   /// so back-to-back runs against fresh caches measure the same work.
-  [[nodiscard]] LoadGenResult run(ShardedCache& cache,
+  [[nodiscard]] LoadGenResult run(cluster::Topology& cache,
                                   ThreadPool& pool) const;
 
  private:

@@ -8,7 +8,7 @@
 // the id/size stream of a base trace in place — popularity drift, flash
 // crowds, scan floods, working-set churn, object-size mixtures — while
 // emitting a standard `Trace`, so every policy, bench, `ParallelSweep`, and
-// the `ShardedCache`/`LoadGen` path consume stressed workloads unchanged.
+// the `Topology`/`LoadGen` path consume stressed workloads unchanged.
 //
 // Determinism contract: all randomness flows from the explicit seeds below
 // through `Rng` (util/rng.hpp) — never wall-clock, never global state — so

@@ -86,7 +86,7 @@ std::vector<double> zipf_weights(std::size_t catalog, double alpha) {
 /// Replays requests [from, to), request i with index i (as replay() does).
 void replay_range(Topology& topo, const Trace& t, std::size_t from,
                   std::size_t to) {
-  for (std::size_t i = from; i < to; ++i) topo.access(t.requests[i], i);
+  for (std::size_t i = from; i < to; ++i) topo.serve(t.requests[i], i);
 }
 
 // ---------------------------------------------------------- RANDOM contract
@@ -240,7 +240,7 @@ TEST(Topology, MissForwardingConservesRequests) {
     }
   }
   // The origin sees exactly the root's misses, booked at the root.
-  const FlowStats& root = topo.stats(2, 0);
+  const FlowStats root = topo.stats(2, 0);
   EXPECT_EQ(root.origin_fetches, root.misses());
   EXPECT_EQ(topo.tier_stats(2).origin_fetches, root.misses());
   EXPECT_EQ(run.total.tiers.back().origin_fetches, root.misses());
@@ -290,12 +290,13 @@ TEST(Topology, OccupancyBoundsAndStructuralAuditsHold) {
     for (std::size_t n = 0; n < topo.node_count(tier); ++n) {
       SCOPED_TRACE("tier " + std::to_string(tier) + " node " +
                    std::to_string(n));
-      const Cache& cache = topo.cache_at(tier, n);
-      EXPECT_LE(cache.used_bytes(), cache.capacity());
       ASSERT_NE(queues[tier][n], nullptr);
-      const audit::AuditReport r = audit::Inspector::check(
-          queues[tier][n]->audit_queue(), cache.capacity());
-      EXPECT_TRUE(r.ok()) << r.to_string();
+      topo.with_node_cache(tier, n, [&](Cache& cache) {
+        EXPECT_LE(cache.used_bytes(), cache.capacity());
+        const audit::AuditReport r = audit::Inspector::check(
+            queues[tier][n]->audit_queue(), cache.capacity());
+        EXPECT_TRUE(r.ok()) << r.to_string();
+      });
     }
   }
 }

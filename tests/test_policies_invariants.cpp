@@ -7,10 +7,15 @@
 //   * behave identically through the hashed and the plain entry points,
 //   * survive pathological inputs (oversized objects, capacity 1, repeats).
 // The policy set is the registry's, so a new policy cannot skip the suite.
+// The capacity, hashed-path and determinism contracts run a second time on
+// every policy wrapped as a one-tier, 4-node cluster::Topology: the wrapper
+// must keep its nodes' contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
@@ -32,10 +37,29 @@ class PolicyInvariants : public ::testing::TestWithParam<std::string> {
   }
 };
 
-TEST_P(PolicyInvariants, CapacityNeverExceeded) {
-  const Trace& t = shared_trace();
+/// Builds a cache of (policy, capacity, seed).
+using Factory = std::function<CachePtr(const std::string&, std::uint64_t,
+                                       std::uint64_t)>;
+
+CachePtr plain(const std::string& policy, std::uint64_t capacity,
+               std::uint64_t seed) {
+  return make_cache(policy, capacity, seed);
+}
+
+/// `policy` over four salt-0 nodes sharing `capacity`, node i seeded
+/// seed + i.
+CachePtr one_tier(const std::string& policy, std::uint64_t capacity,
+                  std::uint64_t seed) {
+  return std::make_unique<cluster::Topology>(cluster::striped(
+      capacity, 4, [&](std::uint64_t share, std::size_t i) {
+        return make_cache(policy, share, seed + i);
+      }));
+}
+
+void capacity_never_exceeded(const Trace& t, const std::string& policy,
+                             const Factory& make) {
   const std::uint64_t cap = 64ULL << 20;
-  auto cache = make_cache(GetParam(), cap);
+  auto cache = make(policy, cap, 1);
   for (std::size_t i = 0; i < t.size(); ++i) {
     cache->access(t[i]);
     if (i % 1024 == 0) {
@@ -43,6 +67,47 @@ TEST_P(PolicyInvariants, CapacityNeverExceeded) {
     }
   }
   EXPECT_LE(cache->used_bytes(), cap);
+}
+
+void deterministic_for_fixed_seed(const Trace& t, const std::string& policy,
+                                  const Factory& make) {
+  auto a = make(policy, 32ULL << 20, /*seed=*/5);
+  auto b = make(policy, 32ULL << 20, /*seed=*/5);
+  const auto ra = simulate(*a, t);
+  const auto rb = simulate(*b, t);
+  EXPECT_EQ(ra.hits, rb.hits);
+  EXPECT_EQ(ra.bytes_hit, rb.bytes_hit);
+}
+
+void hashed_path_matches_plain(const Trace& t, const std::string& policy,
+                               const Factory& make) {
+  // access_hashed / contains_hashed with h == hash64(id) must behave
+  // exactly like access / contains (sim/cache.hpp): two same-seed caches,
+  // one driven through each path, agree on every request.
+  auto plain_path = make(policy, 32ULL << 20, /*seed=*/5);
+  auto hashed = make(policy, 32ULL << 20, /*seed=*/5);
+  const std::size_t n = std::min<std::size_t>(t.size(), 60000);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Request& req = t[i];
+    ASSERT_EQ(plain_path->access(req),
+              hashed->access_hashed(req, hash64(req.id)))
+        << "hit differs at request " << i;
+    // The object just accessed, and an older one that may have left.
+    for (const std::uint64_t id : {req.id, t[i / 2].id}) {
+      ASSERT_EQ(plain_path->contains(id),
+                hashed->contains_hashed(id, hash64(id)))
+          << "contains(" << id << ") differs at request " << i;
+    }
+  }
+  EXPECT_EQ(plain_path->used_bytes(), hashed->used_bytes());
+}
+
+TEST_P(PolicyInvariants, CapacityNeverExceeded) {
+  capacity_never_exceeded(shared_trace(), GetParam(), plain);
+}
+
+TEST_P(PolicyInvariants, CapacityNeverExceededInOneTierTopology) {
+  capacity_never_exceeded(shared_trace(), GetParam(), one_tier);
 }
 
 TEST_P(PolicyInvariants, HitsBoundedAndRatiosValid) {
@@ -58,34 +123,19 @@ TEST_P(PolicyInvariants, HitsBoundedAndRatiosValid) {
 }
 
 TEST_P(PolicyInvariants, DeterministicForFixedSeed) {
-  const Trace& t = shared_trace();
-  auto a = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
-  auto b = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
-  const auto ra = simulate(*a, t);
-  const auto rb = simulate(*b, t);
-  EXPECT_EQ(ra.hits, rb.hits);
-  EXPECT_EQ(ra.bytes_hit, rb.bytes_hit);
+  deterministic_for_fixed_seed(shared_trace(), GetParam(), plain);
+}
+
+TEST_P(PolicyInvariants, DeterministicForFixedSeedInOneTierTopology) {
+  deterministic_for_fixed_seed(shared_trace(), GetParam(), one_tier);
 }
 
 TEST_P(PolicyInvariants, HashedPathMatchesPlain) {
-  // access_hashed / contains_hashed with h == hash64(id) must behave
-  // exactly like access / contains (sim/cache.hpp): two same-seed caches,
-  // one driven through each path, agree on every request.
-  const Trace& t = shared_trace();
-  auto plain = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
-  auto hashed = make_cache(GetParam(), 32ULL << 20, /*seed=*/5);
-  const std::size_t n = std::min<std::size_t>(t.size(), 60000);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Request& req = t[i];
-    ASSERT_EQ(plain->access(req), hashed->access_hashed(req, hash64(req.id)))
-        << "hit differs at request " << i;
-    // The object just accessed, and an older one that may have left.
-    for (const std::uint64_t id : {req.id, t[i / 2].id}) {
-      ASSERT_EQ(plain->contains(id), hashed->contains_hashed(id, hash64(id)))
-          << "contains(" << id << ") differs at request " << i;
-    }
-  }
-  EXPECT_EQ(plain->used_bytes(), hashed->used_bytes());
+  hashed_path_matches_plain(shared_trace(), GetParam(), plain);
+}
+
+TEST_P(PolicyInvariants, HashedPathMatchesPlainInOneTierTopology) {
+  hashed_path_matches_plain(shared_trace(), GetParam(), one_tier);
 }
 
 TEST_P(PolicyInvariants, FirstAccessIsAlwaysAMiss) {

@@ -1,21 +1,24 @@
-// Tests for the sharded cache service (src/srv): routing purity and
-// stability, capacity partitioning, single-shard equivalence with the
-// unsharded policies, batch/sequential equivalence, snapshot aggregation,
-// load-generator partitioning and determinism, and a multi-worker stress
-// run that TSan checks for data races (see the tsan job in ci.yml).
+// Tests for the lock-striped cache service — a one-tier cluster::Topology of
+// salt-0 nodes — and its load generator (src/srv): routing purity and
+// stability, capacity partitioning, single-node equivalence with the
+// unsharded policies, batch/sequential equivalence on any topology,
+// hash forwarding, snapshot aggregation, load-generator partitioning and
+// determinism, and a multi-worker stress run that TSan checks for data
+// races (see the tsan job in ci.yml).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <numeric>
+#include <string>
 #include <vector>
 
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
 #include "counting_cache.hpp"
 #include "sim/simulator.hpp"
 #include "srv/load_gen.hpp"
-#include "srv/sharded_cache.hpp"
+#include "topology_fixtures.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -24,6 +27,9 @@ namespace cdn::srv {
 namespace {
 
 using cluster::NodeStats;
+using cluster::Placement;
+using cluster::Tier;
+using cluster::Topology;
 
 WorkloadSpec small_spec(std::uint64_t seed = 7) {
   WorkloadSpec spec;
@@ -37,33 +43,51 @@ WorkloadSpec small_spec(std::uint64_t seed = 7) {
   return spec;
 }
 
+/// The striped service: `shards` nodes of `policy` sharing `capacity`,
+/// node i seeded 1 + i.
+Topology service(const std::string& policy, std::uint64_t capacity,
+                 std::size_t shards) {
+  return Topology(cluster::striped(
+      capacity, shards, [&policy](std::uint64_t share, std::size_t i) {
+        return make_cache(policy, share, 1 + i);
+      }));
+}
+
+/// Routing-only service: placement never reads the node policies.
+Topology routing_only(std::size_t shards) {
+  return service("LRU", 1 << 20, shards);
+}
+
 TEST(ShardRouting, IsPureFunctionOfKey) {
-  for (std::uint64_t id : {0ULL, 1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
-    for (std::size_t shards : {1, 2, 4, 8, 16, 7}) {
-      const std::size_t s = ShardedCache::shard_of(id, shards);
+  for (std::size_t shards : {1, 2, 4, 8, 16, 7}) {
+    const Topology topo = routing_only(shards);
+    for (std::uint64_t id : {0ULL, 1ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
+      const std::size_t s = topo.place(0, id, 0, 0);
       EXPECT_LT(s, shards);
-      EXPECT_EQ(s, ShardedCache::shard_of(id, shards));
+      EXPECT_EQ(s, topo.place(0, id, id + 9, 3));  // index, child ignored
       EXPECT_EQ(s, hash64(id) % shards);
+      EXPECT_EQ(s, cluster::route_mod(id, 0, shards));
     }
   }
-  // One shard routes everything to shard 0 without hashing.
-  EXPECT_EQ(ShardedCache::shard_of(0xdeadbeefULL, 1), 0u);
+  // One shard routes everything to shard 0.
+  EXPECT_EQ(routing_only(1).place(0, 0xdeadbeefULL, 0, 0), 0u);
 }
 
 TEST(ShardRouting, IsBitwiseStableAcrossReleases) {
   // Pinned values: changing hash64 or the reduction silently reshuffles
   // every object across shards and invalidates all sharded measurements,
   // so the mapping is part of the repo's determinism contract.
-  EXPECT_EQ(ShardedCache::shard_of(0, 16), 15u);
-  EXPECT_EQ(ShardedCache::shard_of(1, 16), 1u);
-  EXPECT_EQ(ShardedCache::shard_of(2, 16), 14u);
-  EXPECT_EQ(ShardedCache::shard_of(3, 16), 13u);
-  EXPECT_EQ(ShardedCache::shard_of(42, 16), 5u);
-  EXPECT_EQ(ShardedCache::shard_of(1000, 16), 8u);
-  EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 16), 11u);
-  EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 8), 3u);
-  EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 4), 3u);
-  EXPECT_EQ(ShardedCache::shard_of(0xdeadbeef, 2), 1u);
+  const Topology s16 = routing_only(16);
+  EXPECT_EQ(s16.place(0, 0, 0, 0), 15u);
+  EXPECT_EQ(s16.place(0, 1, 0, 0), 1u);
+  EXPECT_EQ(s16.place(0, 2, 0, 0), 14u);
+  EXPECT_EQ(s16.place(0, 3, 0, 0), 13u);
+  EXPECT_EQ(s16.place(0, 42, 0, 0), 5u);
+  EXPECT_EQ(s16.place(0, 1000, 0, 0), 8u);
+  EXPECT_EQ(s16.place(0, 0xdeadbeef, 0, 0), 11u);
+  EXPECT_EQ(routing_only(8).place(0, 0xdeadbeef, 0, 0), 3u);
+  EXPECT_EQ(routing_only(4).place(0, 0xdeadbeef, 0, 0), 3u);
+  EXPECT_EQ(routing_only(2).place(0, 0xdeadbeef, 0, 0), 1u);
 }
 
 TEST(ShardCapacity, PartitionsSumToTotalAndAreBalanced) {
@@ -85,111 +109,149 @@ TEST(ShardCapacity, PartitionsSumToTotalAndAreBalanced) {
   }
 }
 
-TEST(ShardedCacheTest, RejectsZeroShards) {
-  ShardedCacheConfig cc;
-  cc.shards = 0;
-  EXPECT_THROW(ShardedCache{cc}, std::invalid_argument);
-}
-
-TEST(ShardedCacheTest, ShardCapacitiesReachTheFactory) {
-  ShardedCacheConfig cc;
-  cc.policy = "LRU";
-  cc.capacity_bytes = 1001;
-  cc.shards = 4;
+TEST(StripedService, ShardCapacitiesReachTheFactory) {
   std::vector<std::uint64_t> seen;
-  ShardedCache cache(cc, [&](std::uint64_t cap, std::size_t) {
-    seen.push_back(cap);
-    return make_cache("LRU", cap);
-  });
+  const Topology cache(
+      cluster::striped(1001, 4, [&](std::uint64_t cap, std::size_t) {
+        seen.push_back(cap);
+        return make_cache("LRU", cap);
+      }));
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{251, 250, 250, 250}));
   EXPECT_EQ(cache.capacity(), 1001u);
-  EXPECT_EQ(cache.name(), "sharded(LRU,4)");
+  EXPECT_EQ(cache.name(), "topology(LRU*4)");
 }
 
-TEST(ShardedCacheTest, OneShardMatchesUnshardedExactly) {
+TEST(StripedService, OneShardMatchesUnshardedExactly) {
   // The acceptance criterion behind bench_throughput's golden cross-check:
-  // a 1-shard service is the wrapped policy — same hit/miss sequence
-  // request by request, same counters after a full simulate().
+  // a 1-node tier is the wrapped policy — same hit/miss sequence request
+  // by request, same occupancy and metadata.
   const Trace trace = generate_trace(small_spec());
   constexpr std::uint64_t kCap = 4ULL << 20;
   for (const char* policy : {"SCIP", "LRU", "SCI", "LIP"}) {
     auto plain = make_cache(policy, kCap);
-    ShardedCacheConfig cc;
-    cc.policy = policy;
-    cc.capacity_bytes = kCap;
-    cc.shards = 1;
-    ShardedCache service(cc);
+    Topology one = service(policy, kCap, 1);
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      ASSERT_EQ(service.access(trace[i]), plain->access(trace[i]))
+      ASSERT_EQ(one.access(trace[i]), plain->access(trace[i]))
           << policy << " diverged at request " << i;
     }
-    EXPECT_EQ(service.used_bytes(), plain->used_bytes()) << policy;
-    EXPECT_EQ(service.metadata_bytes(), plain->metadata_bytes()) << policy;
+    EXPECT_EQ(one.used_bytes(), plain->used_bytes()) << policy;
+    EXPECT_EQ(one.metadata_bytes(), plain->metadata_bytes()) << policy;
   }
 }
 
-TEST(ShardedCacheTest, BatchMatchesSequentialAccess) {
+/// The three batch inputs: the 4-node striped service, the TDC chain with
+/// two SCIP OCs in front of one LRU DC, and a tree with round-robin leaves.
+std::unique_ptr<Topology> batch_input(int which) {
+  switch (which) {
+    case 0:
+      return std::make_unique<Topology>(cluster::striped(
+          2ULL << 20, 4, [](std::uint64_t share, std::size_t i) {
+            return make_cache("SCIP", share, 1 + i);
+          }));
+    case 1: {
+      std::vector<CachePtr> oc;
+      oc.push_back(make_cache("SCIP", 1ULL << 20, 3));
+      oc.push_back(make_cache("SCIP", 1ULL << 20, 4));
+      return std::make_unique<Topology>(
+          cluster::tdc_chain(std::move(oc), cluster::fixtures::lru_nodes(
+                                                1, 2ULL << 20)));
+    }
+    default: {
+      std::vector<Tier> tiers;
+      tiers.push_back(cluster::fixtures::tree_tier(
+          Placement::kRoundRobin, "LRU", 256 << 10, 5, {2, 3, 5, 6}));
+      tiers.push_back(cluster::fixtures::tree_tier(
+          Placement::kChildBlock, "SCIP", 1ULL << 20, 5, {1, 4}));
+      tiers.push_back(cluster::fixtures::tree_tier(
+          Placement::kChildBlock, "LRU", 2ULL << 20, 5, {0}));
+      return std::make_unique<Topology>(std::move(tiers));
+    }
+  }
+}
+
+TEST(StripedService, BatchMatchesSequentialAccess) {
   const Trace trace = generate_trace(small_spec(11));
-  ShardedCacheConfig cc;
-  cc.capacity_bytes = 2ULL << 20;
-  cc.shards = 4;
-  ShardedCache seq(cc);
-  ShardedCache batched(cc);
-
-  constexpr std::size_t kBatch = 97;  // deliberately not a power of two
-  std::vector<bool> expect_hits(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    expect_hits[i] = seq.access(trace[i]);
+  // 97 is deliberately not a power of two; 1500 overflows the stack
+  // scratch and takes the heap spill.
+  for (const std::size_t batch : {97, 1500}) {
+    for (int which = 0; which < 3; ++which) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + " input " +
+                   std::to_string(which));
+      const std::unique_ptr<Topology> seq = batch_input(which);
+      const std::unique_ptr<Topology> batched = batch_input(which);
+      std::vector<bool> expect_hits(trace.size());
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        expect_hits[i] = seq->access(trace[i]);
+      }
+      std::vector<char> got(trace.size(), 0);
+      const std::unique_ptr<bool[]> hits(new bool[batch]);
+      for (std::size_t lo = 0; lo < trace.size(); lo += batch) {
+        const std::size_t n = std::min(batch, trace.size() - lo);
+        // Rotate the walk origin every batch: it must never change results.
+        batched->access_batch(&trace.requests[lo], n, hits.get(), lo % 4);
+        for (std::size_t j = 0; j < n; ++j) got[lo + j] = hits[j];
+      }
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_EQ(static_cast<bool>(got[i]), expect_hits[i])
+            << "batch/sequential divergence at request " << i;
+      }
+      EXPECT_EQ(batched->used_bytes(), seq->used_bytes());
+      for (std::size_t t = 0; t < seq->tier_count(); ++t) {
+        for (std::size_t n = 0; n < seq->node_count(t); ++n) {
+          EXPECT_EQ(batched->stats(t, n), seq->stats(t, n))
+              << "tier " << t << " node " << n;
+        }
+      }
+    }
   }
-  std::vector<char> got(trace.size(), 0);
-  for (std::size_t lo = 0; lo < trace.size(); lo += kBatch) {
-    const std::size_t n = std::min(kBatch, trace.size() - lo);
-    bool hits[kBatch];
-    // Rotate the walk origin every batch: it must never change results.
-    batched.access_batch(&trace.requests[lo], n, hits, lo % cc.shards);
-    for (std::size_t j = 0; j < n; ++j) got[lo + j] = hits[j];
-  }
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(static_cast<bool>(got[i]), expect_hits[i])
-        << "batch/sequential divergence at request " << i;
-  }
-  EXPECT_EQ(batched.used_bytes(), seq.used_bytes());
 }
 
-TEST(ShardedCacheTest, ForwardsTheRoutingHash) {
+TEST(StripedService, ForwardsTheRoutingHash) {
   // The routing hash is the request's only hash64: access, contains and
-  // every request of a batch reach the shard's policy through the hashed
-  // entry points, with h == hash64(id).
+  // every request of a batch reach each tier's node policy through the
+  // hashed entry points, with h == hash64(id) — on the one-tier service
+  // and on a two-tier chain whose tiers route on salted hashes.
   using fakes::CountingFake;
-  CountingFake::Counters counters;
-  ShardedCacheConfig cc;
-  cc.shards = 4;
-  ShardedCache cache(cc, [&counters](std::uint64_t cap, std::size_t) {
-    return std::make_unique<CountingFake>(cap, &counters);
-  });
-  constexpr std::size_t kRequests = 100;
-  std::vector<Request> reqs(kRequests);
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    reqs[i].id = 7 * i + 3;
-    reqs[i].size = 100;
-    cache.access(reqs[i]);
-    (void)cache.contains(reqs[i].id);
+  for (const std::size_t tiers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(tiers) + " tiers");
+    CountingFake::Counters counters;
+    const auto fake = [&counters](std::uint64_t cap, std::size_t) -> CachePtr {
+      return std::make_unique<CountingFake>(cap, &counters);
+    };
+    std::vector<Tier> spec = cluster::striped(1 << 20, 4, fake);
+    if (tiers == 2) {
+      spec = cluster::tdc_chain(std::move(spec[0].nodes),
+                                std::move(cluster::striped(1 << 20, 2, fake)
+                                              .front()
+                                              .nodes));
+    }
+    Topology cache(std::move(spec));
+    constexpr std::size_t kRequests = 100;
+    std::vector<Request> reqs(kRequests);
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      reqs[i].id = 7 * i + 3;
+      reqs[i].size = 100;
+      cache.access(reqs[i]);
+      (void)cache.contains(reqs[i].id);
+    }
+    bool hits[kRequests];
+    cache.access_batch(reqs.data(), kRequests, hits);
+    // The fake always misses, so every request crosses every tier.
+    EXPECT_EQ(counters.access_hashed.load(), 2 * tiers * kRequests);
+    EXPECT_EQ(counters.contains_hashed.load(), tiers * kRequests);
+    EXPECT_EQ(counters.unhashed.load(), 0u);
+    EXPECT_EQ(counters.bad_hash.load(), 0u);
+    for (std::size_t t = 0; t < tiers; ++t) {
+      EXPECT_EQ(cache.tier_stats(t).requests, 2 * kRequests);
+    }
   }
-  bool hits[kRequests];
-  cache.access_batch(reqs.data(), kRequests, hits);
-  EXPECT_EQ(counters.access_hashed.load(), 2 * kRequests);
-  EXPECT_EQ(counters.contains_hashed.load(), kRequests);
-  EXPECT_EQ(counters.unhashed.load(), 0u);
-  EXPECT_EQ(counters.bad_hash.load(), 0u);
-  EXPECT_EQ(cache.totals().requests, 2 * kRequests);
 }
 
-TEST(ShardedCacheTest, SnapshotAggregatesCounters) {
+TEST(StripedService, SnapshotAggregatesCounters) {
   const Trace trace = generate_trace(small_spec(3));
-  ShardedCacheConfig cc;
-  cc.capacity_bytes = 2ULL << 20;
-  cc.shards = 8;
-  ShardedCache cache(cc);
+  constexpr std::uint64_t kCap = 2ULL << 20;
+  constexpr std::size_t kShards = 8;
+  Topology cache = service("SCIP", kCap, kShards);
 
   std::uint64_t hits = 0, bytes = 0, bytes_hit = 0;
   for (const Request& r : trace.requests) {
@@ -198,41 +260,44 @@ TEST(ShardedCacheTest, SnapshotAggregatesCounters) {
     bytes += r.size;
     bytes_hit += hit ? r.size : 0;
   }
-  const std::vector<NodeStats> per_shard = cache.snapshot();
-  ASSERT_EQ(per_shard.size(), cc.shards);
-  const NodeStats total = cache.totals();
+  ASSERT_EQ(cache.node_count(0), kShards);
+  std::vector<NodeStats> per_shard;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    per_shard.push_back(cache.stats(0, s));
+  }
+  const NodeStats total = cache.tier_stats(0);
   EXPECT_EQ(total.requests, trace.size());
   EXPECT_EQ(total.hits, hits);
   EXPECT_EQ(total.bytes_total, bytes);
   EXPECT_EQ(total.bytes_hit, bytes_hit);
-  EXPECT_EQ(total.capacity_bytes, cc.capacity_bytes);
+  EXPECT_EQ(total.capacity_bytes, kCap);
   EXPECT_EQ(total.used_bytes, cache.used_bytes());
   EXPECT_EQ(total.metadata_bytes, cache.metadata_bytes());
+  // The one tier is the root: every miss went to the origin.
+  EXPECT_EQ(total.origin_fetches, trace.size() - hits);
+  EXPECT_EQ(total.origin_bytes, bytes - bytes_hit);
   // Every shard saw only requests routed to it.
-  std::vector<std::uint64_t> routed(cc.shards, 0);
+  std::vector<std::uint64_t> routed(kShards, 0);
   for (const Request& r : trace.requests) {
-    ++routed[ShardedCache::shard_of(r.id, cc.shards)];
+    ++routed[cache.place(0, r.id, 0, 0)];
   }
-  for (std::size_t s = 0; s < cc.shards; ++s) {
+  for (std::size_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(per_shard[s].requests, routed[s]) << "shard " << s;
   }
   EXPECT_GE(cluster::occupancy_skew(per_shard), 1.0);
   EXPECT_EQ(cluster::occupancy_skew({}), 1.0);  // no bytes: balanced
 }
 
-TEST(ShardedCacheTest, SimulateDrivesTheServiceLikeAnyCache) {
-  // ShardedCache is a Cache, so the deterministic replay phase of the
+TEST(StripedService, SimulateDrivesTheServiceLikeAnyCache) {
+  // A Topology is a Cache, so the deterministic replay phase of the
   // throughput bench is just simulate(); two replays agree bitwise.
   const Trace trace = generate_trace(small_spec(5));
-  ShardedCacheConfig cc;
-  cc.capacity_bytes = 2ULL << 20;
-  cc.shards = 4;
-  ShardedCache a(cc);
-  ShardedCache b(cc);
+  Topology a = service("SCIP", 2ULL << 20, 4);
+  Topology b = service("SCIP", 2ULL << 20, 4);
   const SimResult ra = simulate(a, trace);
   const SimResult rb = simulate(b, trace);
   EXPECT_TRUE(deterministic_equal(ra, rb));
-  EXPECT_EQ(ra.policy, "sharded(SCIP,4)");
+  EXPECT_EQ(ra.policy, "topology(SCIP*4)");
 }
 
 TEST(LoadGenTest, RoundRobinPartitionIsCompleteAndOrdered) {
@@ -262,10 +327,7 @@ TEST(LoadGenTest, RunCountsEveryRequestAndRecordsLatency) {
   opts.workers = 4;
   opts.batch_size = 128;
   const LoadGen gen(trace, opts);
-  ShardedCacheConfig cc;
-  cc.capacity_bytes = 2ULL << 20;
-  cc.shards = 4;
-  ShardedCache cache(cc);
+  Topology cache = service("SCIP", 2ULL << 20, 4);
   ThreadPool pool(opts.workers);
   const LoadGenResult res = gen.run(cache, pool);
   EXPECT_EQ(res.requests, trace.size());
@@ -275,15 +337,15 @@ TEST(LoadGenTest, RunCountsEveryRequestAndRecordsLatency) {
   EXPECT_LE(res.latency_p50_ns(), res.latency_p99_ns());
   EXPECT_LE(res.latency_p99_ns(), res.latency_p999_ns());
   // The service really processed the load: counters agree with the result.
-  const NodeStats total = cache.totals();
+  const NodeStats total = cache.tier_stats(0);
   EXPECT_EQ(total.requests, res.requests);
   EXPECT_EQ(total.hits, res.hits);
   EXPECT_EQ(total.bytes_total, res.bytes_total);
 }
 
-TEST(ShardedCacheStress, ConcurrentBatchesAndSnapshotsAreRaceFree) {
+TEST(StripedServiceStress, ConcurrentBatchesAndSnapshotsAreRaceFree) {
   // 8 workers hammer access_batch on overlapping key ranges while a 9th
-  // polls snapshot()/contains()/used_bytes(). The assertions here are
+  // polls tier_stats()/contains()/used_bytes(). The assertions here are
   // weak sanity checks; the real verdict comes from running this test
   // under TSan (ci.yml tsan job), which sees the annotated Mutex edges.
   const Trace trace = generate_trace(small_spec(17));
@@ -291,18 +353,17 @@ TEST(ShardedCacheStress, ConcurrentBatchesAndSnapshotsAreRaceFree) {
   opts.workers = 8;
   opts.batch_size = 64;
   const LoadGen gen(trace, opts);
-  ShardedCacheConfig cc;
-  cc.capacity_bytes = 1ULL << 20;
-  cc.shards = 4;  // fewer shards than workers -> real lock contention
-  ShardedCache cache(cc);
+  // Fewer shards than workers -> real lock contention.
+  Topology cache = service("SCIP", 1ULL << 20, 4);
   ThreadPool pool(opts.workers + 1);
 
   std::atomic<bool> stop{false};
   auto poller = pool.submit([&] {
     std::uint64_t polls = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const NodeStats t = cache.totals();
+      const NodeStats t = cache.tier_stats(0);
       EXPECT_LE(t.used_bytes, t.capacity_bytes);
+      EXPECT_LE(cache.used_bytes(), cache.capacity());
       (void)cache.contains(trace[polls % trace.size()].id);
       ++polls;
     }
@@ -312,7 +373,7 @@ TEST(ShardedCacheStress, ConcurrentBatchesAndSnapshotsAreRaceFree) {
   stop.store(true, std::memory_order_release);
   EXPECT_GT(poller.get(), 0u);
   EXPECT_EQ(res.requests, trace.size());
-  EXPECT_EQ(cache.totals().requests, trace.size());
+  EXPECT_EQ(cache.tier_stats(0).requests, trace.size());
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // TDC chain contracts (cluster/topology.hpp): the OC -> DC -> origin chain
 // of Fig. 6 as a two-tier `Topology` spec, replayed on one thread in trace
-// order.
+// order, and served by concurrent threads.
 //
 // Covers the latency model, spec validation and placement, windowed replay
 // (windows are relative to the earliest request and never outnumber the
 // requests), request conservation across tiers, latency per hit layer, BTO
-// versus capacity, SCIP at the cache layer, bitwise rerun determinism and
-// literal counter pins. Cache trees and the analytical cross-check live in
+// versus capacity, SCIP at the cache layer, bitwise rerun determinism,
+// literal counter pins and flow conservation under concurrent access.
+// Cache trees and the analytical cross-check live in
 // test_cache_network.cpp.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/latency_model.hpp"
@@ -92,6 +94,11 @@ TEST(Topology, RejectsBadSpecs) {
   EXPECT_THROW(Topology(std::vector<Tier>{}), std::invalid_argument);
   EXPECT_THROW(Topology(tdc_chain(lru_nodes(0, 100), lru_nodes(1, 100))),
                std::invalid_argument);
+  // A striped service of zero nodes is an empty tier.
+  const auto lru = [](std::uint64_t cap, std::size_t) -> CachePtr {
+    return std::make_unique<LruCache>(cap);
+  };
+  EXPECT_THROW(Topology(striped(100, 0, lru)), std::invalid_argument);
   std::vector<CachePtr> with_null;
   with_null.push_back(nullptr);
   EXPECT_THROW(Topology(tdc_chain(std::move(with_null), lru_nodes(1, 100))),
@@ -298,17 +305,56 @@ TEST(Replay, TwoOcScipChainIsBitwiseRerunDeterministic) {
       {30610, 11002, 1337794561, 495761618, 0, 0},
       {39615, 50, 1609261974, 1580051, 39565, 1607681923},
   };
-  const FlowStats* nodes[] = {&a.stats(0, 0), &a.stats(0, 1), &a.stats(1, 0)};
+  const FlowStats nodes[] = {a.stats(0, 0), a.stats(0, 1), a.stats(1, 0)};
   for (std::size_t i = 0; i < 3; ++i) {
     SCOPED_TRACE("node " + std::to_string(i));
-    EXPECT_EQ(nodes[i]->requests, kPins[i][0]);
-    EXPECT_EQ(nodes[i]->hits, kPins[i][1]);
-    EXPECT_EQ(nodes[i]->bytes_total, kPins[i][2]);
-    EXPECT_EQ(nodes[i]->bytes_hit, kPins[i][3]);
-    EXPECT_EQ(nodes[i]->origin_fetches, kPins[i][4]);
-    EXPECT_EQ(nodes[i]->origin_bytes, kPins[i][5]);
+    EXPECT_EQ(nodes[i].requests, kPins[i][0]);
+    EXPECT_EQ(nodes[i].hits, kPins[i][1]);
+    EXPECT_EQ(nodes[i].bytes_total, kPins[i][2]);
+    EXPECT_EQ(nodes[i].bytes_hit, kPins[i][3]);
+    EXPECT_EQ(nodes[i].origin_fetches, kPins[i][4]);
+    EXPECT_EQ(nodes[i].origin_bytes, kPins[i][5]);
   }
   EXPECT_EQ(ra.total.latency_ms_sum, 4282010.6655000011);
+}
+
+TEST(Topology, ConcurrentAccessConservesFlowPerTier) {
+  // Four threads drive access() on the two-OC/one-DC chain, thread w the
+  // requests i with i % 4 == w. Interleaving changes which requests hit,
+  // never the flow: the edge sees every request, the DC exactly the edge's
+  // misses, and the origin exactly the root's misses — the requests
+  // access() reported as misses. The tsan job runs this test.
+  const Trace t = generate_trace(cdn_w_like(0.02));
+  Topology chain = fig6_chain(true, 2, 9ULL << 20, 4ULL << 20);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::uint64_t> misses(kThreads, 0);
+  std::vector<std::uint64_t> miss_bytes(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t i = w; i < t.size(); i += kThreads) {
+        if (!chain.access(t.requests[i])) {
+          ++misses[w];
+          miss_bytes[w] += t.requests[i].size;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::uint64_t origin_fetches = 0, origin_bytes = 0;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    origin_fetches += misses[w];
+    origin_bytes += miss_bytes[w];
+  }
+  const NodeStats edge = chain.tier_stats(0);
+  const NodeStats dc = chain.tier_stats(1);
+  EXPECT_EQ(edge.requests, t.size());
+  EXPECT_EQ(dc.requests, edge.misses());
+  EXPECT_EQ(dc.origin_fetches, dc.misses());
+  EXPECT_EQ(dc.origin_fetches, origin_fetches);
+  EXPECT_EQ(dc.origin_bytes, origin_bytes);
+  EXPECT_EQ(edge.origin_fetches, 0u);
+  EXPECT_LE(chain.used_bytes(), chain.capacity());
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST_F(TraceIoCorruptTest, OversizedCountFailsWithoutAllocating) {
   // is validated against the actual file size first.
   write_raw(binary_with_count(1ULL << 60, /*payload_records=*/2));
   try {
-    read_binary(path_);
+    (void)read_binary(path_);
     FAIL() << "oversized count accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("truncated header"),

@@ -106,7 +106,7 @@ struct CallSite {
 
 struct Function {
   std::string name;        ///< unqualified ("access_batch", "operator[]")
-  std::string qual_class;  ///< enclosing or declarator class ("ShardedCache")
+  std::string qual_class;  ///< enclosing or declarator class ("Topology")
   int head_line = 0;       ///< line the signature's `{` closes on
   int end_line = 0;        ///< line of the closing `}`
   bool hot = false;        ///< CDN_HOT in the signature
@@ -127,7 +127,7 @@ struct MethodDecl {
 
 struct Class {
   std::string name;  ///< unqualified ("Shard")
-  std::string qual;  ///< nesting-qualified ("ShardedCache::Shard")
+  std::string qual;  ///< nesting-qualified ("Topology::NodeTier")
   int begin_line = 0;
   int end_line = 0;
   std::vector<Member> members;
