@@ -17,9 +17,13 @@ namespace cdn {
 ///     "DAAIP", "ASC-IP", "SCI", "SCIP"
 ///   Replacement algorithms:
 ///     "LRU-2" (LRU-K, K=2), "S4LRU", "SS-LRU", "GDSF", "LHD", "LeCaR",
-///     "CACHEUS", "LRB", "GL-Cache", "Belady", "RANDOM"
-///   SCIP/ASC-IP integrations (Fig. 12):
-///     "LRU-2-SCIP", "LRU-2-ASC-IP", "LRB-SCIP", "LRB-ASC-IP"
+///     "CACHEUS", "LRB", "GL-Cache", "Belady", "ARC", "LIRS", "RANDOM"
+///   Admission policies:
+///     "2Q", "TinyLFU", "AdaptSize", "SB-LRU"
+///   Online policy orchestration:
+///     "Orchestrator"
+///   SCIP/ASC-IP integrations (Fig. 12, and S4LRU's multi-chain stack):
+///     "LRU-2-SCIP", "LRU-2-ASC-IP", "LRB-SCIP", "LRB-ASC-IP", "S4LRU-SCIP"
 /// Throws std::invalid_argument for unknown names.
 /// `seed` perturbs every stochastic component deterministically.
 [[nodiscard]] CachePtr make_cache(const std::string& name,

@@ -1,6 +1,7 @@
-// Golden-master end-to-end tests: four policies (SCIP, LRU, SCI, LIP) run
-// over one small fixed-seed synthetic trace, with EXACT hit/miss/byte
-// counters pinned — not ratios. Any behavioral drift anywhere in the
+// Golden-master end-to-end tests: the SCIP variants (SCIP, SCI, and SCIP
+// hosted by S4LRU and LRU-2), their hosts and baselines (LRU, LIP, S4LRU,
+// DGIPPR, LRU-2-ASC-IP) and the orchestrator run over small fixed-seed
+// synthetic traces, with EXACT hit/miss/byte counters pinned — not ratios. Any behavioral drift anywhere in the
 // engine (generator, RNG, queue, advisor, simulator accounting) fails
 // these loudly, which is the point: an intentional behavior change must
 // re-pin the numbers in the same commit that explains why.
@@ -62,6 +63,13 @@ constexpr Golden kGolden[] = {
     {"LRU", 13'826u, 138'854'928u, 11'493u, 117'571'931u},
     {"SCI", 13'731u, 138'048'342u, 11'414u, 116'852'560u},
     {"LIP", 10'570u, 110'151'082u, 9'088u, 96'472'935u},
+    {"S4LRU", 13'836u, 139'649'300u, 11'848u, 121'268'020u},
+    {"S4LRU-SCIP", 13'763u, 139'363'175u, 11'793u, 121'105'927u},
+    {"DGIPPR", 13'859u, 139'698'296u, 11'871u, 121'317'016u},
+    {"LRU-2-SCIP", 14'943u, 146'909'181u, 12'547u, 124'625'677u},
+    {"LRU-2-ASC-IP", 16'531u, 118'316'675u, 14'125u, 101'644'957u},
+    // LRB-SCIP and LRB-ASC-IP are not pinned: at 40k requests LRB has not
+    // trained yet, so their counters equal LRU's and would pin nothing new.
 };
 
 SimOptions golden_options() {
@@ -152,6 +160,13 @@ constexpr StressedGolden kStressedGolden[] = {
     {"flash", "LRU", 7'448u, 307'726'431u, 5'902u, 210'507'697u},
     {"drift", "SCIP", 3'119u, 102'627'051u, 2'624u, 86'138'152u},
     {"drift", "LRU", 3'152u, 103'233'633u, 2'645u, 86'535'091u},
+    {"drift", "S4LRU", 3'336u, 105'014'745u, 2'870u, 89'620'027u},
+    {"drift", "S4LRU-SCIP", 3'254u, 103'848'991u, 2'793u, 88'557'767u},
+    {"drift", "DGIPPR", 3'340u, 104'705'106u, 2'874u, 89'310'388u},
+    {"drift", "Orchestrator", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
+    {"flash", "S4LRU", 8'219u, 323'627'634u, 6'685u, 228'960'551u},
+    {"flash", "S4LRU-SCIP", 8'129u, 318'606'738u, 6'616u, 224'692'895u},
+    {"flash", "DGIPPR", 8'230u, 323'990'269u, 6'696u, 229'323'186u},
 };
 
 TEST(GoldenMaster, StressedTracesArePinned) {
@@ -193,8 +208,13 @@ TEST_P(StressedGoldenPolicy, ReRunIsBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(Scenarios, StressedGoldenPolicy,
                          ::testing::ValuesIn(kStressedGolden),
                          [](const auto& info) {
-                           return std::string(info.param.scenario) + "_" +
-                                  info.param.policy;
+                           std::string name =
+                               std::string(info.param.scenario) + "_" +
+                               info.param.policy;
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
                          });
 
 }  // namespace

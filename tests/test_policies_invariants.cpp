@@ -2,6 +2,8 @@
 // basic cache contract on a realistic workload —
 //   * never exceed its byte capacity,
 //   * report contains() consistently with admissions,
+//   * enumerate (for_each_resident) exactly the ids contains() reports,
+//     whose sizes sum to used_bytes(),
 //   * be deterministic for a fixed seed,
 //   * produce hit counts bounded by requests,
 //   * behave identically through the hashed and the plain entry points,
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "cluster/topology.hpp"
 #include "core/registry.hpp"
@@ -162,6 +165,37 @@ TEST_P(PolicyInvariants, RepeatedSmallObjectEventuallyHits) {
     if (cache->access(r)) ++hits;
   }
   EXPECT_GT(hits, 150);
+}
+
+TEST_P(PolicyInvariants, ResidentsMatchContainsAndUsedBytes) {
+  // A policy that cannot enumerate returns false and is exempt; every other
+  // one lists each resident exactly once.
+  const Trace& t = shared_trace();
+  auto cache = make_cache(GetParam(), 32ULL << 20);
+  for (const auto& r : t.requests) cache->access(r);
+  std::vector<std::uint64_t> residents;
+  std::uint64_t bytes = 0;
+  const bool enumerated =
+      cache->for_each_resident([&](std::uint64_t id, std::uint64_t size) {
+        residents.push_back(id);
+        bytes += size;
+        return true;
+      });
+  if (!enumerated) return;
+  for (const std::uint64_t id : residents) {
+    EXPECT_TRUE(cache->contains(id)) << "enumerated id " << id;
+  }
+  std::sort(residents.begin(), residents.end());
+  EXPECT_EQ(std::adjacent_find(residents.begin(), residents.end()),
+            residents.end())
+      << "an id was enumerated twice";
+  for (const auto& r : t.requests) {
+    if (cache->contains(r.id)) {
+      EXPECT_TRUE(std::binary_search(residents.begin(), residents.end(), r.id))
+          << "resident id " << r.id << " not enumerated";
+    }
+  }
+  EXPECT_EQ(bytes, cache->used_bytes());
 }
 
 TEST_P(PolicyInvariants, MetadataReportedNonZeroAfterLoad) {

@@ -47,9 +47,9 @@ TEST(Registry, ReplacementGroupMatchesPaperRoster) {
 }
 
 TEST(Registry, NamesPropagateToInstances) {
-  EXPECT_EQ(make_cache("SCIP", 1 << 20)->name(), "SCIP");
-  EXPECT_EQ(make_cache("GL-Cache", 1 << 20)->name(), "GL-Cache");
-  EXPECT_EQ(make_cache("LRU-2", 1 << 20)->name(), "LRU-2");
+  for (const auto& name : all_policy_names()) {
+    EXPECT_EQ(make_cache(name, 1 << 20)->name(), name);
+  }
 }
 
 }  // namespace
