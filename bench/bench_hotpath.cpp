@@ -1,9 +1,9 @@
 // Hot-path index microbenchmark: cdn::FlatMap vs std::unordered_map.
 //
 // Every simulated request funnels through the id -> slot indexes of
-// LruQueue / GhostList (and SCIP-S4LRU's id -> level map), so the map's
-// find/insert/erase/touch cost is the simulator's per-request floor. This
-// bench measures exactly that mix two ways:
+// LruQueue / GhostList (and the segmented stack's id -> level map), so the
+// map's find/insert/erase/touch cost is the simulator's per-request floor.
+// This bench measures exactly that mix two ways:
 //
 //   microbench   a pre-generated op stream (find-hit, find-miss, touch,
 //                erase+insert churn) at simulator-realistic occupancy runs

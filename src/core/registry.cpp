@@ -5,11 +5,10 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/ascip_cache.hpp"
 #include "core/factories.hpp"
-#include "core/lrb_scip.hpp"
-#include "core/lru_k_scip.hpp"
 #include "core/orchestrator.hpp"
-#include "core/scip_s4lru.hpp"
+#include "core/scip_engine.hpp"
 #include "policies/admission/adaptsize.hpp"
 #include "policies/admission/size_bucket.hpp"
 #include "policies/admission/tinylfu.hpp"
@@ -43,6 +42,13 @@ namespace {
 
 using Factory =
     std::function<CachePtr(std::uint64_t cap, std::uint64_t seed)>;
+
+std::shared_ptr<InsertionAdvisor> scip_advisor(std::uint64_t capacity,
+                                               std::uint64_t seed) {
+  ScipParams p;
+  p.seed = seed;
+  return std::make_shared<ScipAdvisor>(capacity, p);
+}
 
 const std::unordered_map<std::string, Factory>& factories() {
   static const auto* map = new std::unordered_map<std::string, Factory>{
@@ -173,23 +179,32 @@ const std::unordered_map<std::string, Factory>& factories() {
          p.seed = s ^ 0x0c1;
          return std::make_unique<OrchestratorCache>(c, p);
        }},
-      // --- Multi-chain SCIP (the paper's future-work direction).
+      // --- SCIP/ASC-IP hosted by other victim structures: S4LRU's
+      // multi-chain stack (the paper's future-work direction) and the
+      // Fig. 12 integrations.
       {"S4LRU-SCIP",
-       [](std::uint64_t c, std::uint64_t s) { return make_s4lru_scip(c, s); }},
-      // --- Fig. 12 integrations.
+       [](std::uint64_t c, std::uint64_t s) {
+         return std::make_unique<S4LruCache>(c, scip_advisor(c, s ^ 0x545c));
+       }},
       {"LRU-2-SCIP",
        [](std::uint64_t c, std::uint64_t s) {
-         return make_lru_k_scip(c, 2, s);
+         return std::make_unique<LruKCache>(c, 2,
+                                            scip_advisor(c, s ^ 0x5c19));
        }},
       {"LRU-2-ASC-IP",
-       [](std::uint64_t c, std::uint64_t) { return make_lru_k_ascip(c, 2); }},
+       [](std::uint64_t c, std::uint64_t) {
+         return std::make_unique<LruKCache>(
+             c, 2, std::make_shared<AscIpAdvisor>(c));
+       }},
       {"LRB-SCIP",
        [](std::uint64_t c, std::uint64_t s) {
-         return make_lrb_scip(c, LrbParams{}, s);
+         return std::make_unique<LrbCache>(c, LrbParams{},
+                                           scip_advisor(c, s ^ 0x11b5));
        }},
       {"LRB-ASC-IP",
        [](std::uint64_t c, std::uint64_t) {
-         return make_lrb_ascip(c, LrbParams{});
+         return std::make_unique<LrbCache>(c, LrbParams{},
+                                           std::make_shared<AscIpAdvisor>(c));
        }},
   };
   return *map;

@@ -5,46 +5,11 @@
 namespace cdn {
 
 DgipprCache::DgipprCache(std::uint64_t capacity_bytes, std::uint64_t seed)
-    : Cache(capacity_bytes), rng_(seed) {
-  for (auto& c : seg_cap_) c = capacity_bytes / kLevels;
-  seg_cap_[0] += capacity_bytes - (capacity_bytes / kLevels) * kLevels;
+    : SegmentedCache(capacity_bytes), rng_(seed) {
   population_.resize(kPopulation);
   for (auto& g : population_) {
     g.insert_level = static_cast<int>(rng_.below(kLevels));
     g.promote_step = static_cast<int>(rng_.below(kLevels));
-  }
-}
-
-std::uint64_t DgipprCache::used_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& s : seg_) total += s.used_bytes();
-  return total;
-}
-
-void DgipprCache::rebalance() {
-  for (int i = kLevels - 1; i >= 1; --i) {
-    auto& s = seg_[static_cast<std::size_t>(i)];
-    while (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-           s.count() > 1) {
-      LruQueue::Node n = s.pop_lru();
-      LruQueue::Node& moved =
-          seg_[static_cast<std::size_t>(i - 1)].insert_mru(n.id, n.size);
-      moved.hits = n.hits;
-      moved.insert_tick = n.insert_tick;
-      moved.last_tick = n.last_tick;
-      level_[n.id] = static_cast<std::uint8_t>(i - 1);
-    }
-  }
-  while (seg_[0].used_bytes() > seg_cap_[0] && !seg_[0].empty()) {
-    level_.erase(seg_[0].pop_lru().id);
-  }
-  while (used_bytes() > capacity_) {
-    for (auto& s : seg_) {
-      if (!s.empty()) {
-        level_.erase(s.pop_lru().id);
-        break;
-      }
-    }
   }
 }
 
@@ -90,33 +55,20 @@ void DgipprCache::evolve() {
   for (auto& g : population_) g.scored = false;
 }
 
-bool DgipprCache::access(const Request& req) {
+bool DgipprCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
   ++epoch_requests_;
   const Genome& g = population_[current_];
 
-  auto it = level_.find(req.id);
   bool hit = false;
-  if (it != level_.end()) {
+  if (std::uint8_t* lv = level_.find_hashed(req.id, h)) {
     hit = true;
     ++epoch_hits_;
-    const int cur = it->second;
-    const int dst = std::min(cur + g.promote_step, kLevels - 1);
-    LruQueue::Node moved{};
-    seg_[static_cast<std::size_t>(cur)].erase(req.id, &moved);
-    LruQueue::Node& n =
-        seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
-    n.hits = moved.hits + 1;
-    n.insert_tick = moved.insert_tick;
-    n.last_tick = tick_;
-    it->second = static_cast<std::uint8_t>(dst);
+    move_hashed(*seg_[*lv].find_hashed(req.id, h), h, lv,
+                std::min(*lv + g.promote_step, kLevels - 1), true);
     rebalance();
   } else if (fits(req.size)) {
-    LruQueue::Node& n =
-        seg_[static_cast<std::size_t>(g.insert_level)].insert_mru(req.id,
-                                                                  req.size);
-    n.insert_tick = n.last_tick = tick_;
-    level_[req.id] = static_cast<std::uint8_t>(g.insert_level);
+    insert_hashed(req.id, req.size, h, g.insert_level, true);
     rebalance();
   }
 
@@ -125,10 +77,8 @@ bool DgipprCache::access(const Request& req) {
 }
 
 std::uint64_t DgipprCache::metadata_bytes() const {
-  std::uint64_t total = level_.size() * 48 +
-                        population_.size() * sizeof(Genome);
-  for (const auto& s : seg_) total += s.metadata_bytes();
-  return total;
+  return SegmentedCache::metadata_bytes() +
+         population_.size() * sizeof(Genome);
 }
 
 }  // namespace cdn

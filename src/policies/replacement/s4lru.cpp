@@ -4,85 +4,50 @@
 
 namespace cdn {
 
-S4LruCache::S4LruCache(std::uint64_t capacity_bytes)
-    : Cache(capacity_bytes) {
-  for (int i = 0; i < kLevels; ++i) {
-    seg_cap_[static_cast<std::size_t>(i)] = capacity_bytes / kLevels;
-  }
-  // Give the rounding remainder to the bottom segment.
-  seg_cap_[0] += capacity_bytes - (capacity_bytes / kLevels) * kLevels;
+S4LruCache::S4LruCache(std::uint64_t capacity_bytes,
+                       std::shared_ptr<InsertionAdvisor> advisor)
+    : SegmentedCache(capacity_bytes), advisor_(std::move(advisor)) {}
+
+std::string S4LruCache::name() const {
+  return advisor_ ? std::string("S4LRU-") + advisor_->tag() : "S4LRU";
 }
 
-std::uint64_t S4LruCache::used_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& s : seg_) total += s.used_bytes();
-  return total;
-}
-
-void S4LruCache::rebalance() {
-  // Demote overflow downward. A single object bigger than its segment is
-  // tolerated in place (count > 1 guard) — the global loop below still
-  // enforces the total capacity.
-  for (int i = kLevels - 1; i >= 1; --i) {
-    auto& s = seg_[static_cast<std::size_t>(i)];
-    while (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-           s.count() > 1) {
-      LruQueue::Node n = s.pop_lru();
-      auto& lower = seg_[static_cast<std::size_t>(i - 1)];
-      LruQueue::Node& moved = lower.insert_mru(n.id, n.size);
-      moved.insert_tick = n.insert_tick;
-      moved.last_tick = n.last_tick;
-      moved.hits = n.hits;
-      level_[n.id] = static_cast<std::uint8_t>(i - 1);
-    }
-  }
-  auto& bottom = seg_[0];
-  while (bottom.used_bytes() > seg_cap_[0] && !bottom.empty()) {
-    LruQueue::Node n = bottom.pop_lru();
-    level_.erase(n.id);
-  }
-  // Global capacity enforcement: evict upward from the lowest segment.
-  while (used_bytes() > capacity_) {
-    for (int i = 0; i < kLevels; ++i) {
-      auto& s = seg_[static_cast<std::size_t>(i)];
-      if (!s.empty()) {
-        LruQueue::Node n = s.pop_lru();
-        level_.erase(n.id);
-        break;
-      }
-    }
-  }
-}
-
-bool S4LruCache::access(const Request& req) {
+bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
-  auto it = level_.find(req.id);
-  if (it != level_.end()) {
-    const int cur = it->second;
-    const int dst = std::min(cur + 1, kLevels - 1);
-    LruQueue::Node moved{};
-    seg_[static_cast<std::size_t>(cur)].erase(req.id, &moved);
-    LruQueue::Node& n =
-        seg_[static_cast<std::size_t>(dst)].insert_mru(req.id, moved.size);
-    n.insert_tick = moved.insert_tick;
-    n.last_tick = tick_;
-    n.hits = moved.hits + 1;
-    it->second = static_cast<std::uint8_t>(dst);
+  // The level slot stays valid until move_hashed() writes through it:
+  // nothing before that inserts into or erases from level_.
+  if (std::uint8_t* lv = level_.find_hashed(req.id, h)) {
+    LruQueue::Node& n = *seg_[*lv].find_hashed(req.id, h);
+    const bool mru =
+        !advisor_ || advisor_->choose_mru_for_hit(req, n.hits + 1);
+    move_hashed(n, h, lv, mru ? std::min(*lv + 1, kLevels - 1) : 0, mru);
     rebalance();
+    if (advisor_) advisor_->on_request_hashed(req, true, h);
     return true;
   }
-  if (!fits(req.size)) return false;
-  LruQueue::Node& n = seg_[0].insert_mru(req.id, req.size);
-  n.insert_tick = n.last_tick = tick_;
-  level_[req.id] = 0;
+  if (advisor_) advisor_->on_miss_hashed(req, h);
+  if (!fits(req.size)) {
+    if (advisor_) advisor_->on_request_hashed(req, false, h);
+    return false;
+  }
+  const bool mru = !advisor_ || advisor_->choose_mru_for_miss(req);
+  insert_hashed(req.id, req.size, h, 0, mru);
   rebalance();
+  if (advisor_) advisor_->on_request_hashed(req, false, h);
   return false;
 }
 
+void S4LruCache::on_evict_hashed(const LruQueue::Node& victim,
+                                 std::uint64_t h) {
+  if (advisor_) {
+    advisor_->on_evict_hashed(victim.id, victim.size, victim.insert_pos == 1,
+                              victim.hits > 0, h);
+  }
+}
+
 std::uint64_t S4LruCache::metadata_bytes() const {
-  std::uint64_t total = level_.size() * 48;
-  for (const auto& s : seg_) total += s.metadata_bytes();
-  return total;
+  return SegmentedCache::metadata_bytes() +
+         (advisor_ ? advisor_->metadata_bytes() : 0);
 }
 
 void S4LruCache::sample_metrics(obs::MetricRegistry& reg) {
@@ -92,33 +57,6 @@ void S4LruCache::sample_metrics(obs::MetricRegistry& reg) {
     reg.series(prefix + "_bytes").push(static_cast<double>(s.used_bytes()));
     reg.series(prefix + "_objects").push(static_cast<double>(s.count()));
   }
-}
-
-bool S4LruCache::for_each_resident(
-    const std::function<bool(std::uint64_t, std::uint64_t)>& fn) const {
-  bool keep_going = true;
-  for (int i = 0; i < kLevels && keep_going; ++i) {
-    seg_[static_cast<std::size_t>(i)].for_each_from_lru(
-        [&](const LruQueue::Node& n) {
-          keep_going = fn(n.id, n.size);
-          return keep_going;
-        });
-  }
-  return true;
-}
-
-bool S4LruCache::check_invariants() const {
-  std::uint64_t n = 0;
-  for (int i = 0; i < kLevels; ++i) {
-    const auto& s = seg_[static_cast<std::size_t>(i)];
-    n += s.count();
-    if (s.used_bytes() > seg_cap_[static_cast<std::size_t>(i)] &&
-        s.count() > 1) {
-      return false;  // one oversized object alone may exceed a segment
-    }
-  }
-  if (used_bytes() > capacity_) return false;
-  return n == level_.size();
 }
 
 }  // namespace cdn

@@ -328,7 +328,8 @@ TEST(FlatMap, DeterministicLayoutAcrossInstances) {
 }
 
 TEST(FlatMap, NarrowValueType) {
-  // scip_s4lru keys level bytes as uint8_t; exercise a non-u32 value type.
+  // The segmented stack keys level bytes as uint8_t; exercise a non-u32
+  // value type.
   FlatMap<std::uint64_t, std::uint8_t> m;
   for (std::uint64_t k = 0; k < 300; ++k) {
     m.insert(k, static_cast<std::uint8_t>(k & 3));

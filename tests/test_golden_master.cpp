@@ -1,13 +1,14 @@
 // Golden-master end-to-end tests: the SCIP variants (SCIP, SCI, and SCIP
 // hosted by S4LRU and LRU-2), their hosts and baselines (LRU, LIP, S4LRU,
 // DGIPPR, LRU-2-ASC-IP) and the orchestrator run over small fixed-seed
-// synthetic traces, with EXACT hit/miss/byte counters pinned — not ratios. Any behavioral drift anywhere in the
-// engine (generator, RNG, queue, advisor, simulator accounting) fails
-// these loudly, which is the point: an intentional behavior change must
-// re-pin the numbers in the same commit that explains why.
+// synthetic traces, with EXACT hit/miss/byte counters pinned — not ratios.
+// Any behavioral drift anywhere in the engine (generator, RNG, queue,
+// advisor, simulator accounting) fails these loudly, which is the point:
+// an intentional behavior change must re-pin the numbers in the same
+// commit that explains why.
 //
-// The pinned values were produced by the code at the time this suite was
-// introduced; everything below is deterministic (fixed seeds, no threads,
+// The pinned values were produced by the code at the time each row was
+// added; everything below is deterministic (fixed seeds, no threads,
 // no wall-clock dependence).
 #include <gtest/gtest.h>
 

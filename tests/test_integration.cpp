@@ -3,9 +3,10 @@
 // full sweep pipeline.
 #include <gtest/gtest.h>
 
-#include "core/lrb_scip.hpp"
-#include "core/lru_k_scip.hpp"
+#include "core/ascip_cache.hpp"
 #include "core/registry.hpp"
+#include "core/scip_engine.hpp"
+#include "policies/replacement/lrb.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "trace/generator.hpp"
@@ -15,7 +16,7 @@ namespace cdn {
 namespace {
 
 TEST(Integration, LruKScipNamesAndRuns) {
-  auto cache = make_lru_k_scip(8ULL << 20, 2, 1);
+  auto cache = make_cache("LRU-2-SCIP", 8ULL << 20, 1);
   EXPECT_EQ(cache->name(), "LRU-2-SCIP");
   const Trace t = generate_trace(cdn_t_like(0.02));
   const auto res = simulate(*cache, t);
@@ -24,7 +25,7 @@ TEST(Integration, LruKScipNamesAndRuns) {
 }
 
 TEST(Integration, LruKAscipNamesAndRuns) {
-  auto cache = make_lru_k_ascip(8ULL << 20, 2);
+  auto cache = make_cache("LRU-2-ASC-IP", 8ULL << 20);
   EXPECT_EQ(cache->name(), "LRU-2-ASC-IP");
   const Trace t = generate_trace(cdn_a_like(0.02));
   const auto res = simulate(*cache, t);
@@ -35,7 +36,10 @@ TEST(Integration, LrbScipNamesAndRuns) {
   LrbParams p;
   p.memory_window = 1 << 14;
   p.train_batch = 2048;
-  auto cache = make_lrb_scip(8ULL << 20, p, 1);
+  ScipParams sp;
+  sp.seed = 1 ^ 0x11b5;  // the registry's LRB-SCIP advisor seed
+  auto cache = std::make_unique<LrbCache>(
+      8ULL << 20, p, std::make_shared<ScipAdvisor>(8ULL << 20, sp));
   EXPECT_EQ(cache->name(), "LRB-SCIP");
   const Trace t = generate_trace(cdn_w_like(0.02));
   (void)simulate(*cache, t);
@@ -45,7 +49,8 @@ TEST(Integration, LrbScipNamesAndRuns) {
 TEST(Integration, LrbAscipRuns) {
   LrbParams p;
   p.memory_window = 1 << 14;
-  auto cache = make_lrb_ascip(8ULL << 20, p);
+  auto cache = std::make_unique<LrbCache>(
+      8ULL << 20, p, std::make_shared<AscIpAdvisor>(8ULL << 20));
   EXPECT_EQ(cache->name(), "LRB-ASC-IP");
   const Trace t = generate_trace(cdn_w_like(0.01));
   (void)simulate(*cache, t);

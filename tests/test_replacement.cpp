@@ -2,6 +2,8 @@
 // Belady-optimality property test.
 #include <gtest/gtest.h>
 
+#include "core/scip_engine.hpp"
+#include "policies/insertion/dgippr.hpp"
 #include "policies/replacement/belady.hpp"
 #include "policies/replacement/cacheus.hpp"
 #include "policies/replacement/gdsf.hpp"
@@ -68,6 +70,47 @@ TEST(S4Lru, InvariantsUnderWorkload) {
   const Trace t = generate_trace(cdn_t_like(0.01));
   for (const auto& r : t.requests) c.access(r);
   EXPECT_TRUE(c.check_invariants());
+}
+
+// Bytes the segmented stack charges for `n` residents, re-derived from the
+// structures it holds: the segments' own LruQueue accounting (linear in the
+// entry count) plus three inline slots of the id -> level index per entry.
+std::uint64_t segmented_stack_bytes(std::size_t n) {
+  LruQueue q;
+  for (std::size_t i = 0; i < n; ++i) q.insert_mru(i, 1);
+  return q.metadata_bytes() +
+         n * 3 * FlatMap<std::uint64_t, std::uint8_t>::kSlotBytes;
+}
+
+std::size_t resident_count(const Cache& c) {
+  std::size_t n = 0;
+  EXPECT_TRUE(c.for_each_resident([&n](std::uint64_t, std::uint64_t) {
+    ++n;
+    return true;
+  }));
+  return n;
+}
+
+TEST(S4Lru, MetadataDerivesFromTheStackAndItsExtras) {
+  const Trace t = generate_trace(cdn_t_like(0.01));
+  auto adv = std::make_shared<ScipAdvisor>(1 << 20);
+  S4LruCache plain(1 << 20);
+  S4LruCache advised(1 << 20, adv);
+  DgipprCache dgippr(1 << 20, 7);
+  for (const auto& r : t.requests) {
+    plain.access(r);
+    advised.access(r);
+    dgippr.access(r);
+  }
+  const std::size_t n = resident_count(plain);
+  ASSERT_GT(n, 0u);
+  EXPECT_EQ(plain.metadata_bytes(), segmented_stack_bytes(n));
+  EXPECT_EQ(advised.metadata_bytes(),
+            segmented_stack_bytes(resident_count(advised)) +
+                adv->metadata_bytes());
+  EXPECT_EQ(dgippr.metadata_bytes(),
+            segmented_stack_bytes(resident_count(dgippr)) +
+                DgipprCache::kPopulation * sizeof(DgipprCache::Genome));
 }
 
 TEST(Gdsf, PrefersSmallOverLargeAtEqualFrequency) {
