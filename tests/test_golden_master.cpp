@@ -12,6 +12,7 @@
 // no wall-clock dependence).
 #include <gtest/gtest.h>
 
+#include "core/orchestrator.hpp"
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
@@ -69,6 +70,7 @@ constexpr Golden kGolden[] = {
     {"DGIPPR", 13'859u, 139'698'296u, 11'871u, 121'317'016u},
     {"LRU-2-SCIP", 14'943u, 146'909'181u, 12'547u, 124'625'677u},
     {"LRU-2-ASC-IP", 16'531u, 118'316'675u, 14'125u, 101'644'957u},
+    {"TinyLFU", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
     // LRB-SCIP and LRB-ASC-IP are not pinned: at 40k requests LRB has not
     // trained yet, so their counters equal LRU's and would pin nothing new.
 };
@@ -164,7 +166,12 @@ constexpr StressedGolden kStressedGolden[] = {
     {"drift", "S4LRU", 3'336u, 105'014'745u, 2'870u, 89'620'027u},
     {"drift", "S4LRU-SCIP", 3'254u, 103'848'991u, 2'793u, 88'557'767u},
     {"drift", "DGIPPR", 3'340u, 104'705'106u, 2'874u, 89'310'388u},
+    // At 8 MiB the orchestrator never switches on these traces, so this row
+    // equals its initial expert's (TinyLFU, pinned next to it); the
+    // switching row is OrchestratorSwitchesOnDrift below.
     {"drift", "Orchestrator", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
+    {"drift", "TinyLFU", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
+    {"flash", "TinyLFU", 7'674u, 302'859'538u, 6'003u, 202'470'614u},
     {"flash", "S4LRU", 8'219u, 323'627'634u, 6'685u, 228'960'551u},
     {"flash", "S4LRU-SCIP", 8'129u, 318'606'738u, 6'616u, 224'692'895u},
     {"flash", "DGIPPR", 8'230u, 323'990'269u, 6'696u, 229'323'186u},
@@ -217,6 +224,24 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, StressedGoldenPolicy,
                            }
                            return name;
                          });
+
+// The orchestrator's shadows, window scoring, Hedge learner and warm
+// hand-off, pinned where they act: at 11.7 % of the drift trace's working
+// set it switches twice, so any drift in what the shadows see, in the
+// window losses or in the hand-off moves these counters.
+TEST(GoldenMaster, OrchestratorSwitchesOnDrift) {
+  constexpr std::uint64_t kSwitchingCapacity = 157'199'795u;
+  auto cache = make_cache("Orchestrator", kSwitchingCapacity);
+  const auto res =
+      simulate(*cache, stressed_trace("drift"), golden_options());
+  EXPECT_EQ(res.hits, 6'825u) << "object hits drifted";
+  EXPECT_EQ(res.bytes_hit, 270'639'242u) << "byte hits drifted";
+  EXPECT_EQ(res.warm_hits, 5'749u) << "warm object hits drifted";
+  EXPECT_EQ(res.warm_bytes_hit, 234'136'261u) << "warm byte hits drifted";
+  const auto& orch = dynamic_cast<const OrchestratorCache&>(*cache);
+  EXPECT_EQ(orch.switches(), 2u);
+  EXPECT_EQ(orch.scored_windows(), 29u);
+}
 
 }  // namespace
 }  // namespace cdn
