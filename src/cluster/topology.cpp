@@ -43,8 +43,10 @@ Topology::Topology(std::vector<Tier> tiers) : Cache(checked_capacity(tiers)) {
   tiers_.reserve(tiers.size());
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     Tier& spec = tiers[t];
-    name_ += (t ? ">" : "") + spec.nodes.front()->name() + "*" +
-             std::to_string(spec.nodes.size());
+    if (t != 0) name_ += '>';
+    name_ += spec.nodes.front()->name();
+    name_ += '*';
+    name_ += std::to_string(spec.nodes.size());
     NodeTier& tier = tiers_.emplace_back(
         NodeTier{spec.placement, spec.salt, {}});
     for (std::size_t n = 0; n < spec.nodes.size(); ++n) {

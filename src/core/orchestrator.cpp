@@ -27,19 +27,21 @@ OrchestratorCache::OrchestratorCache(std::uint64_t capacity_bytes,
           "OrchestratorCache: an orchestrator cannot be its own expert");
     }
   }
-  enabled_ = params_.experts.size() >= 2 &&
-             capacity_bytes >= params_.monitor_min_bytes &&
-             params_.window > 0;
+  const bool enabled = params_.experts.size() >= 2 &&
+                       capacity_bytes >= params_.monitor_min_bytes &&
+                       params_.window > 0;
   live_idx_ = params_.initial;
   live_ = make_cache(params_.experts[live_idx_], capacity_,
                      live_seed(live_idx_));
-  if (enabled_) {
-    shadows_.reserve(params_.experts.size());
+  if (enabled) {
+    std::vector<CachePtr> shadows;
+    shadows.reserve(params_.experts.size());
     for (std::size_t j = 0; j < params_.experts.size(); ++j) {
-      shadows_.push_back(
+      shadows.push_back(
           make_cache(params_.experts[j], capacity_, shadow_seed(j)));
     }
-    win_miss_bytes_.assign(params_.experts.size(), 0);
+    lanes_ = std::make_unique<ShadowLanes>(std::move(shadows));
+    win_start_miss_.assign(params_.experts.size(), 0);
     // The dwell clock guards against switch thrashing, not against leaving
     // the arbitrary initial expert: the first switch is hysteresis-gated
     // only, so a short trace can still escape a poor starting policy
@@ -62,15 +64,11 @@ bool OrchestratorCache::access(const Request& req) {
 }
 
 bool OrchestratorCache::access_hashed(const Request& req, std::uint64_t h) {
-  if (enabled_) {
+  if (lanes_) {
     // An object the cache cannot hold is not evidence for any expert.
     if (fits(req.size)) {
       win_bytes_ += req.size;
-      for (std::size_t j = 0; j < shadows_.size(); ++j) {
-        if (!shadows_[j]->access_hashed(req, h)) {
-          win_miss_bytes_[j] += req.size;
-        }
-      }
+      lanes_->push(req, h);
     }
     ++window_reqs_;
     if (window_reqs_ >= params_.window) close_window_if_scorable();
@@ -83,30 +81,30 @@ void OrchestratorCache::close_window_if_scorable() {
   // window keeps accumulating (see header). Checked once per request past
   // the window length, so a starved window delays scoring, never skews it.
   if (win_bytes_ == 0) return;
-  if (warmup_windows_left_ > 0) {
-    // Cold-start discard (see OrchestratorParams::score_warmup_windows):
-    // drop the counters without feeding the learner.
-    --warmup_windows_left_;
-    for (std::size_t j = 0; j < shadows_.size(); ++j) {
-      win_miss_bytes_[j] = 0;
-    }
-    win_bytes_ = 0;
-    window_reqs_ = 0;
-    return;
-  }
-  std::vector<double> losses(shadows_.size());
+  // Sync point (header): every lane has replayed the window, so each lane's
+  // miss-byte counter minus its value at the window's start is exactly the
+  // window's byte misses of that expert.
+  lanes_->sync();
+  std::vector<double> losses(lanes_->size());
   double min_loss = 1.0;
-  for (std::size_t j = 0; j < shadows_.size(); ++j) {
+  for (std::size_t j = 0; j < lanes_->size(); ++j) {
+    const std::uint64_t miss = lanes_->miss_bytes(j);
     // Plain byte miss ratio: every expert sees the same requests, so their
     // intrinsic difficulty is a common offset and Hedge's update is
     // invariant to it (header comment).
-    losses[j] = static_cast<double>(win_miss_bytes_[j]) /
+    losses[j] = static_cast<double>(miss - win_start_miss_[j]) /
                 static_cast<double>(win_bytes_);
     if (losses[j] < min_loss) min_loss = losses[j];
-    win_miss_bytes_[j] = 0;
+    win_start_miss_[j] = miss;
   }
   win_bytes_ = 0;
   window_reqs_ = 0;
+  if (warmup_windows_left_ > 0) {
+    // Cold-start discard (see OrchestratorParams::score_warmup_windows):
+    // drop the window without feeding the learner.
+    --warmup_windows_left_;
+    return;
+  }
   bandit_.update(losses);
   ++windows_;
   ++windows_since_switch_;
@@ -200,13 +198,14 @@ std::uint64_t OrchestratorCache::used_bytes() const {
 }
 
 std::uint64_t OrchestratorCache::metadata_bytes() const {
-  // The live policy's index plus every shadow expert's index, plus the
-  // per-expert window loss accumulators. A shadow stores no payload: its
-  // used_bytes() counts bytes it only pretends to hold, and its id/size
-  // index is already in its own metadata_bytes().
+  // The live policy's index plus, through the lanes (a sync point), every
+  // shadow expert's index and the ring, plus the per-expert window-start
+  // counters. A shadow stores no payload: its used_bytes() counts bytes it
+  // only pretends to hold, and its id/size index is already in its own
+  // metadata_bytes().
   std::uint64_t total = live_->metadata_bytes();
-  for (const CachePtr& s : shadows_) total += s->metadata_bytes();
-  total += win_miss_bytes_.capacity() * sizeof(std::uint64_t);
+  if (lanes_) total += lanes_->metadata_bytes();
+  total += win_start_miss_.capacity() * sizeof(std::uint64_t);
   return total;
 }
 
@@ -224,7 +223,7 @@ void OrchestratorCache::sample_metrics(obs::MetricRegistry& reg) {
   reg.series("orch.regret").push(regret_ewma_);
   reg.counter("orch.switches").raise_to(switches_);
   reg.counter("orch.scored_windows").raise_to(windows_);
-  reg.gauge("orch.enabled").set(enabled_ ? 1.0 : 0.0);
+  reg.gauge("orch.enabled").set(orchestration_enabled() ? 1.0 : 0.0);
 }
 
 }  // namespace cdn

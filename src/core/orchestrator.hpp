@@ -18,6 +18,26 @@
 // selection. Sharing one stream also makes the experts' losses directly
 // comparable.
 //
+// Each shadow replays on a LANE, a thread of its own (core/shadow_lanes.hpp):
+// the request thread appends every request that fits, with its hash, to a
+// fixed ring and goes on to the live cache, while k lanes replay the ring
+// concurrently. The request thread reads the shadows only at SYNC POINTS —
+// a window close that scores or discards a warm-up window, metadata_bytes()
+// and destruction — where it waits until every shadow has replayed every
+// pushed request; a window's loss is then the change of that shadow's
+// cumulative miss-byte counter since the previous window close, the same
+// integer an in-thread replay would have summed. Hedge, hysteresis,
+// switches and hand-off (which touches only the live cache) are therefore
+// bitwise what a single-threaded orchestrator computes. Nothing reads a
+// shadow between sync points, so the shadows could also be replayed a
+// buffered window at a time on the request thread; that was rejected
+// because the request that closes each window would then carry k x window
+// replays, a latency spike every `window` requests (about 244 per 250k
+// requests, i.e. at the p99.9 of a request-latency distribution). Lanes
+// cost threads: one per expert, started only when orchestration is enabled
+// and joined by the destructor. SimResult::cpu_seconds counts only the
+// calling thread, so it excludes the shadows' work.
+//
 // Every `window` requests each expert's *byte* miss ratio — the metric
 // CDNs bill by — forms a loss vector for a full-information DISCOUNTED
 // Hedge learner (ml/mab.hpp; Hedge is invariant to per-window offsets, so
@@ -59,13 +79,20 @@
 // zero-denominator rule pinned in SimResult's ratio accessors applies to
 // expert scoring too, and "no evidence" must not move the learner.
 // Below `monitor_min_bytes` of capacity the whole apparatus is
-// disabled and the orchestrator degrades to its initial expert.
+// disabled (no lane starts) and the orchestrator degrades to its initial
+// expert.
+//
+// Thread safety: like every Cache, one caller at a time. Callers on
+// several threads that serialize access() under a lock (a cluster node)
+// are fine: the lock orders their ring writes.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/shadow_lanes.hpp"
 #include "ml/mab.hpp"
 #include "obs/introspect.hpp"
 #include "sim/cache.hpp"
@@ -155,7 +182,7 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
       const override;
 
   [[nodiscard]] bool orchestration_enabled() const noexcept {
-    return enabled_;
+    return lanes_ != nullptr;
   }
   [[nodiscard]] std::size_t live_index() const noexcept { return live_idx_; }
   [[nodiscard]] const std::string& live_policy() const {
@@ -191,16 +218,18 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
   void switch_to(std::size_t idx);
 
   OrchestratorParams params_;
-  bool enabled_ = false;
   CachePtr live_;
   std::size_t live_idx_ = 0;
-  std::vector<CachePtr> shadows_;
+  /// The shadow experts, one lane each; null when orchestration is off
+  /// (then no thread starts).
+  std::unique_ptr<ShadowLanes> lanes_;
   ml::HedgeBandit bandit_;
 
   // Current-window byte counters (one shared denominator: every expert
-  // replays the same requests).
+  // replays the same requests). The window's byte misses of expert j are
+  // lanes_->miss_bytes(j) - win_start_miss_[j], read at a sync point.
   std::uint64_t win_bytes_ = 0;
-  std::vector<std::uint64_t> win_miss_bytes_;
+  std::vector<std::uint64_t> win_start_miss_;
   std::size_t window_reqs_ = 0;
 
   // Hysteresis state: consecutive windows the incumbent has been dominated

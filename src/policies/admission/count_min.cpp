@@ -11,31 +11,33 @@ CountMinSketch::CountMinSketch(std::size_t width, std::uint64_t window)
   for (auto& row : rows_) row.assign(mask_ + 1, 0);
 }
 
-std::size_t CountMinSketch::index(int row, std::uint64_t key) const {
+CountMinSketch::Cells CountMinSketch::cells(std::uint64_t key) const {
   // Row-salted mixing; rows are pairwise-independent enough in practice.
-  return static_cast<std::size_t>(
-             hash64(key ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(
-                                                       row + 1)))) &
-         mask_;
+  Cells c;
+  for (int r = 0; r < kRows; ++r) {
+    c.index[r] = static_cast<std::size_t>(hash64(
+                     key ^ (0x9e3779b97f4a7c15ULL *
+                            static_cast<std::uint64_t>(r + 1)))) &
+                 mask_;
+  }
+  return c;
 }
 
-void CountMinSketch::add(std::uint64_t key) {
+void CountMinSketch::add(const Cells& c) {
   // Conservative update: only bump cells equal to the current minimum.
-  const std::uint8_t est = estimate(key);
+  const std::uint8_t est = estimate(c);
   if (est < kMax) {
     for (int r = 0; r < kRows; ++r) {
-      std::uint8_t& c = rows_[r][index(r, key)];
-      if (c == est) ++c;
+      std::uint8_t& cell = rows_[r][c.index[r]];
+      if (cell == est) ++cell;
     }
   }
   if (++additions_ >= window_) age();
 }
 
-std::uint8_t CountMinSketch::estimate(std::uint64_t key) const {
+std::uint8_t CountMinSketch::estimate(const Cells& c) const {
   std::uint8_t m = kMax;
-  for (int r = 0; r < kRows; ++r) {
-    m = std::min(m, rows_[r][index(r, key)]);
-  }
+  for (int r = 0; r < kRows; ++r) m = std::min(m, rows_[r][c.index[r]]);
   return m;
 }
 

@@ -17,21 +17,31 @@ class CountMinSketch {
   explicit CountMinSketch(std::size_t width = 1 << 16,
                           std::uint64_t window = 1 << 18);
 
+  static constexpr int kRows = 4;
+  static constexpr std::uint8_t kMax = 15;
+
+  /// A key's cell in each row. Computing them takes one hash per row, so a
+  /// caller that both adds and estimates a key computes them once.
+  struct Cells {
+    std::size_t index[kRows];
+  };
+  [[nodiscard]] Cells cells(std::uint64_t key) const;
+
   /// Records one occurrence; halves all counters when the window fills.
-  void add(std::uint64_t key);
+  void add(const Cells& c);
+  void add(std::uint64_t key) { add(cells(key)); }
 
   /// Point estimate (min over rows).
-  [[nodiscard]] std::uint8_t estimate(std::uint64_t key) const;
+  [[nodiscard]] std::uint8_t estimate(const Cells& c) const;
+  [[nodiscard]] std::uint8_t estimate(std::uint64_t key) const {
+    return estimate(cells(key));
+  }
 
   [[nodiscard]] std::uint64_t metadata_bytes() const {
     return rows_[0].size() * kRows;
   }
 
-  static constexpr int kRows = 4;
-  static constexpr std::uint8_t kMax = 15;
-
  private:
-  [[nodiscard]] std::size_t index(int row, std::uint64_t key) const;
   void age();
 
   std::size_t mask_;

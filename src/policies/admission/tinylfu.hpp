@@ -18,6 +18,7 @@ class TinyLfuCache final : public QueueCache {
 
   [[nodiscard]] std::string name() const override { return "TinyLFU"; }
   bool access(const Request& req) override;
+  bool access_hashed(const Request& req, std::uint64_t h) override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override {
     return q_.metadata_bytes() + sketch_.metadata_bytes();
   }

@@ -60,6 +60,8 @@ struct SimResult {
   std::string metrics_json;
 
   double wall_seconds = 0.0;
+  /// CPU time of the calling thread only: work a cache runs on threads of
+  /// its own (OrchestratorCache's shadow lanes) is not counted.
   double cpu_seconds = 0.0;
   std::uint64_t metadata_peak_bytes = 0;
 

@@ -206,7 +206,10 @@ void SizeMixStressor::transform(std::size_t /*i*/, Request& req,
 std::string chain_name(const std::string& base_name,
                        const std::vector<StressorPtr>& chain) {
   std::string name = base_name;
-  for (const auto& s : chain) name += "+" + s->name();
+  for (const auto& s : chain) {
+    name += '+';
+    name += s->name();
+  }
   return name;
 }
 

@@ -40,6 +40,17 @@
 
 namespace cdn {
 
+/// One spin-wait pause: tells the core that this thread is busy-waiting, so
+/// a sibling hyper-thread gets the pipeline and the exit from the loop does
+/// not pay a memory-order mis-speculation.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 /// A mutex with capability attributes for `-Wthread-safety` that spins
 /// briefly, test-and-test-and-set, before a contended lock() blocks.
 class CDN_CAPABILITY("mutex") Mutex {
@@ -108,14 +119,6 @@ class CDN_CAPABILITY("mutex") Mutex {
     return state_.compare_exchange_strong(expected, kHeld,
                                           std::memory_order_acquire,
                                           std::memory_order_relaxed);
-  }
-
-  static void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
   }
 
   std::atomic<std::uint32_t> state_{kFree};

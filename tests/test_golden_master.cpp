@@ -8,8 +8,11 @@
 // commit that explains why.
 //
 // The pinned values were produced by the code at the time each row was
-// added; everything below is deterministic (fixed seeds, no threads,
-// no wall-clock dependence).
+// added; everything below is deterministic (fixed seeds, no wall-clock
+// dependence). The orchestrator replays its shadow experts on threads of
+// its own, but it reads them only at sync points where every shadow has
+// replayed every request (core/shadow_lanes.hpp), so its counters are as
+// fixed as a single-threaded policy's.
 #include <gtest/gtest.h>
 
 #include "core/orchestrator.hpp"
