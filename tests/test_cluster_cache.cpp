@@ -391,11 +391,9 @@ TEST(ClusterCache, ScheduledChurnIsDeterministic) {
   expect_flow_conservation(a);
 }
 
-TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
-  // One driver through a churning 4-node SCIP cluster with peer fill on,
-  // pinned to literal counters. Run-twice equality (above) cannot see a
-  // change that shifts every run alike — a membership event firing one
-  // request later, or a fill booked to the wrong node — this can.
+/// One driver through a churning 4-node SCIP cluster on the flash
+/// stressor: node 4 joins at 40% of the trace and node 0 leaves at 70%.
+std::unique_ptr<ClusterCache> run_pinned_churn(bool replicate_hot) {
   const Trace trace =
       stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
   ClusterCacheConfig cfg;
@@ -403,15 +401,56 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
   cfg.capacity_bytes = 32ULL << 20;
   cfg.nodes = 4;
   cfg.replicas = 2;
-  cfg.replicate_hot = true;
+  cfg.replicate_hot = replicate_hot;
   cfg.hot_threshold = 16;
   cfg.hot_window = 4096;
   const auto n = static_cast<std::uint64_t>(trace.requests.size());
   cfg.schedule = {{n * 4 / 10, MembershipEvent::Kind::kJoin, 0},
                   {n * 7 / 10, MembershipEvent::Kind::kLeave, 0}};
-  ClusterCache cluster(cfg);
-  for (const Request& req : trace.requests) cluster.access(req);
+  auto cluster = std::make_unique<ClusterCache>(cfg);
+  for (const Request& req : trace.requests) cluster->access(req);
+  return cluster;
+}
 
+struct NodePin {
+  bool live;
+  std::uint64_t requests, hits, bytes_total, bytes_hit, peer_fills,
+      peer_fill_bytes, origin_fetches, origin_bytes, origin_time_us,
+      peer_time_us, migrated_in_keys, migrated_in_bytes;
+};
+
+template <std::size_t N>
+void expect_node_pins(const ClusterCache& cluster,
+                      const NodePin (&pins)[N]) {
+  const std::vector<ClusterNodeStats> nodes = cluster.node_stats();
+  ASSERT_EQ(nodes.size(), N);
+  for (std::size_t i = 0; i < N; ++i) {
+    const ClusterNodeStats& ns = nodes[i];
+    const NodePin& pin = pins[i];
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(ns.live, pin.live);
+    EXPECT_EQ(ns.shard.requests, pin.requests);
+    EXPECT_EQ(ns.shard.hits, pin.hits);
+    EXPECT_EQ(ns.shard.bytes_total, pin.bytes_total);
+    EXPECT_EQ(ns.shard.bytes_hit, pin.bytes_hit);
+    EXPECT_EQ(ns.shard.peer_fills, pin.peer_fills);
+    EXPECT_EQ(ns.shard.peer_fill_bytes, pin.peer_fill_bytes);
+    EXPECT_EQ(ns.shard.origin_fetches, pin.origin_fetches);
+    EXPECT_EQ(ns.shard.origin_bytes, pin.origin_bytes);
+    EXPECT_EQ(ns.origin_time_us, pin.origin_time_us);
+    EXPECT_EQ(ns.peer_time_us, pin.peer_time_us);
+    EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
+    EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
+  }
+}
+
+TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
+  // Peer fill on, pinned to literal counters. Run-twice equality (above)
+  // cannot see a change that shifts every run alike — a membership event
+  // firing one request later, or a fill booked to the wrong node — this
+  // can.
+  const auto owned = run_pinned_churn(/*replicate_hot=*/true);
+  const ClusterCache& cluster = *owned;
   const ClusterTotals t = cluster.totals();
   EXPECT_EQ(t.requests, 20000u);
   EXPECT_EQ(t.hits, 5024u);
@@ -427,43 +466,57 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
   EXPECT_EQ(t.migrated_bytes, 16961878u);
   EXPECT_EQ(t.hot_spread_requests, 1951u);
 
-  struct NodePin {
-    bool live;
-    std::uint64_t requests, hits, bytes_total, bytes_hit, peer_fills,
-        peer_fill_bytes, origin_fetches, origin_bytes, migrated_in_keys,
-        migrated_in_bytes;
-  };
   // Node 0 left at 70%; node 4 joined at 40%.
   const NodePin kPins[] = {
       {false, 4177, 1421, 196601903, 61469127, 25, 626259, 2731, 134506517,
-       0, 0},
+       192515035, 626569, 0, 0},
       {true, 4020, 671, 190712376, 34579193, 20, 1422989, 3329, 154710194,
-       59, 2923366},
-      {true, 4368, 965, 178533936, 33884649, 4, 89731, 3399, 144559556, 39,
-       1494539},
+       234577109, 503560, 59, 2923366},
+      {true, 4368, 965, 178533936, 33884649, 4, 89731, 3399, 144559556,
+       239375640, 100224, 39, 1494539},
       {true, 4592, 1259, 227053514, 45216612, 19, 607688, 3314, 181229214,
-       56, 2396760},
-      {true, 2843, 708, 121900469, 23354135, 9, 282850, 2126, 98263484, 220,
-       10147213},
+       233792300, 476519, 56, 2396760},
+      {true, 2843, 708, 121900469, 23354135, 9, 282850, 2126, 98263484,
+       149802645, 225708, 220, 10147213},
   };
-  const std::vector<ClusterNodeStats> nodes = cluster.node_stats();
-  ASSERT_EQ(nodes.size(), std::size(kPins));
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const ClusterNodeStats& ns = nodes[i];
-    const NodePin& pin = kPins[i];
-    SCOPED_TRACE("node " + std::to_string(i));
-    EXPECT_EQ(ns.live, pin.live);
-    EXPECT_EQ(ns.shard.requests, pin.requests);
-    EXPECT_EQ(ns.shard.hits, pin.hits);
-    EXPECT_EQ(ns.shard.bytes_total, pin.bytes_total);
-    EXPECT_EQ(ns.shard.bytes_hit, pin.bytes_hit);
-    EXPECT_EQ(ns.shard.peer_fills, pin.peer_fills);
-    EXPECT_EQ(ns.shard.peer_fill_bytes, pin.peer_fill_bytes);
-    EXPECT_EQ(ns.shard.origin_fetches, pin.origin_fetches);
-    EXPECT_EQ(ns.shard.origin_bytes, pin.origin_bytes);
-    EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
-    EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
-  }
+  expect_node_pins(cluster, kPins);
+  expect_flow_conservation(cluster);
+}
+
+TEST(ClusterCache, PinnedChurnCountersWithoutPeerFillAreBitwiseStable) {
+  // The same run with peer fill off: every miss is an origin fetch. Hits,
+  // bytes, migrations and spreading equal the peer-fill run's (the knob
+  // only re-attributes miss bytes); the fills move to the origin.
+  const auto owned = run_pinned_churn(/*replicate_hot=*/false);
+  const ClusterCache& cluster = *owned;
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.requests, 20000u);
+  EXPECT_EQ(t.hits, 5024u);
+  EXPECT_EQ(t.bytes_total, 914802198u);
+  EXPECT_EQ(t.bytes_hit, 198503716u);
+  EXPECT_EQ(t.peer_fills, 0u);
+  EXPECT_EQ(t.peer_fill_bytes, 0u);
+  EXPECT_EQ(t.origin_fetches, 14976u);
+  EXPECT_EQ(t.origin_bytes, 716298482u);
+  EXPECT_EQ(t.origin_time_us, 1055483025u);
+  EXPECT_EQ(t.peer_time_us, 0u);
+  EXPECT_EQ(t.migrated_keys, 374u);
+  EXPECT_EQ(t.migrated_bytes, 16961878u);
+  EXPECT_EQ(t.hot_spread_requests, 1951u);
+
+  const NodePin kPins[] = {
+      {false, 4177, 1421, 196601903, 61469127, 0, 0, 2756, 135132776,
+       194271298, 0, 0, 0},
+      {true, 4020, 671, 190712376, 34579193, 0, 0, 3349, 156133183,
+       235991338, 0, 59, 2923366},
+      {true, 4368, 965, 178533936, 33884649, 0, 0, 3403, 144649287,
+       239656538, 0, 39, 1494539},
+      {true, 4592, 1259, 227053514, 45216612, 0, 0, 3333, 181836902,
+       235128378, 0, 56, 2396760},
+      {true, 2843, 708, 121900469, 23354135, 0, 0, 2135, 98546334,
+       150435473, 0, 220, 10147213},
+  };
+  expect_node_pins(cluster, kPins);
   expect_flow_conservation(cluster);
 }
 
