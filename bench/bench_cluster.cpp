@@ -25,6 +25,11 @@
 //     fill must strictly reduce origin bytes;
 //   * the emitted document must pass obs::validate_bench_report.
 //
+// Layer rung (no gate): one client replays the flash trace through the
+// 4-node cluster with peer fill on and through the bare SCIP cache at the
+// same total capacity, interleaved best-of-N, and the report gets both
+// rows' ns/request. The timings stay out of every equality check above.
+//
 // Output: BENCH_cluster.json (schema "cdn-bench-report") under
 // $CDN_BENCH_JSON_DIR (default "."), one row per configuration.
 // Exit codes: 0 ok, 1 gate or validation failure, 2 usage error.
@@ -81,8 +86,8 @@ std::vector<MembershipEvent> churn_schedule(std::size_t n_requests) {
           {n * 7 / 10, MembershipEvent::Kind::kLeave, 0}};
 }
 
-RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
-               bool replicate) {
+ClusterCacheConfig cluster_config(std::uint64_t capacity, std::size_t nodes,
+                                  bool replicate) {
   ClusterCacheConfig cfg;
   cfg.policy = kPolicy;
   cfg.capacity_bytes = capacity;
@@ -92,6 +97,12 @@ RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
   cfg.hot_threshold = kHotThreshold;
   cfg.hot_window = kHotWindow;
   cfg.seed = kSeed;
+  return cfg;
+}
+
+RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
+               bool replicate) {
+  ClusterCacheConfig cfg = cluster_config(capacity, nodes, replicate);
   if (sc.churn) cfg.schedule = churn_schedule(sc.trace.requests.size());
   ClusterCache cluster(cfg);
   SimOptions opts;
@@ -104,11 +115,53 @@ RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
 }
 
 /// Full runs use ~250k requests per scenario; --smoke ~50k, with the full
-/// gate set. Threads simulate configurations concurrently.
+/// gate set. Threads simulate configurations concurrently; the layer rung
+/// runs after the sweep, alone, best of `trials`.
 constexpr bench::BenchCli kCli{"bench_cluster",
                                bench::kScaleFlag | bench::kThreadsFlag,
-                               {.scale = 0.25, .threads = 8},
-                               {.scale = 0.05, .threads = 8}};
+                               {.scale = 0.25, .threads = 8, .trials = 7},
+                               {.scale = 0.05, .threads = 8, .trials = 7}};
+
+constexpr std::size_t kRungNodes = 4;
+
+/// The layer rung: bare SCIP and the kRungNodes-node cluster over `trace`
+/// from one client, interleaved best of `trials`. Prints both rows' wall
+/// ns/request and adds them to `report`.
+void cluster_rung(const Trace& trace, std::uint64_t capacity,
+                  std::size_t trials, obs::BenchReport& report) {
+  const std::vector<SimResult> best = bench::best_of_interleaved(
+      2, trials, [&](std::size_t arm) {
+        const CachePtr cache =
+            arm == 0 ? make_cache(kPolicy, capacity, kSeed)
+                     : std::make_unique<ClusterCache>(
+                           cluster_config(capacity, kRungNodes, true));
+        return simulate(*cache, trace);
+      });
+  const auto ns_per_request = [](const SimResult& r) {
+    return r.requests ? r.wall_seconds * 1e9 / static_cast<double>(r.requests)
+                      : 0.0;
+  };
+  const char* const kRungs[] = {"bare", "cluster"};
+  Table table({"rung", "cache", "ns/request"});
+  for (std::size_t arm = 0; arm < 2; ++arm) {
+    const SimResult& r = best[arm];
+    table.add_row({kRungs[arm], r.policy, Table::fmt(ns_per_request(r), 0)});
+    obs::json::Value row = sim_result_row(r);
+    row.set("rung", kRungs[arm]);
+    if (arm == 1) row.set("nodes", static_cast<std::uint64_t>(kRungNodes));
+    row.set("capacity_bytes", capacity);
+    row.set("trials", static_cast<std::uint64_t>(trials));
+    row.set("ns_per_request", ns_per_request(r));
+    report.add_row(std::move(row));
+  }
+  std::printf("\n== Layer rung: 1 client on %s (%zu requests, best of %zu) "
+              "==\n%scluster/bare: %.2fx\n",
+              trace.name.c_str(), trace.requests.size(), trials,
+              table.str().c_str(),
+              ns_per_request(best[0]) > 0.0
+                  ? ns_per_request(best[1]) / ns_per_request(best[0])
+                  : 0.0);
+}
 
 int run(const bench::BenchArgs& args) {
   obs::BenchReport report("cluster");
@@ -268,6 +321,8 @@ int run(const bench::BenchArgs& args) {
     }
   }
   if (!bto_ok) return 1;
+  cluster_rung(scenarios[flash_idx].trace, capacities[flash_idx], args.trials,
+               report);
   return bench::write_report(report);
 }
 

@@ -175,17 +175,17 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   const Route::Target& target = route.targets[owners[pick]];
   if (k > 1) hot_spread_requests_.fetch_add(1, std::memory_order_relaxed);
 
-  // The node books the request.
+  // Without peers to probe a miss can only be an origin fetch, so the
+  // node books it with the request, in the section that runs its policy.
+  if (k == 1 || !replicate_hot_) return target.node->serve(req, h, &latency_);
   if (target.node->serve(req, h)) return true;
   // Cooperative peer fill: read-only probes (contains_hashed never
   // mutates), so enabling the knob cannot change any hit/miss outcome —
   // only where the miss bytes come from.
   bool peer_fill = false;
-  if (k > 1 && replicate_hot_) {
-    for (std::size_t i = 0; i < k && !peer_fill; ++i) {
-      if (i == pick) continue;
-      peer_fill = route.targets[owners[i]].node->contains_hashed(req.id, h);
-    }
+  for (std::size_t i = 0; i < k && !peer_fill; ++i) {
+    if (i == pick) continue;
+    peer_fill = route.targets[owners[i]].node->contains_hashed(req.id, h);
   }
 
   NodeCounters& stats = *target.counters;
@@ -389,7 +389,7 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
     const NodeCounters& c = *s.stats;
     MutexLock stats_lk(c.mu);
     static_cast<FlowStats&>(ns.shard) += c.fills;
-    ns.origin_time_us = c.origin_time_us;
+    ns.shard.origin_time_us += c.origin_time_us;
     ns.peer_time_us = c.peer_time_us;
     out.push_back(std::move(ns));
   }
@@ -400,7 +400,7 @@ ClusterTotals ClusterCache::totals() const {
   ClusterTotals t;
   for (const ClusterNodeStats& ns : node_stats()) {
     t += ns.shard;
-    t.origin_time_us += ns.origin_time_us;
+    t.origin_time_us += ns.shard.origin_time_us;
     t.peer_time_us += ns.peer_time_us;
     t.migrated_keys += ns.migrated_in_keys;
     t.migrated_bytes += ns.migrated_in_bytes;

@@ -41,11 +41,13 @@
 // (`ClusterCacheConfig::backing` accepts only "origin").
 //
 // Bookkeeping: each node (cluster/node.hpp) books a request's requests,
-// hits and bytes in the critical section that runs its policy. What the
-// node cannot know under its own lock — whether a miss was filled by a
-// peer or fetched from the origin, and the modeled time of that fill — is
-// booked afterwards in the node's NodeCounters. Warm transfers are not
-// requests and book nothing.
+// hits and bytes in the critical section that runs its policy. A miss that
+// no peer will be probed for (k == 1, or replicate_hot off) can only be an
+// origin fetch, so the node books that fetch and its modeled time in the
+// same section. Only for a peer-probed miss can the node not know under its
+// own lock whether a peer or the origin fills it; that fill and its modeled
+// time are booked after the probes in the node's NodeCounters. node_stats()
+// and totals() sum both. Warm transfers are not requests and book nothing.
 //
 // Locking: the request path takes no cluster-wide lock. It takes its
 // index from an atomic counter, routes on an immutable Route snapshot (the
@@ -58,10 +60,12 @@
 // A request whose index reaches the next event's at_request takes
 // cluster_mu_ and fires every due event first; routes are published
 // before the next event's index, so any request at or past an event's
-// index routes on the ring that event published. After routing, a hit
-// takes the node mutex; a miss then probes peers (one node mutex at a
-// time) and takes the target's NodeCounters::mu. The request path never
-// holds two locks at once, and the tracker shard lock never nests. The
+// index routes on the ring that event published. After routing, the
+// request takes the node mutex once; hits and unprobed misses are done
+// there. Only a miss of a spread hot key with replicate_hot on then probes
+// peers (one node mutex at a time) and takes the target's
+// NodeCounters::mu. The request path never holds two locks at once, and
+// the tracker shard lock never nests. The
 // nesting orders are cluster_mu_ -> node mutex (migration, snapshots) and
 // cluster_mu_ -> NodeCounters::mu (totals / node_stats readers); nothing
 // acquires cluster_mu_ while holding another lock — no cycle exists.
@@ -168,16 +172,16 @@ class HotKeyTracker {
   std::array<Shard, kShards> shards_;
 };
 
-/// Per-node statistics: the node's snapshot (its flow and occupancy) with
-/// the peer fills and origin fetches the cluster booked for it, plus the
-/// modeled fill times and migration counters. Summed over every node
-/// (retired ones included) they give ClusterTotals.
+/// Per-node statistics: the node's snapshot (its flow and occupancy, the
+/// origin fetches it booked under its own lock and their modeled time)
+/// with the fills the cluster booked for it after peer probes added in,
+/// plus the modeled peer-fill time and migration counters. Summed over
+/// every node (retired ones included) they give ClusterTotals.
 struct ClusterNodeStats {
   std::string name;
   bool live = true;
-  NodeStats shard;
-  std::uint64_t origin_time_us = 0;  ///< modeled, integer microseconds
-  std::uint64_t peer_time_us = 0;
+  NodeStats shard;  ///< shard.origin_time_us covers every origin fetch
+  std::uint64_t peer_time_us = 0;  ///< modeled, integer microseconds
   std::uint64_t migrated_in_keys = 0;
   std::uint64_t migrated_in_bytes = 0;
 };
@@ -266,10 +270,12 @@ class ClusterCache final : public Cache {
   static constexpr std::size_t kMaxReplicas = 8;
 
  private:
-  /// The fills of one node's misses, booked after its peer probes under
-  /// this block's own lock. Heap-held (slots_ grows on join while the
-  /// request path holds this pointer) and cache-line aligned, so two
-  /// nodes' counters never share a line.
+  /// The fills of one node's peer-probed misses (hot keys spread over
+  /// k > 1 owners with replicate_hot on), booked after the probes under
+  /// this block's own lock; every other miss the node books itself.
+  /// Heap-held (slots_ grows on join while the request path holds this
+  /// pointer) and cache-line aligned, so two nodes' counters never share a
+  /// line.
   struct alignas(64) NodeCounters {
     mutable Mutex mu;
     /// Only the peer-fill and origin-fetch fields are written: the node

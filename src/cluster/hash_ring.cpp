@@ -1,7 +1,9 @@
 #include "cluster/hash_ring.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "cluster/routing.hpp"
@@ -28,14 +30,7 @@ void HashRing::add_node(std::uint32_t node) {
     ring_.push_back(
         Point{vnode_point(node, static_cast<std::uint32_t>(r)), node});
   }
-  // Full re-sort instead of per-point insertion: membership changes are
-  // rare control-plane events, and one O(P log P) sort keeps the code
-  // obviously deterministic. Ties on `point` (a 64-bit hash collision
-  // between virtual nodes — astronomically unlikely but possible) break
-  // by node id so the sorted order never depends on insertion history.
-  std::sort(ring_.begin(), ring_.end(), [](const Point& a, const Point& b) {
-    return a.point != b.point ? a.point < b.point : a.node < b.node;
-  });
+  rebuild();
 }
 
 void HashRing::remove_node(std::uint32_t node) {
@@ -48,14 +43,49 @@ void HashRing::remove_node(std::uint32_t node) {
                   ring_.begin(), ring_.end(),
                   [node](const Point& p) { return p.node == node; }),
               ring_.end());
+  rebuild();
+}
+
+void HashRing::rebuild() {
+  // Full re-sort instead of per-point insertion: membership changes are
+  // rare control-plane events, and one O(P log P) sort keeps the code
+  // obviously deterministic. Ties on `point` (a 64-bit hash collision
+  // between virtual nodes — astronomically unlikely but possible) break
+  // by node id so the sorted order never depends on insertion history.
+  std::sort(ring_.begin(), ring_.end(), [](const Point& a, const Point& b) {
+    return a.point != b.point ? a.point < b.point : a.node < b.node;
+  });
+  buckets_.clear();
+  if (ring_.empty()) return;
+  if (ring_.size() >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("HashRing: too many ring points");
+  }
+  // Four arcs per point leave most arcs with no point or one, so the scan
+  // seldom loops: half the lookup time of one arc per point, for 12 more
+  // bytes a point. A non-empty ring gets at least four arcs, so the shift
+  // stays below 64.
+  const std::size_t arcs = std::bit_ceil(kArcsPerPoint * ring_.size());
+  bucket_shift_ = 64 - static_cast<unsigned>(std::countr_zero(arcs));
+  buckets_.resize(arcs + 1);
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < arcs; ++b) {
+    const std::uint64_t arc_start = static_cast<std::uint64_t>(b)
+                                    << bucket_shift_;
+    while (i < ring_.size() && ring_[i].point < arc_start) ++i;
+    buckets_[b] = static_cast<std::uint32_t>(i);
+  }
+  buckets_[arcs] = static_cast<std::uint32_t>(ring_.size());
 }
 
 std::size_t HashRing::successor_index(std::uint64_t h) const {
   assert(!ring_.empty());
-  const auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), h,
-      [](const Point& p, std::uint64_t key) { return p.point < key; });
-  return it == ring_.end() ? 0 : static_cast<std::size_t>(it - ring_.begin());
+  // Every point before buckets_[b] is below h's arc, every point from
+  // buckets_[b + 1] on is above it: the scan stops where lower_bound would.
+  const std::size_t b = static_cast<std::size_t>(h >> bucket_shift_);
+  std::size_t i = buckets_[b];
+  const std::size_t end = buckets_[b + 1];
+  while (i < end && ring_[i].point < h) ++i;
+  return i == ring_.size() ? 0 : i;
 }
 
 std::uint32_t HashRing::owner_hashed(std::uint64_t h) const {
@@ -87,8 +117,9 @@ std::size_t HashRing::owners_hashed(std::uint64_t h, std::size_t k,
 }
 
 std::uint64_t HashRing::metadata_bytes() const noexcept {
-  return static_cast<std::uint64_t>(ring_.capacity() * sizeof(Point) +
-                                    nodes_.capacity() * sizeof(std::uint32_t));
+  return static_cast<std::uint64_t>(
+      ring_.capacity() * sizeof(Point) +
+      (nodes_.capacity() + buckets_.capacity()) * sizeof(std::uint32_t));
 }
 
 }  // namespace cdn::cluster

@@ -15,6 +15,19 @@
 // other keys keep their owner, which is what makes warm-transfer
 // rebalancing in ClusterCache incremental instead of a full reshuffle.
 //
+// Successor lookup is O(1): a bucket table splits the 64-bit ring into
+// 2^b equal arcs, the top b bits of a hash naming its arc, and records for
+// each arc the index of its first ring point. All points before that index
+// lie below the arc and all points at or past the next arc's index lie
+// above it, so the first point >= h is either inside h's arc or is the next
+// arc's first point. A lookup scans from its arc's first point to the next
+// arc's (at most a quarter of a point on average) and returns exactly what
+// std::lower_bound over the sorted ring returns, ties and wrap-around
+// included; test_hash_ring checks this against lower_bound. The arc count
+// is the power of two >= 4x the point count, so the table follows from the
+// membership alone: add_node and remove_node rebuild it with the ring, and
+// there is no option. metadata_bytes() charges it.
+//
 // k-way ownership for hot-key replication: owners_hashed(h, k) returns the
 // first k *distinct* nodes clockwise from `h`. The owner list is
 // prefix-stable (owners(h, k) is a prefix of owners(h, k+1)), so raising
@@ -80,8 +93,17 @@ class HashRing {
   /// Index of the first ring point clockwise from `h` (wrapping).
   [[nodiscard]] std::size_t successor_index(std::uint64_t h) const;
 
+  /// Sorts the ring and rebuilds the bucket table over it.
+  void rebuild();
+
+  static constexpr std::size_t kArcsPerPoint = 4;
+
   std::vector<Point> ring_;            ///< sorted by (point, node)
   std::vector<std::uint32_t> nodes_;   ///< sorted member node ids
+  /// buckets_[b] is the index of the first point >= b << bucket_shift_;
+  /// one extra trailing entry holds point_count(). Empty when the ring is.
+  std::vector<std::uint32_t> buckets_;
+  unsigned bucket_shift_ = 64;  ///< 64 - log2(arc count)
   std::size_t vnodes_;
 };
 

@@ -437,7 +437,7 @@ void expect_node_pins(const ClusterCache& cluster,
     EXPECT_EQ(ns.shard.peer_fill_bytes, pin.peer_fill_bytes);
     EXPECT_EQ(ns.shard.origin_fetches, pin.origin_fetches);
     EXPECT_EQ(ns.shard.origin_bytes, pin.origin_bytes);
-    EXPECT_EQ(ns.origin_time_us, pin.origin_time_us);
+    EXPECT_EQ(ns.shard.origin_time_us, pin.origin_time_us);
     EXPECT_EQ(ns.peer_time_us, pin.peer_time_us);
     EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
     EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
@@ -640,7 +640,7 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   ClusterTotals sum;
   for (const ClusterNodeStats& ns : cluster.node_stats()) {
     sum += ns.shard;
-    sum.origin_time_us += ns.origin_time_us;
+    sum.origin_time_us += ns.shard.origin_time_us;
     sum.peer_time_us += ns.peer_time_us;
     sum.migrated_keys += ns.migrated_in_keys;
     sum.migrated_bytes += ns.migrated_in_bytes;

@@ -3,12 +3,15 @@
 // the topology's salted-mod tiers), ring determinism and membership-order
 // independence, virtual-node load balance within a pinned bound, the
 // consistent-hashing join/leave guarantee (only ring-adjacent ranges move,
-// moved fraction ~ 1/N), and distinct prefix-stable k-owner lists for
-// replication.
+// moved fraction ~ 1/N), distinct prefix-stable k-owner lists for
+// replication, and the bucketed successor lookup's exact equivalence with a
+// std::lower_bound reference through join/leave sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
@@ -224,6 +227,133 @@ TEST(HashRing, SingleNodeOwnsEverything) {
     EXPECT_EQ(ring.owners_hashed(h, 4, out), 1u);
     EXPECT_EQ(out[0], 0u);
   }
+}
+
+/// The ring a membership set defines, rebuilt from vnode_point alone and
+/// sorted by (point, node): the reference the bucketed lookup must match.
+class ReferenceRing {
+ public:
+  ReferenceRing(const std::vector<std::uint32_t>& members,
+                std::size_t vnodes) {
+    for (const std::uint32_t node : members) {
+      for (std::size_t r = 0; r < vnodes; ++r) {
+        points_.emplace_back(vnode_point(node, static_cast<std::uint32_t>(r)),
+                             node);
+      }
+    }
+    std::sort(points_.begin(), points_.end());
+    for (const std::uint32_t node : members) {
+      if (std::find(distinct_.begin(), distinct_.end(), node) ==
+          distinct_.end()) {
+        distinct_.push_back(node);
+      }
+    }
+  }
+
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint32_t>>&
+  points() const {
+    return points_;
+  }
+
+  /// The first min(3, members) distinct owners clockwise from
+  /// std::lower_bound(h), written to `out`; returns their count.
+  std::size_t owners3(std::uint64_t h, std::uint32_t (&out)[3]) const {
+    auto it = std::lower_bound(
+        points_.begin(), points_.end(), h,
+        [](const std::pair<std::uint64_t, std::uint32_t>& p,
+           std::uint64_t key) { return p.first < key; });
+    std::size_t i = it == points_.end()
+                        ? 0
+                        : static_cast<std::size_t>(it - points_.begin());
+    const std::size_t want = std::min<std::size_t>(3, distinct_.size());
+    std::size_t found = 0;
+    while (found < want) {
+      const std::uint32_t node = points_[i].second;
+      if (std::find(out, out + found, node) == out + found) {
+        out[found++] = node;
+      }
+      i = (i + 1) % points_.size();
+    }
+    return found;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+  std::vector<std::uint32_t> distinct_;
+};
+
+/// Checks owner_hashed and owners_hashed (k = 1..3) against the reference
+/// at `h`; returns false after the first mismatch.
+bool lookup_matches(const HashRing& ring, const ReferenceRing& ref,
+                    std::uint64_t h) {
+  std::uint32_t want[3];
+  const std::size_t found = ref.owners3(h, want);
+  if (ring.owner_hashed(h) != want[0]) {
+    ADD_FAILURE() << "owner_hashed(" << h << ") = " << ring.owner_hashed(h)
+                  << ", lower_bound gives " << want[0];
+    return false;
+  }
+  for (std::size_t k = 1; k <= 3; ++k) {
+    std::uint32_t out[3];
+    const std::size_t got = ring.owners_hashed(h, k, out);
+    if (got != std::min(k, found) || !std::equal(out, out + got, want)) {
+      ADD_FAILURE() << "owners_hashed(" << h << ", " << k
+                    << ") differs from the lower_bound walk";
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(HashRing, BucketedLookupMatchesLowerBoundThroughChurn) {
+  // Random hashes, every ring point and its neighbours (the bucket scan's
+  // boundaries), and the ends of the hash space, after every join and
+  // every leave of a 1 -> 16 -> 1 node sequence in scrambled id order.
+  Rng rng(2024);
+  std::vector<std::uint64_t> random(100'000);
+  for (std::uint64_t& h : random) h = rng.next();
+  const std::uint32_t kJoinOrder[] = {7, 0, 12, 3, 15, 9, 1, 14,
+                                      4, 10, 6, 13, 2, 11, 5, 8};
+  const std::uint32_t kLeaveOrder[] = {0, 15, 4, 9, 13, 1, 6, 11,
+                                       3, 12, 8, 2, 14, 10, 5};
+  for (const std::size_t vnodes : {1, 64, 128}) {
+    SCOPED_TRACE("vnodes " + std::to_string(vnodes));
+    HashRing ring(vnodes);
+    std::vector<std::uint32_t> members;
+    const auto check = [&] {
+      SCOPED_TRACE("members " + std::to_string(members.size()));
+      const ReferenceRing ref(members, vnodes);
+      ASSERT_EQ(ring.point_count(), ref.points().size());
+      for (const std::uint64_t h : {std::uint64_t{0}, UINT64_MAX}) {
+        ASSERT_TRUE(lookup_matches(ring, ref, h));
+      }
+      for (const auto& [point, node] : ref.points()) {
+        for (const std::uint64_t h : {point - 1, point, point + 1}) {
+          ASSERT_TRUE(lookup_matches(ring, ref, h));
+        }
+      }
+      for (const std::uint64_t h : random) {
+        ASSERT_TRUE(lookup_matches(ring, ref, h));
+      }
+    };
+    for (const std::uint32_t node : kJoinOrder) {
+      ring.add_node(node);
+      members.push_back(node);
+      check();
+    }
+    for (const std::uint32_t node : kLeaveOrder) {
+      ring.remove_node(node);
+      members.erase(std::find(members.begin(), members.end(), node));
+      check();
+    }
+  }
+}
+
+TEST(HashRing, MetadataChargesTheBucketTable) {
+  // 4 nodes x 64 points: 16 bytes a point, 4 a member, and 4 for each of
+  // the 1024 arcs' table entries plus the trailing one.
+  const HashRing ring = make_ring(4, 64);
+  EXPECT_GE(ring.metadata_bytes(), 256 * 16 + 4 * 4 + (1024 + 1) * 4);
 }
 
 }  // namespace

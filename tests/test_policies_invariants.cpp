@@ -9,15 +9,18 @@
 //   * behave identically through the hashed and the plain entry points,
 //   * survive pathological inputs (oversized objects, capacity 1, repeats).
 // The policy set is the registry's, so a new policy cannot skip the suite.
-// The capacity, hashed-path and determinism contracts run a second time on
-// every policy wrapped as a one-tier, 4-node cluster::Topology: the wrapper
-// must keep its nodes' contracts.
+// The capacity, hashed-path and determinism contracts run again on every
+// policy wrapped as a one-tier, 4-node cluster::Topology and as a 4-node
+// cluster::ClusterCache with a low hot threshold (hot-key spreading, peer
+// probes and the in-section origin booking all run): each wrapper must
+// keep its nodes' contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <vector>
 
+#include "cluster/cluster_cache.hpp"
 #include "cluster/topology.hpp"
 #include "core/registry.hpp"
 #include "sim/simulator.hpp"
@@ -57,6 +60,23 @@ CachePtr one_tier(const std::string& policy, std::uint64_t capacity,
       capacity, 4, [&](std::uint64_t share, std::size_t i) {
         return make_cache(policy, share, seed + i);
       }));
+}
+
+/// `policy` behind a 4-node consistent-hash cluster sharing `capacity`,
+/// node i seeded seed + i. Keys requested 4 times in a 4096-request window
+/// are hot: spread over 2 owners, whose misses probe the other owner.
+CachePtr cluster4(const std::string& policy, std::uint64_t capacity,
+                  std::uint64_t seed) {
+  cluster::ClusterCacheConfig cfg;
+  cfg.policy = policy;
+  cfg.capacity_bytes = capacity;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.replicate_hot = true;
+  cfg.hot_threshold = 4;
+  cfg.hot_window = 4096;
+  cfg.seed = seed;
+  return std::make_unique<cluster::ClusterCache>(cfg);
 }
 
 void capacity_never_exceeded(const Trace& t, const std::string& policy,
@@ -113,6 +133,10 @@ TEST_P(PolicyInvariants, CapacityNeverExceededInOneTierTopology) {
   capacity_never_exceeded(shared_trace(), GetParam(), one_tier);
 }
 
+TEST_P(PolicyInvariants, CapacityNeverExceededInCluster) {
+  capacity_never_exceeded(shared_trace(), GetParam(), cluster4);
+}
+
 TEST_P(PolicyInvariants, HitsBoundedAndRatiosValid) {
   const Trace& t = shared_trace();
   auto cache = make_cache(GetParam(), 64ULL << 20);
@@ -133,12 +157,20 @@ TEST_P(PolicyInvariants, DeterministicForFixedSeedInOneTierTopology) {
   deterministic_for_fixed_seed(shared_trace(), GetParam(), one_tier);
 }
 
+TEST_P(PolicyInvariants, DeterministicForFixedSeedInCluster) {
+  deterministic_for_fixed_seed(shared_trace(), GetParam(), cluster4);
+}
+
 TEST_P(PolicyInvariants, HashedPathMatchesPlain) {
   hashed_path_matches_plain(shared_trace(), GetParam(), plain);
 }
 
 TEST_P(PolicyInvariants, HashedPathMatchesPlainInOneTierTopology) {
   hashed_path_matches_plain(shared_trace(), GetParam(), one_tier);
+}
+
+TEST_P(PolicyInvariants, HashedPathMatchesPlainInCluster) {
+  hashed_path_matches_plain(shared_trace(), GetParam(), cluster4);
 }
 
 TEST_P(PolicyInvariants, FirstAccessIsAlwaysAMiss) {
@@ -205,6 +237,22 @@ TEST_P(PolicyInvariants, MetadataReportedNonZeroAfterLoad) {
     cache->access(t[i]);
   }
   EXPECT_GT(cache->metadata_bytes(), 0u);
+}
+
+TEST(ClusterWrapper, LowHotThresholdRunsEveryRequestPath) {
+  // The cluster4 wrapper above is only a meaningful contract check if its
+  // requests take every path: single-owner routing, whose misses the node
+  // books in-section, and hot-key spreading, whose misses probe a peer and
+  // sometimes find the object there.
+  const Trace t = generate_trace(cdn_t_like(0.03));
+  const CachePtr cache = cluster4("LRU", 32ULL << 20, 5);
+  for (const Request& req : t.requests) cache->access(req);
+  const auto& cluster = dynamic_cast<const cluster::ClusterCache&>(*cache);
+  const cluster::ClusterTotals totals = cluster.totals();
+  EXPECT_GT(totals.hot_spread_requests, 0u);
+  EXPECT_LT(totals.hot_spread_requests, totals.requests);
+  EXPECT_GT(totals.peer_fills, 0u);
+  EXPECT_GT(totals.origin_fetches, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
