@@ -27,11 +27,12 @@
 //
 // Layer rung (no gate): one client replays the flash trace through the
 // 4-node cluster with peer fill on and through the bare SCIP cache at the
-// same total capacity, interleaved best-of-N, and the report gets both
+// same total capacity, interleaved best of 7, and the report gets both
 // rows' ns/request. The timings stay out of every equality check above.
 //
 // Output: BENCH_cluster.json (schema "cdn-bench-report") under
-// $CDN_BENCH_JSON_DIR (default "."), one row per configuration.
+// $CDN_BENCH_JSON_DIR (default "."), one row per configuration and one per
+// rung.
 // Exit codes: 0 ok, 1 gate or validation failure, 2 usage error.
 #include <cstdio>
 #include <cstdlib>
@@ -116,21 +117,22 @@ RunOut run_one(const Scenario& sc, std::uint64_t capacity, std::size_t nodes,
 
 /// Full runs use ~250k requests per scenario; --smoke ~50k, with the full
 /// gate set. Threads simulate configurations concurrently; the layer rung
-/// runs after the sweep, alone, best of `trials`.
+/// runs after the sweep, alone.
 constexpr bench::BenchCli kCli{"bench_cluster",
                                bench::kScaleFlag | bench::kThreadsFlag,
-                               {.scale = 0.25, .threads = 8, .trials = 7},
-                               {.scale = 0.05, .threads = 8, .trials = 7}};
+                               {.scale = 0.25, .threads = 8},
+                               {.scale = 0.05, .threads = 8}};
 
 constexpr std::size_t kRungNodes = 4;
+constexpr std::size_t kRungTrials = 7;
 
 /// The layer rung: bare SCIP and the kRungNodes-node cluster over `trace`
-/// from one client, interleaved best of `trials`. Prints both rows' wall
+/// from one client, interleaved best of kRungTrials. Prints both rows' wall
 /// ns/request and adds them to `report`.
 void cluster_rung(const Trace& trace, std::uint64_t capacity,
-                  std::size_t trials, obs::BenchReport& report) {
+                  obs::BenchReport& report) {
   const std::vector<SimResult> best = bench::best_of_interleaved(
-      2, trials, [&](std::size_t arm) {
+      2, kRungTrials, [&](std::size_t arm) {
         const CachePtr cache =
             arm == 0 ? make_cache(kPolicy, capacity, kSeed)
                      : std::make_unique<ClusterCache>(
@@ -138,8 +140,7 @@ void cluster_rung(const Trace& trace, std::uint64_t capacity,
         return simulate(*cache, trace);
       });
   const auto ns_per_request = [](const SimResult& r) {
-    return r.requests ? r.wall_seconds * 1e9 / static_cast<double>(r.requests)
-                      : 0.0;
+    return r.wall_seconds * 1e9 / static_cast<double>(r.requests);
   };
   const char* const kRungs[] = {"bare", "cluster"};
   Table table({"rung", "cache", "ns/request"});
@@ -150,17 +151,15 @@ void cluster_rung(const Trace& trace, std::uint64_t capacity,
     row.set("rung", kRungs[arm]);
     if (arm == 1) row.set("nodes", static_cast<std::uint64_t>(kRungNodes));
     row.set("capacity_bytes", capacity);
-    row.set("trials", static_cast<std::uint64_t>(trials));
+    row.set("trials", static_cast<std::uint64_t>(kRungTrials));
     row.set("ns_per_request", ns_per_request(r));
     report.add_row(std::move(row));
   }
   std::printf("\n== Layer rung: 1 client on %s (%zu requests, best of %zu) "
               "==\n%scluster/bare: %.2fx\n",
-              trace.name.c_str(), trace.requests.size(), trials,
+              trace.name.c_str(), trace.requests.size(), kRungTrials,
               table.str().c_str(),
-              ns_per_request(best[0]) > 0.0
-                  ? ns_per_request(best[1]) / ns_per_request(best[0])
-                  : 0.0);
+              best[1].wall_seconds / best[0].wall_seconds);
 }
 
 int run(const bench::BenchArgs& args) {
@@ -321,8 +320,7 @@ int run(const bench::BenchArgs& args) {
     }
   }
   if (!bto_ok) return 1;
-  cluster_rung(scenarios[flash_idx].trace, capacities[flash_idx], args.trials,
-               report);
+  cluster_rung(scenarios[flash_idx].trace, capacities[flash_idx], report);
   return bench::write_report(report);
 }
 

@@ -65,10 +65,10 @@
 // there. Only a miss of a spread hot key with replicate_hot on then probes
 // peers (one node mutex at a time) and takes the target's
 // NodeCounters::mu. The request path never holds two locks at once, and
-// the tracker shard lock never nests. The
-// nesting orders are cluster_mu_ -> node mutex (migration, snapshots) and
-// cluster_mu_ -> NodeCounters::mu (totals / node_stats readers); nothing
-// acquires cluster_mu_ while holding another lock — no cycle exists.
+// the tracker shard lock never nests. The nesting orders are cluster_mu_
+// -> node mutex (migration, snapshots) and cluster_mu_ ->
+// NodeCounters::mu (totals / node_stats readers); nothing acquires
+// cluster_mu_ while holding another lock — no cycle exists.
 #pragma once
 
 #include <array>

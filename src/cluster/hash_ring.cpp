@@ -57,9 +57,7 @@ void HashRing::rebuild() {
   });
   buckets_.clear();
   if (ring_.empty()) return;
-  if (ring_.size() >= std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("HashRing: too many ring points");
-  }
+  assert(ring_.size() < std::numeric_limits<std::uint32_t>::max());
   // Four arcs per point leave most arcs with no point or one, so the scan
   // seldom loops: half the lookup time of one arc per point, for 12 more
   // bytes a point. A non-empty ring gets at least four arcs, so the shift

@@ -764,6 +764,18 @@ TEST(Node, SnapshotReadsAllStatsConsistently) {
   EXPECT_EQ(s.requests, 2u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.bytes_total, 12288u);
+  EXPECT_EQ(s.origin_fetches, 0u);
+  // Given a latency model, a miss is booked as an origin fetch with its
+  // modeled time; a hit books none.
+  const LatencyModel latency;
+  EXPECT_FALSE(node.serve(Request{2, 3, 1000, -1}, hash64(3), &latency));
+  EXPECT_TRUE(node.serve(Request{3, 3, 1000, -1}, hash64(3), &latency));
+  s = node.snapshot();
+  EXPECT_EQ(s.requests, 4u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.origin_fetches, 1u);
+  EXPECT_EQ(s.origin_bytes, 1000u);
+  EXPECT_EQ(s.origin_time_us, latency.origin_fetch_us(1000));
 }
 
 TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {
