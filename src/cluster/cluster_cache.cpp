@@ -115,7 +115,6 @@ ClusterCache::NodeSlot ClusterCache::make_slot(std::uint64_t capacity,
   NodeSlot slot;
   slot.node = std::make_unique<Node>("node" + std::to_string(id),
                                      factory_(capacity, id));
-  slot.stats = std::make_unique<NodeCounters>();
   return slot;
 }
 
@@ -172,31 +171,19 @@ bool ClusterCache::access_hashed(const Request& req, std::uint64_t h) {
   // its k owners regardless of the replication knob (a flash crowd is
   // spread for load, not as part of the experiment arm).
   const std::size_t pick = k > 1 ? static_cast<std::size_t>(seen.count % k) : 0;
-  const Route::Target& target = route.targets[owners[pick]];
+  Node& target = *route.nodes[owners[pick]];
   if (k > 1) hot_spread_requests_.fetch_add(1, std::memory_order_relaxed);
 
-  // Without peers to probe a miss can only be an origin fetch, so the
-  // node books it with the request, in the section that runs its policy.
-  if (k == 1 || !replicate_hot_) return target.node->serve(req, h, &latency_);
-  if (target.node->serve(req, h)) return true;
+  if (target.serve(req, h)) return true;
+  if (k == 1 || !replicate_hot_) return false;
   // Cooperative peer fill: read-only probes (contains_hashed never
   // mutates), so enabling the knob cannot change any hit/miss outcome —
   // only where the miss bytes come from.
-  bool peer_fill = false;
-  for (std::size_t i = 0; i < k && !peer_fill; ++i) {
-    if (i == pick) continue;
-    peer_fill = route.targets[owners[i]].node->contains_hashed(req.id, h);
-  }
-
-  NodeCounters& stats = *target.counters;
-  MutexLock lk(stats.mu);
-  if (peer_fill) {
-    ++stats.fills.peer_fills;
-    stats.fills.peer_fill_bytes += req.size;
-    stats.peer_time_us += latency_.peer_fill_us(req.size);
-  } else {
-    stats.fills.record_origin_fetch(req.size);
-    stats.origin_time_us += latency_.origin_fetch_us(req.size);
+  for (std::size_t i = 0; i < k; ++i) {
+    if (i != pick && route.nodes[owners[i]]->contains_hashed(req.id, h)) {
+      target.record_peer_fill(req.size);
+      break;
+    }
   }
   return false;
 }
@@ -229,7 +216,7 @@ std::uint64_t ClusterCache::metadata_bytes() const {
   MutexLock lk(cluster_mu_);
   for (const auto& r : routes_) {
     total += sizeof(Route) + r->ring.metadata_bytes() +
-             r->targets.capacity() * sizeof(Route::Target);
+             r->nodes.capacity() * sizeof(Node*);
   }
   for (const NodeSlot& s : slots_) {
     if (s.live) total += s.node->snapshot().metadata_bytes;
@@ -262,10 +249,8 @@ std::size_t ClusterCache::live_node_count() const {
 void ClusterCache::publish_locked(HashRing ring) {
   auto next = std::make_unique<Route>();
   next->ring = std::move(ring);
-  next->targets.reserve(slots_.size());
-  for (const NodeSlot& s : slots_) {
-    next->targets.push_back({s.node.get(), s.stats.get()});
-  }
+  next->nodes.reserve(slots_.size());
+  for (const NodeSlot& s : slots_) next->nodes.push_back(s.node.get());
   routes_.push_back(std::move(next));
   route_.store(routes_.back().get(), std::memory_order_release);
 }
@@ -384,13 +369,9 @@ std::vector<ClusterNodeStats> ClusterCache::node_stats() const {
     ns.name = s.node->name();
     ns.live = s.live;
     ns.shard = s.node->snapshot();
+    ns.shard.derive_origin_fetches();
     ns.migrated_in_keys = s.migrated_in_keys;
     ns.migrated_in_bytes = s.migrated_in_bytes;
-    const NodeCounters& c = *s.stats;
-    MutexLock stats_lk(c.mu);
-    static_cast<FlowStats&>(ns.shard) += c.fills;
-    ns.shard.origin_time_us += c.origin_time_us;
-    ns.peer_time_us = c.peer_time_us;
     out.push_back(std::move(ns));
   }
   return out;
@@ -400,8 +381,6 @@ ClusterTotals ClusterCache::totals() const {
   ClusterTotals t;
   for (const ClusterNodeStats& ns : node_stats()) {
     t += ns.shard;
-    t.origin_time_us += ns.shard.origin_time_us;
-    t.peer_time_us += ns.peer_time_us;
     t.migrated_keys += ns.migrated_in_keys;
     t.migrated_bytes += ns.migrated_in_bytes;
   }

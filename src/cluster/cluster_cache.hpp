@@ -37,21 +37,20 @@
 // reproduces the exact same join/leave points every run.
 //
 // Misses that no owner can serve are fetched from the origin: the BTO
-// bytes of the paper, priced by LatencyModel::origin_fetch_us
-// (`ClusterCacheConfig::backing` accepts only "origin").
+// bytes of the paper.
 //
-// Bookkeeping: each node (cluster/node.hpp) books a request's requests,
-// hits and bytes in the critical section that runs its policy. A miss that
-// no peer will be probed for (k == 1, or replicate_hot off) can only be an
-// origin fetch, so the node books that fetch and its modeled time in the
-// same section. Only for a peer-probed miss can the node not know under its
-// own lock whether a peer or the origin fills it; that fill and its modeled
-// time are booked after the probes in the node's NodeCounters. node_stats()
-// and totals() sum both. Warm transfers are not requests and book nothing.
+// Bookkeeping: each node (cluster/node.hpp) keeps one record. It books a
+// request's requests, hits and bytes in the critical section that runs its
+// policy, and a peer-probed miss that a peer held as a peer fill
+// (Node::record_peer_fill) after the probes. The cluster sits in front of
+// the origin, so every other miss was an origin fetch: node_stats() derives
+// each node's origin counters from its record
+// (FlowStats::derive_origin_fetches) and totals() sums the nodes. Warm
+// transfers are not requests and book nothing.
 //
 // Locking: the request path takes no cluster-wide lock. It takes its
 // index from an atomic counter, routes on an immutable Route snapshot (the
-// ring plus the node and counter tables) read with one acquire load, and
+// ring plus the node table) read with one acquire load, and
 // counts its key under one of the tracker's 64 shard locks. cluster_mu_
 // guards membership: the slot table, the published routes, the schedule
 // cursor and the migration counters. The constructor, join(), leave() and
@@ -63,12 +62,12 @@
 // index routes on the ring that event published. After routing, the
 // request takes the node mutex once; hits and unprobed misses are done
 // there. Only a miss of a spread hot key with replicate_hot on then probes
-// peers (one node mutex at a time) and takes the target's
-// NodeCounters::mu. The request path never holds two locks at once, and
-// the tracker shard lock never nests. The nesting orders are cluster_mu_
-// -> node mutex (migration, snapshots) and cluster_mu_ ->
-// NodeCounters::mu (totals / node_stats readers); nothing acquires
-// cluster_mu_ while holding another lock — no cycle exists.
+// peers (one node mutex at a time) and, when a peer holds the object,
+// takes the serving node's mutex again to book the fill. The request path
+// never holds two locks at once, and the tracker shard lock never nests.
+// The one nesting order is cluster_mu_ -> node mutex (migration and the
+// stats readers); nothing acquires cluster_mu_ while holding another lock —
+// no cycle exists.
 #pragma once
 
 #include <array>
@@ -81,7 +80,6 @@
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
-#include "cluster/latency_model.hpp"
 #include "cluster/node.hpp"
 #include "sim/cache.hpp"
 #include "sim/flow_stats.hpp"
@@ -116,7 +114,8 @@ struct ClusterCacheConfig {
   /// Seed for node 0; node i gets seed + i. With one node this matches
   /// make_cache(policy, capacity, seed) exactly (the golden cross-check).
   std::uint64_t seed = 1;
-  /// Only "origin" (origin fetches priced by LatencyModel) is accepted.
+  /// Kept for source compatibility; accepts only "origin" (every miss no
+  /// peer fills is an origin fetch).
   std::string backing = "origin";
   /// Must be sorted by at_request (validated at construction).
   std::vector<MembershipEvent> schedule;
@@ -172,25 +171,20 @@ class HotKeyTracker {
   std::array<Shard, kShards> shards_;
 };
 
-/// Per-node statistics: the node's snapshot (its flow and occupancy, the
-/// origin fetches it booked under its own lock and their modeled time)
-/// with the fills the cluster booked for it after peer probes added in,
-/// plus the modeled peer-fill time and migration counters. Summed over
-/// every node (retired ones included) they give ClusterTotals.
+/// Per-node statistics: the node's snapshot (its flow, origin fetches
+/// derived, and its occupancy) plus migration counters. Summed over every
+/// node (retired ones included) they give ClusterTotals.
 struct ClusterNodeStats {
   std::string name;
   bool live = true;
-  NodeStats shard;  ///< shard.origin_time_us covers every origin fetch
-  std::uint64_t peer_time_us = 0;  ///< modeled, integer microseconds
+  NodeStats shard;
   std::uint64_t migrated_in_keys = 0;
   std::uint64_t migrated_in_bytes = 0;
 };
 
-/// Cluster-wide sums. Flow conservation holds by construction and is
-/// re-checked in tests: requests == hits + peer_fills + origin_fetches.
+/// Cluster-wide sums. Flow conservation, requests == hits + peer_fills +
+/// origin_fetches, holds by construction: origin fetches are derived.
 struct ClusterTotals : FlowStats {
-  std::uint64_t origin_time_us = 0;  ///< modeled, integer microseconds
-  std::uint64_t peer_time_us = 0;    ///< modeled, integer microseconds
   std::uint64_t migrated_keys = 0;
   std::uint64_t migrated_bytes = 0;
   std::uint64_t hot_spread_requests = 0;  ///< requests routed by rotation
@@ -245,10 +239,10 @@ class ClusterCache final : public Cache {
       CDN_EXCLUDES(cluster_mu_);
 
   /// Per-node stats (index == node id, retired nodes included with
-  /// live == false). While drivers run, a record (and the sums in
-  /// totals()) is not one atomic cut: the node's flow and its fill
-  /// counters are read under different locks. Once access() calls have
-  /// returned they are exact.
+  /// live == false). While drivers run, the records (and the sums in
+  /// totals()) are not one atomic cut across nodes, and a peer-filled miss
+  /// whose fill is not booked yet reads as an origin fetch. Once access()
+  /// calls have returned they are exact.
   [[nodiscard]] std::vector<ClusterNodeStats> node_stats() const
       CDN_EXCLUDES(cluster_mu_);
   [[nodiscard]] ClusterTotals totals() const CDN_EXCLUDES(cluster_mu_);
@@ -270,47 +264,27 @@ class ClusterCache final : public Cache {
   static constexpr std::size_t kMaxReplicas = 8;
 
  private:
-  /// The fills of one node's peer-probed misses (hot keys spread over
-  /// k > 1 owners with replicate_hot on), booked after the probes under
-  /// this block's own lock; every other miss the node books itself.
-  /// Heap-held (slots_ grows on join while the request path holds this
-  /// pointer) and cache-line aligned, so two nodes' counters never share a
-  /// line.
-  struct alignas(64) NodeCounters {
-    mutable Mutex mu;
-    /// Only the peer-fill and origin-fetch fields are written: the node
-    /// books requests, hits and bytes itself.
-    FlowStats fills CDN_GUARDED_BY(mu);
-    std::uint64_t peer_time_us CDN_GUARDED_BY(mu) = 0;
-    std::uint64_t origin_time_us CDN_GUARDED_BY(mu) = 0;
-  };
-
   struct NodeSlot {
-    /// Owning pointers; the Node and its counters outlive every membership
-    /// change (leave only marks the slot dead), so the raw pointers a
-    /// Route holds stay valid for the cluster's lifetime.
+    /// Owning pointer; the Node outlives every membership change (leave
+    /// only marks the slot dead), so the raw pointers a Route holds stay
+    /// valid for the cluster's lifetime.
     std::unique_ptr<Node> node;
-    std::unique_ptr<NodeCounters> stats;
     bool live = true;
     /// Written only by membership changes, which hold cluster_mu_.
     std::uint64_t migrated_in_keys = 0;
     std::uint64_t migrated_in_bytes = 0;
   };
 
-  /// One immutable routing table: the ring plus each node and its fill
-  /// counters, indexed by node id (slots_ may reallocate on join, so the
-  /// request path never reads it). Never changed once published, and kept
-  /// until the cluster is destroyed, so a reader needs no lock.
+  /// One immutable routing table: the ring plus each node, indexed by node
+  /// id (slots_ may reallocate on join, so the request path never reads
+  /// it). Never changed once published, and kept until the cluster is
+  /// destroyed, so a reader needs no lock.
   struct Route {
-    struct Target {
-      Node* node = nullptr;
-      NodeCounters* counters = nullptr;
-    };
     HashRing ring;
-    std::vector<Target> targets;
+    std::vector<Node*> nodes;
   };
 
-  /// Builds node `id`: its policy instance and fill counters.
+  /// Builds node `id` around its policy instance.
   [[nodiscard]] NodeSlot make_slot(std::uint64_t capacity,
                                    std::uint32_t id) const;
   void validate_config(const ClusterCacheConfig& config) const;
@@ -346,7 +320,6 @@ class ClusterCache final : public Cache {
   std::size_t replicas_;
   bool replicate_hot_;
   std::uint64_t initial_share_;  ///< capacity granted to later joiners
-  const LatencyModel latency_{};  ///< default hop costs (latency_model.hpp)
   std::function<CachePtr(std::uint64_t, std::size_t)> factory_;
   std::vector<MembershipEvent> schedule_;
 

@@ -6,9 +6,12 @@
 // pays one hop; an OC miss adds the OC->DC hop; a DC miss adds the
 // DC->origin hop ("Backing To Origin", BTO). The defaults approximate
 // metro-edge / regional-DC / cross-region origin distances.
+//
+// Only replay() (topology.hpp) prices requests with it, per monitoring
+// window (Fig. 6's latency). ClusterCache counts its origin and peer-fill
+// bytes and prices none of them.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace cdn::cluster {
@@ -38,26 +41,6 @@ struct LatencyModel {
   [[nodiscard]] double origin_ms(std::uint64_t size) const {
     return dc_hit_ms(size) + dc_to_origin_ms +
            static_cast<double>(size) / origin_bandwidth;
-  }
-
-  // Modeled time of one cluster fill in integer microseconds. Each fill is
-  // quantized on its own, so a sum of fills is independent of the order
-  // it adds in and bitwise-stable across platforms (summing doubles is
-  // not, which the determinism lint's float-accum rule rejects).
-
-  /// One origin fetch over the DC->origin hop.
-  [[nodiscard]] std::uint64_t origin_fetch_us(std::uint64_t size) const {
-    return to_us(dc_to_origin_ms +
-                 static_cast<double>(size) / origin_bandwidth);
-  }
-  /// One fill from a sibling node over the OC->DC hop.
-  [[nodiscard]] std::uint64_t peer_fill_us(std::uint64_t size) const {
-    return to_us(oc_to_dc_ms + static_cast<double>(size) / dc_bandwidth);
-  }
-
- private:
-  [[nodiscard]] static std::uint64_t to_us(double ms) {
-    return static_cast<std::uint64_t>(std::llround(ms * 1000.0));
   }
 };
 

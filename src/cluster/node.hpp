@@ -4,9 +4,10 @@
 // Its mutex guards the policy and the node's FlowStats, so a request runs
 // the policy and books its requests, hits and bytes in one critical
 // section: the counters can never disagree with the policy about which
-// requests this node served. A caller that knows a miss can only go to the
-// origin (ClusterCache, when no peer will be probed) has serve() book the
-// origin fetch and its modeled time in that same section too.
+// requests this node served. The one miss outcome a node cannot know under
+// its own lock, a fill from a peer, its caller books afterwards with
+// record_peer_fill(); a node in front of the origin derives its origin
+// fetches from the rest (FlowStats::derive_origin_fetches).
 #pragma once
 
 #include <cstddef>
@@ -16,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/latency_model.hpp"
 #include "sim/cache.hpp"
 #include "sim/flow_stats.hpp"
 #include "util/attr.hpp"
@@ -30,16 +30,12 @@ struct NodeStats : FlowStats {
   std::uint64_t capacity_bytes = 0;  ///< configured node capacity
   std::uint64_t used_bytes = 0;      ///< resident bytes at snapshot time
   std::uint64_t metadata_bytes = 0;  ///< policy metadata footprint
-  /// Modeled time of the origin fetches booked in the flow, integer
-  /// microseconds (0 where the caller prices its own path, as Topology).
-  std::uint64_t origin_time_us = 0;
 
   NodeStats& operator+=(const NodeStats& o) noexcept {
     FlowStats::operator+=(o);
     capacity_bytes += o.capacity_bytes;
     used_bytes += o.used_bytes;
     metadata_bytes += o.metadata_bytes;
-    origin_time_us += o.origin_time_us;
     return *this;
   }
 };
@@ -76,19 +72,20 @@ class Node {
       : name_(std::move(name)), cache_(std::move(cache)) {}
 
   /// Serves one request with the caller-precomputed hash64(req.id) and
-  /// books it. Returns true on hit. With `origin`, a miss is also booked as
-  /// an origin fetch priced by origin->origin_fetch_us, in the same
-  /// critical section.
-  bool serve(const Request& req, std::uint64_t h,
-             const LatencyModel* origin = nullptr) CDN_EXCLUDES(mu_) {
+  /// books it. Returns true on hit.
+  bool serve(const Request& req, std::uint64_t h) CDN_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     const bool hit = cache_->access_hashed(req, h);
     flow_.record(req.size, hit);
-    if (!hit && origin) {
-      flow_.record_origin_fetch(req.size);
-      origin_time_us_ += origin->origin_fetch_us(req.size);
-    }
     return hit;
+  }
+
+  /// Books one of this node's served misses, of `size` bytes, as filled by
+  /// a peer.
+  void record_peer_fill(std::uint64_t size) CDN_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    ++flow_.peer_fills;
+    flow_.peer_fill_bytes += size;
   }
 
   /// Serves the run reqs[order[k]], k in [begin, end), in that order under
@@ -143,7 +140,6 @@ class Node {
     s.capacity_bytes = cache_->capacity();
     s.used_bytes = cache_->used_bytes();
     s.metadata_bytes = cache_->metadata_bytes();
-    s.origin_time_us = origin_time_us_;
     return s;
   }
 
@@ -172,7 +168,6 @@ class Node {
   mutable Mutex mu_;
   CachePtr cache_ CDN_PT_GUARDED_BY(mu_);
   FlowStats flow_ CDN_GUARDED_BY(mu_);
-  std::uint64_t origin_time_us_ CDN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace cdn::cluster

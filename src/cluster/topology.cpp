@@ -253,10 +253,7 @@ void Topology::access_batch(const Request* reqs, std::size_t n,
 
 NodeStats Topology::stats(std::size_t t, std::size_t node) const {
   NodeStats s = tiers_[t].nodes[node]->snapshot();
-  if (t + 1 == tiers_.size()) {
-    s.origin_fetches = s.misses();
-    s.origin_bytes = s.bytes_total - s.bytes_hit;
-  }
+  if (t + 1 == tiers_.size()) s.derive_origin_fetches();
   return s;
 }
 

@@ -31,6 +31,10 @@ void LirsCache::prune_stack() {
 }
 
 void LirsCache::demote_coldest_lir() {
+  // A miss admits without pruning, so a HIR block can sit at the bottom
+  // here; left there, it would stop this and every later demotion while
+  // the caller's loop waits for LIR bytes to fall.
+  prune_stack();
   if (stack_.empty()) return;
   const std::uint64_t bottom = stack_.lru_id();
   auto it = meta_.find(bottom);

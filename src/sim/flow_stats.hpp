@@ -60,6 +60,12 @@ struct FlowStats {
     ++origin_fetches;
     origin_bytes += size;
   }
+  /// For a point in front of the origin, which books only its requests and
+  /// peer fills: every other miss was an origin fetch.
+  void derive_origin_fetches() noexcept {
+    origin_fetches = misses() - peer_fills;
+    origin_bytes = bytes_total - bytes_hit - peer_fill_bytes;
+  }
 
   FlowStats& operator+=(const FlowStats& o) noexcept {
     requests += o.requests;

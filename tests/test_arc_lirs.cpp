@@ -1,6 +1,9 @@
 // Behavioral tests for ARC and LIRS (§7 related-work policies).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "policies/replacement/arc.hpp"
 #include "policies/replacement/lirs.hpp"
 #include "policies/replacement/lru.hpp"
@@ -107,6 +110,36 @@ TEST(Lirs, LowIrrBlocksSurviveOneShotScan) {
     if (c.contains(static_cast<std::uint64_t>(h))) ++survivors;
   }
   EXPECT_GE(survivors, 8);  // LIR set shielded from the scan
+}
+
+TEST(Lirs, ObjectLargerThanTheLirBudgetDoesNotHang) {
+  // The LIR budget is floor(0.99 x capacity), so an object that fits the
+  // cache can still exceed it. Each sequence below once left a HIR ghost at
+  // the stack bottom that demote_coldest_lir() refused to move, and the
+  // eviction or demotion loop never returned.
+  struct Access {
+    std::uint64_t id, size;
+  };
+  struct Case {
+    std::uint64_t capacity;
+    std::vector<Access> accesses;
+  };
+  const Case kCases[] = {
+      {100, {{1, 100}, {2, 1}, {1, 100}}},
+      {1000, {{1, 1000}, {2, 10}, {3, 10}, {1, 1000}}},
+      {1, {{1, 1}, {2, 1}, {1, 1}}},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("capacity " + std::to_string(c.capacity));
+    LirsCache cache(c.capacity);
+    std::int64_t t = 0;
+    for (const Access& a : c.accesses) {
+      cache.access(req(t++, a.id, a.size));
+      ASSERT_LE(cache.used_bytes(), c.capacity);
+    }
+    // The last access admitted its object, which is now resident.
+    EXPECT_TRUE(cache.contains(c.accesses.back().id));
+  }
 }
 
 TEST(Lirs, DeterministicReplay) {

@@ -83,6 +83,12 @@ Trace unique_trace(std::size_t ids, std::uint64_t size) {
   return trace;
 }
 
+/// Per-node and cluster flow conservation, and the nodes summing to the
+/// totals. Origin fetches are derived (misses minus peer fills), so
+/// conservation holds by construction; the literal churn pins below are
+/// the proof that the derived counts equal the ones a node would book, and
+/// PeerFillsAreBookedOnTheNodeThatMissed checks the booked peer fills
+/// against the probes that found the object.
 void expect_flow_conservation(const ClusterCache& cluster) {
   std::uint64_t requests = 0;
   for (const ClusterNodeStats& ns : cluster.node_stats()) {
@@ -415,8 +421,8 @@ std::unique_ptr<ClusterCache> run_pinned_churn(bool replicate_hot) {
 struct NodePin {
   bool live;
   std::uint64_t requests, hits, bytes_total, bytes_hit, peer_fills,
-      peer_fill_bytes, origin_fetches, origin_bytes, origin_time_us,
-      peer_time_us, migrated_in_keys, migrated_in_bytes;
+      peer_fill_bytes, origin_fetches, origin_bytes, migrated_in_keys,
+      migrated_in_bytes;
 };
 
 template <std::size_t N>
@@ -437,8 +443,6 @@ void expect_node_pins(const ClusterCache& cluster,
     EXPECT_EQ(ns.shard.peer_fill_bytes, pin.peer_fill_bytes);
     EXPECT_EQ(ns.shard.origin_fetches, pin.origin_fetches);
     EXPECT_EQ(ns.shard.origin_bytes, pin.origin_bytes);
-    EXPECT_EQ(ns.shard.origin_time_us, pin.origin_time_us);
-    EXPECT_EQ(ns.peer_time_us, pin.peer_time_us);
     EXPECT_EQ(ns.migrated_in_keys, pin.migrated_in_keys);
     EXPECT_EQ(ns.migrated_in_bytes, pin.migrated_in_bytes);
   }
@@ -460,8 +464,6 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
   EXPECT_EQ(t.peer_fill_bytes, 3029517u);
   EXPECT_EQ(t.origin_fetches, 14899u);
   EXPECT_EQ(t.origin_bytes, 713268965u);
-  EXPECT_EQ(t.origin_time_us, 1050062729u);
-  EXPECT_EQ(t.peer_time_us, 1932580u);
   EXPECT_EQ(t.migrated_keys, 374u);
   EXPECT_EQ(t.migrated_bytes, 16961878u);
   EXPECT_EQ(t.hot_spread_requests, 1951u);
@@ -469,15 +471,15 @@ TEST(ClusterCache, PinnedChurnCountersAreBitwiseStable) {
   // Node 0 left at 70%; node 4 joined at 40%.
   const NodePin kPins[] = {
       {false, 4177, 1421, 196601903, 61469127, 25, 626259, 2731, 134506517,
-       192515035, 626569, 0, 0},
+       0, 0},
       {true, 4020, 671, 190712376, 34579193, 20, 1422989, 3329, 154710194,
-       234577109, 503560, 59, 2923366},
+       59, 2923366},
       {true, 4368, 965, 178533936, 33884649, 4, 89731, 3399, 144559556,
-       239375640, 100224, 39, 1494539},
+       39, 1494539},
       {true, 4592, 1259, 227053514, 45216612, 19, 607688, 3314, 181229214,
-       233792300, 476519, 56, 2396760},
+       56, 2396760},
       {true, 2843, 708, 121900469, 23354135, 9, 282850, 2126, 98263484,
-       149802645, 225708, 220, 10147213},
+       220, 10147213},
   };
   expect_node_pins(cluster, kPins);
   expect_flow_conservation(cluster);
@@ -498,25 +500,125 @@ TEST(ClusterCache, PinnedChurnCountersWithoutPeerFillAreBitwiseStable) {
   EXPECT_EQ(t.peer_fill_bytes, 0u);
   EXPECT_EQ(t.origin_fetches, 14976u);
   EXPECT_EQ(t.origin_bytes, 716298482u);
-  EXPECT_EQ(t.origin_time_us, 1055483025u);
-  EXPECT_EQ(t.peer_time_us, 0u);
   EXPECT_EQ(t.migrated_keys, 374u);
   EXPECT_EQ(t.migrated_bytes, 16961878u);
   EXPECT_EQ(t.hot_spread_requests, 1951u);
 
   const NodePin kPins[] = {
       {false, 4177, 1421, 196601903, 61469127, 0, 0, 2756, 135132776,
-       194271298, 0, 0, 0},
+       0, 0},
       {true, 4020, 671, 190712376, 34579193, 0, 0, 3349, 156133183,
-       235991338, 0, 59, 2923366},
+       59, 2923366},
       {true, 4368, 965, 178533936, 33884649, 0, 0, 3403, 144649287,
-       239656538, 0, 39, 1494539},
+       39, 1494539},
       {true, 4592, 1259, 227053514, 45216612, 0, 0, 3333, 181836902,
-       235128378, 0, 56, 2396760},
+       56, 2396760},
       {true, 2843, 708, 121900469, 23354135, 0, 0, 2135, 98546334,
-       150435473, 0, 220, 10147213},
+       220, 10147213},
   };
   expect_node_pins(cluster, kPins);
+  expect_flow_conservation(cluster);
+}
+
+/// Which node served the last miss, and the peer fills the probes found,
+/// per node that missed. One driver only: a request's probes follow its
+/// miss with no other request in between.
+struct ProbeLedger {
+  std::size_t last_miss_node = 0;
+  std::uint64_t last_miss_size = 0;
+  std::vector<std::uint64_t> fills, fill_bytes;
+};
+
+/// A SCIP node that tells the ledger about its misses and about every
+/// contains_hashed probe that finds the object, as perfbench's TimedCache
+/// counts them.
+class ProbeCountingScip final : public Cache {
+ public:
+  ProbeCountingScip(std::uint64_t capacity, std::size_t node,
+                    ProbeLedger* ledger)
+      : Cache(capacity),
+        inner_(make_cache("SCIP", capacity, 1 + node)),
+        node_(node),
+        ledger_(ledger) {
+    if (ledger_->fills.size() <= node_) {
+      ledger_->fills.resize(node_ + 1);
+      ledger_->fill_bytes.resize(node_ + 1);
+    }
+  }
+
+  [[nodiscard]] std::string name() const override { return "probe-scip"; }
+  bool access(const Request& req) override {
+    return access_hashed(req, hash64(req.id));
+  }
+  bool access_hashed(const Request& req, std::uint64_t h) override {
+    const bool hit = inner_->access_hashed(req, h);
+    if (!hit) {
+      ledger_->last_miss_node = node_;
+      ledger_->last_miss_size = req.size;
+    }
+    return hit;
+  }
+  [[nodiscard]] bool contains(std::uint64_t id) const override {
+    return inner_->contains(id);
+  }
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override {
+    const bool found = inner_->contains_hashed(id, h);
+    if (found) {
+      ++ledger_->fills[ledger_->last_miss_node];
+      ledger_->fill_bytes[ledger_->last_miss_node] += ledger_->last_miss_size;
+    }
+    return found;
+  }
+  bool for_each_resident(const std::function<bool(std::uint64_t,
+                                                  std::uint64_t)>& fn)
+      const override {
+    return inner_->for_each_resident(fn);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+
+ private:
+  CachePtr inner_;
+  std::size_t node_;
+  ProbeLedger* ledger_;
+};
+
+TEST(ClusterCache, PeerFillsAreBookedOnTheNodeThatMissed) {
+  // The pinned churn run's setup, counted from outside the cluster: every
+  // probe that found the object is one peer fill, booked on the node whose
+  // miss sent it.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
+  ClusterCacheConfig cfg;
+  cfg.capacity_bytes = 32ULL << 20;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.hot_threshold = 16;
+  cfg.hot_window = 4096;
+  const auto n = static_cast<std::uint64_t>(trace.requests.size());
+  cfg.schedule = {{n * 4 / 10, MembershipEvent::Kind::kJoin, 0},
+                  {n * 7 / 10, MembershipEvent::Kind::kLeave, 0}};
+  ProbeLedger ledger;
+  ClusterCache cluster(cfg, [&ledger](std::uint64_t capacity,
+                                      std::size_t node) -> CachePtr {
+    return std::make_unique<ProbeCountingScip>(capacity, node, &ledger);
+  });
+  for (const Request& req : trace.requests) cluster.access(req);
+
+  const std::vector<ClusterNodeStats> nodes = cluster.node_stats();
+  ASSERT_EQ(ledger.fills.size(), nodes.size());
+  std::uint64_t probed_fills = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_EQ(nodes[i].shard.peer_fills, ledger.fills[i]);
+    EXPECT_EQ(nodes[i].shard.peer_fill_bytes, ledger.fill_bytes[i]);
+    probed_fills += ledger.fills[i];
+  }
+  const ClusterTotals t = cluster.totals();
+  EXPECT_EQ(t.peer_fills, probed_fills);
+  EXPECT_GT(t.peer_fills, 0u);
   expect_flow_conservation(cluster);
 }
 
@@ -600,9 +702,9 @@ TEST(ClusterCache, ConcurrentAccessAndSnapshotsAreRaceFree) {
 }
 
 TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
-  // Requests are booked under the node locks and fills under the per-node
-  // counter locks while a join() races the drivers. Afterwards every total
-  // must be exactly the sum of the node records.
+  // Requests and peer fills are booked under the node locks, in separate
+  // critical sections, while a join() races the drivers. Afterwards every
+  // total must be exactly the sum of the node records.
   const Trace trace =
       stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
   ClusterCacheConfig cfg;
@@ -640,8 +742,6 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   ClusterTotals sum;
   for (const ClusterNodeStats& ns : cluster.node_stats()) {
     sum += ns.shard;
-    sum.origin_time_us += ns.shard.origin_time_us;
-    sum.peer_time_us += ns.peer_time_us;
     sum.migrated_keys += ns.migrated_in_keys;
     sum.migrated_bytes += ns.migrated_in_bytes;
   }
@@ -649,7 +749,8 @@ TEST(ClusterCache, ConcurrentPerNodeAccountingSumsToTotals) {
   EXPECT_EQ(t.requests, n);
   EXPECT_EQ(t, sum);
   EXPECT_GT(t.migrated_keys, 0u);
-  EXPECT_GT(t.origin_time_us, 0u);
+  EXPECT_GT(t.origin_fetches, 0u);
+  EXPECT_GT(t.peer_fills, 0u);
   expect_flow_conservation(cluster);
 }
 
@@ -764,18 +865,26 @@ TEST(Node, SnapshotReadsAllStatsConsistently) {
   EXPECT_EQ(s.requests, 2u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.bytes_total, 12288u);
+  EXPECT_EQ(s.peer_fills, 0u);
   EXPECT_EQ(s.origin_fetches, 0u);
-  // Given a latency model, a miss is booked as an origin fetch with its
-  // modeled time; a hit books none.
-  const LatencyModel latency;
-  EXPECT_FALSE(node.serve(Request{2, 3, 1000, -1}, hash64(3), &latency));
-  EXPECT_TRUE(node.serve(Request{3, 3, 1000, -1}, hash64(3), &latency));
+  // A peer fill lands in the same record; the node books no origin fetch,
+  // its caller derives them from the misses the peers did not fill.
+  node.record_peer_fill(8192);
+  EXPECT_FALSE(node.serve(Request{2, 3, 1000, -1}, hash64(3)));
+  EXPECT_TRUE(node.serve(Request{3, 3, 1000, -1}, hash64(3)));
   s = node.snapshot();
   EXPECT_EQ(s.requests, 4u);
   EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.origin_fetches, 1u);
-  EXPECT_EQ(s.origin_bytes, 1000u);
-  EXPECT_EQ(s.origin_time_us, latency.origin_fetch_us(1000));
+  EXPECT_EQ(s.bytes_total, 14288u);
+  EXPECT_EQ(s.bytes_hit, 1000u);
+  EXPECT_EQ(s.peer_fills, 1u);
+  EXPECT_EQ(s.peer_fill_bytes, 8192u);
+  EXPECT_EQ(s.origin_fetches, 0u);
+  EXPECT_EQ(s.origin_bytes, 0u);
+  s.derive_origin_fetches();
+  EXPECT_EQ(s.origin_fetches, 2u);
+  EXPECT_EQ(s.origin_bytes, 4096u + 1000u);
+  EXPECT_EQ(s.requests, s.hits + s.peer_fills + s.origin_fetches);
 }
 
 TEST(HotKeyTracker, ThresholdCrossingAndWindowMemory) {

@@ -12,12 +12,13 @@
 // The capacity, hashed-path and determinism contracts run again on every
 // policy wrapped as a one-tier, 4-node cluster::Topology and as a 4-node
 // cluster::ClusterCache with a low hot threshold (hot-key spreading, peer
-// probes and the in-section origin booking all run): each wrapper must
-// keep its nodes' contracts.
+// probes and the peer-fill booking all run): each wrapper must keep its
+// nodes' contracts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_cache.hpp"
@@ -199,6 +200,57 @@ TEST_P(PolicyInvariants, RepeatedSmallObjectEventuallyHits) {
   EXPECT_GT(hits, 150);
 }
 
+TEST_P(PolicyInvariants, TinyCapacitiesReturnAndHoldCapacity) {
+  // Capacities 0, 1 and 2 bytes, with every third id one byte large so the
+  // tiny caches do admit. Every access must return (a hang is a failure)
+  // and capacity must hold after each one.
+  const Trace& shared = shared_trace();
+  std::vector<Request> reqs(shared.requests.begin(),
+                            shared.requests.begin() +
+                                std::min<std::size_t>(shared.size(), 4000));
+  for (Request& r : reqs) {
+    if (r.id % 3 == 0) r.size = 1;
+  }
+  for (const std::uint64_t cap : {0, 1, 2}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    auto cache = make_cache(GetParam(), cap, 1);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      cache->access(reqs[i]);
+      ASSERT_LE(cache->used_bytes(), cache->capacity()) << "at request " << i;
+    }
+  }
+}
+
+TEST_P(PolicyInvariants, StaleSizesKeepCapacityAndResidentBytes) {
+  // An id's size changes between its requests (an object updated at the
+  // origin). Capacity must hold after every access, and an enumerating
+  // policy's resident sizes must still sum to used_bytes().
+  const Trace& shared = shared_trace();
+  std::vector<Request> reqs(shared.requests.begin(),
+                            shared.requests.begin() +
+                                std::min<std::size_t>(shared.size(), 20000));
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].size = std::max<std::uint64_t>(1, reqs[i].size >> (i % 3));
+  }
+  for (const std::uint64_t cap : {64ULL << 10, 1ULL << 20, 8ULL << 20}) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    auto cache = make_cache(GetParam(), cap, 1);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      cache->access(reqs[i]);
+      ASSERT_LE(cache->used_bytes(), cap) << "at request " << i;
+    }
+    std::uint64_t bytes = 0;
+    const bool enumerated =
+        cache->for_each_resident([&bytes](std::uint64_t, std::uint64_t size) {
+          bytes += size;
+          return true;
+        });
+    if (enumerated) {
+      EXPECT_EQ(bytes, cache->used_bytes());
+    }
+  }
+}
+
 TEST_P(PolicyInvariants, ResidentsMatchContainsAndUsedBytes) {
   // A policy that cannot enumerate returns false and is exempt; every other
   // one lists each resident exactly once.
@@ -241,9 +293,9 @@ TEST_P(PolicyInvariants, MetadataReportedNonZeroAfterLoad) {
 
 TEST(ClusterWrapper, LowHotThresholdRunsEveryRequestPath) {
   // The cluster4 wrapper above is only a meaningful contract check if its
-  // requests take every path: single-owner routing, whose misses the node
-  // books in-section, and hot-key spreading, whose misses probe a peer and
-  // sometimes find the object there.
+  // requests take every path: single-owner routing, whose misses go to the
+  // origin, and hot-key spreading, whose misses probe a peer and sometimes
+  // find the object there.
   const Trace t = generate_trace(cdn_t_like(0.03));
   const CachePtr cache = cluster4("LRU", 32ULL << 20, 5);
   for (const Request& req : t.requests) cache->access(req);

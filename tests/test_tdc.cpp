@@ -11,7 +11,6 @@
 // test_cache_network.cpp.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -60,32 +59,6 @@ TEST(LatencyModel, HopsAreOrdered) {
 TEST(LatencyModel, LargerObjectsTakeLonger) {
   LatencyModel m;
   EXPECT_LT(m.origin_ms(1 << 10), m.origin_ms(1 << 24));
-}
-
-TEST(LatencyModel, ClusterFillsAreQuantizedPerFetch) {
-  // Integer microseconds of the hop formula, rounded once per fill.
-  const LatencyModel m;
-  struct Pin {
-    std::uint64_t size, origin_us, peer_us;
-  };
-  const Pin kPins[] = {
-      {0, 70'000, 25'000},
-      {4096, 70'041, 25'010},
-      {1ULL << 20, 80'486, 27'621},
-      {1ULL << 32, 43'019'673, 10'762'418},
-  };
-  for (const Pin& p : kPins) {
-    SCOPED_TRACE("size " + std::to_string(p.size));
-    const auto size = static_cast<double>(p.size);
-    EXPECT_EQ(m.origin_fetch_us(p.size), p.origin_us);
-    EXPECT_EQ(m.peer_fill_us(p.size), p.peer_us);
-    const double origin_ms = m.dc_to_origin_ms + size / m.origin_bandwidth;
-    const double peer_ms = m.oc_to_dc_ms + size / m.dc_bandwidth;
-    EXPECT_EQ(m.origin_fetch_us(p.size),
-              static_cast<std::uint64_t>(std::llround(origin_ms * 1000.0)));
-    EXPECT_EQ(m.peer_fill_us(p.size),
-              static_cast<std::uint64_t>(std::llround(peer_ms * 1000.0)));
-  }
 }
 
 // --------------------------------------------------------------- structure
