@@ -68,6 +68,14 @@
 // The one nesting order is cluster_mu_ -> node mutex (migration and the
 // stats readers); nothing acquires cluster_mu_ while holding another lock —
 // no cycle exists.
+//
+// Prefetch hints: prefetch() hashes the id once and hints its primary owner
+// on the current route, under that node's try-lock (Node::prefetch_hashed),
+// so a hint never waits. A thread hints only after a run of requests that
+// took consecutive indices (no other driver served one in between): under
+// concurrent drivers a hint moves the node lock's line to the hinting core
+// and the hinted lines are gone before the request arrives, so there the
+// hint would cost throughput and buy nothing.
 #pragma once
 
 #include <array>
@@ -221,6 +229,12 @@ class ClusterCache final : public Cache {
   [[nodiscard]] bool contains(std::uint64_t id) const override;
   [[nodiscard]] bool contains_hashed(std::uint64_t id, std::uint64_t h)
       const override CDN_EXCLUDES(cluster_mu_);
+  /// Hints the id's primary ring owner on the current route (Node's
+  /// try-lock hint): the node an unspread request is served by. Hashes
+  /// the id once; takes no cluster lock.
+  void prefetch(std::uint64_t id) const noexcept override;
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override;
   [[nodiscard]] std::uint64_t used_bytes() const override
       CDN_EXCLUDES(cluster_mu_);
   [[nodiscard]] std::uint64_t metadata_bytes() const override

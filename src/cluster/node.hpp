@@ -7,7 +7,9 @@
 // requests this node served. The one miss outcome a node cannot know under
 // its own lock, a fill from a peer, its caller books afterwards with
 // record_peer_fill(); a node in front of the origin derives its origin
-// fetches from the rest (FlowStats::derive_origin_fetches).
+// fetches from the rest (FlowStats::derive_origin_fetches). A prefetch hint
+// (Cache::prefetch_hashed) reads the policy too, so it runs only under the
+// lock, taken with a try-lock: a hint never waits for one.
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,8 @@ struct NodeStats : FlowStats {
   std::uint64_t capacity_bytes = 0;  ///< configured node capacity
   std::uint64_t used_bytes = 0;      ///< resident bytes at snapshot time
   std::uint64_t metadata_bytes = 0;  ///< policy metadata footprint
+
+  bool operator==(const NodeStats&) const = default;
 
   NodeStats& operator+=(const NodeStats& o) noexcept {
     FlowStats::operator+=(o);
@@ -111,6 +115,16 @@ class Node {
     return true;
   }
 
+  /// Advisory hint that this node will serve `id` (hash `h`) shortly: runs
+  /// the policy's prefetch_hashed if the lock is free, and does nothing
+  /// when another thread holds it. Books nothing and changes no decision.
+  CDN_HOT void prefetch_hashed(std::uint64_t id, std::uint64_t h) const
+      CDN_EXCLUDES(mu_) {
+    if (!mu_.try_lock()) return;
+    cache_->prefetch_hashed(id, h);
+    mu_.unlock();
+  }
+
   /// Read-only residency probe with the caller-precomputed hash64(id)
   /// (replication peer probes). Never changes policy state.
   [[nodiscard]] bool contains_hashed(std::uint64_t id, std::uint64_t h)
@@ -155,7 +169,8 @@ class Node {
     constexpr std::uint32_t kPrefetchDistance = 4;
     for (std::uint32_t k = begin; k < end; ++k) {
       if (k + kPrefetchDistance < end) {
-        cache_->prefetch(reqs[order[k + kPrefetchDistance]].id);
+        const std::uint32_t ahead = order[k + kPrefetchDistance];
+        cache_->prefetch_hashed(reqs[ahead].id, hashes[ahead]);
       }
       const std::uint32_t i = order[k];
       const bool hit = cache_->access_hashed(reqs[i], hashes[i]);

@@ -126,6 +126,17 @@ bool Topology::contains_hashed(std::uint64_t id, std::uint64_t h) const {
   return false;
 }
 
+void Topology::prefetch(std::uint64_t id) const noexcept {
+  prefetch_hashed(id, hash64(id));
+}
+
+void Topology::prefetch_hashed(std::uint64_t id,
+                               std::uint64_t h) const noexcept {
+  const NodeTier& edge = tiers_.front();
+  if (edge.placement != Placement::kSaltedMod) return;
+  edge.nodes[place_hashed(0, id, h, 0, 0)]->prefetch_hashed(id, h);
+}
+
 std::uint64_t Topology::used_bytes() const {
   std::uint64_t total = 0;
   for (std::size_t t = 0; t < tiers_.size(); ++t) {

@@ -27,7 +27,9 @@
 // Concurrency: the tiers are immutable after construction and every node
 // locks itself, so serve(), the Cache interface and access_batch() are
 // thread-safe with no topology-wide lock. access() draws request indices
-// from a relaxed atomic only when some tier is kRoundRobin.
+// from a relaxed atomic only when some tier is kRoundRobin. prefetch()
+// hints the edge node of a salted-mod edge tier under that node's
+// try-lock; a batch run hints its own requests ahead inside its lock hold.
 //
 // Determinism: a single-threaded replay is a pure function of (tiers,
 // trace). A one-node tier behaves exactly like its policy at full
@@ -86,6 +88,12 @@ class Topology final : public Cache {
   [[nodiscard]] bool contains(std::uint64_t id) const override;
   [[nodiscard]] bool contains_hashed(std::uint64_t id,
                                      std::uint64_t h) const override;
+  /// Hints the edge node of a salted-mod edge tier (Node's try-lock
+  /// hint). A round-robin edge tier gets no hint: its node depends on a
+  /// request index the hint does not know.
+  void prefetch(std::uint64_t id) const noexcept override;
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override;
   [[nodiscard]] std::uint64_t used_bytes() const override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 

@@ -193,6 +193,11 @@ void OrchestratorCache::prefetch(std::uint64_t id) const noexcept {
   live_->prefetch(id);
 }
 
+void OrchestratorCache::prefetch_hashed(std::uint64_t id,
+                                        std::uint64_t h) const noexcept {
+  live_->prefetch_hashed(id, h);
+}
+
 std::uint64_t OrchestratorCache::used_bytes() const {
   return live_->used_bytes();
 }

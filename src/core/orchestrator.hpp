@@ -175,6 +175,8 @@ class OrchestratorCache final : public Cache, public obs::Introspectable {
   [[nodiscard]] bool contains_hashed(std::uint64_t id,
                                      std::uint64_t h) const override;
   void prefetch(std::uint64_t id) const noexcept override;
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override;
   [[nodiscard]] std::uint64_t used_bytes() const override;
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
   bool for_each_resident(

@@ -29,7 +29,11 @@ AdvisedLruCache::AdvisedLruCache(std::uint64_t capacity_bytes,
 std::string AdvisedLruCache::name() const { return advisor_->tag(); }
 
 void AdvisedLruCache::prefetch(std::uint64_t id) const noexcept {
-  const std::uint64_t h = hash64(id);
+  prefetch_hashed(id, hash64(id));
+}
+
+void AdvisedLruCache::prefetch_hashed(std::uint64_t /*id*/,
+                                      std::uint64_t h) const noexcept {
   q_.prefetch_hashed(h);
   if (fast_ != nullptr) {
     fast_->prefetch_hashed(h);  // final -> direct call

@@ -52,9 +52,20 @@ class Cache {
   /// Advisory hint that `id` will be accessed shortly: policies may issue
   /// software prefetches for the index slots access(id) will probe. Purely
   /// an optimization — MUST NOT change any policy decision or statistic.
-  /// The replay loop and the sharded server's batch path call this a few
-  /// requests ahead to overlap probe-miss latency across requests.
+  /// The replay loop (simulate()) calls this a few requests ahead to
+  /// overlap probe-miss latency across requests. Like every other call, a
+  /// hint reads the policy's state: a concurrent layer calls a node
+  /// policy's hint only under that node's lock (cluster::Node), and skips
+  /// it when another thread holds the lock.
   virtual void prefetch(std::uint64_t /*id*/) const noexcept {}
+
+  /// prefetch() with the caller-precomputed hash64(id) (same discipline as
+  /// access_hashed): the concurrent layers hash a request once and hint
+  /// the node that will serve it through this. The default delegates.
+  virtual void prefetch_hashed(std::uint64_t id,
+                               std::uint64_t /*h*/) const noexcept {
+    prefetch(id);
+  }
 
   /// Enumerates every resident object as (id, size) in eviction order —
   /// the next victim first, the most-protected object last — and returns

@@ -31,6 +31,10 @@ class QueueCache : public Cache {
   void prefetch(std::uint64_t id) const noexcept override {
     q_.prefetch(id);
   }
+  void prefetch_hashed(std::uint64_t /*id*/,
+                       std::uint64_t h) const noexcept override {
+    q_.prefetch_hashed(h);
+  }
 
   /// LRU-to-MRU walk of the queue: exactly the order make_room() evicts in.
   bool for_each_resident(

@@ -6,11 +6,13 @@
 // never changes a hit/miss outcome), replica-set consistency, join/leave
 // warm-transfer rebalancing with structural audits, deterministic
 // schedule-driven churn pinned to literal counters, client-side counters
-// matching the totals, exact per-node sums under concurrent drivers, and
-// TSan-level thread safety of concurrent access + snapshots.
+// matching the totals, exact per-node sums under concurrent drivers, the
+// prefetch hint's forwarding and try-lock, and TSan-level thread safety of
+// concurrent access, hints and snapshots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "cluster/cluster_cache.hpp"
+#include "cluster/topology.hpp"
 #include "core/registry.hpp"
 #include "counting_cache.hpp"
 #include "sim/audit/invariants.hpp"
@@ -173,6 +176,72 @@ TEST(ClusterCache, HashesEachRequestExactlyOnce) {
   EXPECT_EQ(t.hot_spread_requests, kRequests);
   // The fakes never hold anything: every miss went to the origin.
   EXPECT_EQ(t.origin_fetches, kRequests);
+}
+
+TEST(ClusterCache, HintForwardsTheHashOnceToThePrimaryOwner) {
+  // prefetch() and prefetch_hashed() reach the id's primary ring owner once,
+  // through the node policy's prefetch_hashed with h == hash64(id), and
+  // nothing else: no access, no residency probe, no plain prefetch, and
+  // not a counter booked. Every key is hot here, so a hint that followed
+  // the request's spread would show on the second owner.
+  using fakes::CountingFake;
+  constexpr std::size_t kNodes = 4;
+  std::array<CountingFake::Counters, kNodes> counters;
+  ClusterCacheConfig cfg;
+  cfg.nodes = kNodes;
+  cfg.replicas = 2;
+  cfg.replicate_hot = true;
+  cfg.hot_threshold = 1;
+  cfg.hot_window = 1 << 20;
+  ClusterCache cluster(cfg, [&counters](std::uint64_t capacity,
+                                        std::size_t node) {
+    return std::make_unique<CountingFake>(capacity, &counters.at(node));
+  });
+  const auto sum = [&counters](auto field) {
+    std::uint64_t total = 0;
+    for (const CountingFake::Counters& c : counters) total += (c.*field).load();
+    return total;
+  };
+
+  // A thread hints only after a run of requests no other driver shared.
+  Request req;
+  req.size = 100;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    req.id = id;
+    cluster.access(req);
+  }
+  const std::uint64_t accesses = sum(&CountingFake::Counters::access_hashed);
+  const std::uint64_t probes = sum(&CountingFake::Counters::contains_hashed);
+  const ClusterTotals totals = cluster.totals();
+  const std::vector<ClusterNodeStats> nodes = cluster.node_stats();
+
+  constexpr std::uint64_t kHints = 200;
+  for (std::uint64_t id = 0; id < kHints; ++id) {
+    CountingFake::Counters& owner = counters.at(cluster.owners_of(id).front());
+    const std::uint64_t before = owner.prefetch_hashed.load();
+    if (id % 2 == 0) {
+      cluster.prefetch(id);
+    } else {
+      cluster.prefetch_hashed(id, hash64(id));
+    }
+    EXPECT_EQ(owner.prefetch_hashed.load(), before + 1) << "id " << id;
+  }
+  EXPECT_EQ(sum(&CountingFake::Counters::prefetch_hashed), kHints);
+  EXPECT_EQ(sum(&CountingFake::Counters::unhashed_prefetch), 0u);
+  EXPECT_EQ(sum(&CountingFake::Counters::access_hashed), accesses);
+  EXPECT_EQ(sum(&CountingFake::Counters::contains_hashed), probes);
+  EXPECT_EQ(sum(&CountingFake::Counters::unhashed), 0u);
+  EXPECT_EQ(sum(&CountingFake::Counters::bad_hash), 0u);
+  EXPECT_EQ(cluster.totals(), totals);
+  const std::vector<ClusterNodeStats> after = cluster.node_stats();
+  ASSERT_EQ(after.size(), nodes.size());
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    EXPECT_EQ(after[n].shard, nodes[n].shard) << "node " << n;
+  }
+
+  // A thread that has served no request of its own gives no hint.
+  std::thread([&cluster] { cluster.prefetch(3); }).join();
+  EXPECT_EQ(sum(&CountingFake::Counters::prefetch_hashed), kHints);
 }
 
 TEST(ClusterCache, FlowConservationUnderFlashCrowd) {
@@ -847,6 +916,166 @@ TEST(ClusterCache, ScheduledEventsPrecedeTheirIndexUnderConcurrency) {
   }
   EXPECT_EQ(cluster.totals().requests, n);
   expect_flow_conservation(cluster);
+}
+
+/// A SCIP node that counts the hints that reach it and forwards every call.
+class HintCountingScip final : public Cache {
+ public:
+  HintCountingScip(std::uint64_t capacity, std::uint64_t seed,
+                   std::atomic<std::uint64_t>* hints)
+      : Cache(capacity),
+        inner_(make_cache("SCIP", capacity, seed)),
+        hints_(hints) {}
+
+  [[nodiscard]] std::string name() const override { return "hint-count"; }
+  bool access(const Request& req) override { return inner_->access(req); }
+  bool access_hashed(const Request& req, std::uint64_t h) override {
+    return inner_->access_hashed(req, h);
+  }
+  [[nodiscard]] bool contains(std::uint64_t id) const override {
+    return inner_->contains(id);
+  }
+  [[nodiscard]] bool contains_hashed(std::uint64_t id,
+                                     std::uint64_t h) const override {
+    return inner_->contains_hashed(id, h);
+  }
+  void prefetch_hashed(std::uint64_t id,
+                       std::uint64_t h) const noexcept override {
+    hints_->fetch_add(1, std::memory_order_relaxed);
+    inner_->prefetch_hashed(id, h);
+  }
+  bool for_each_resident(const std::function<bool(std::uint64_t,
+                                                  std::uint64_t)>& fn)
+      const override {
+    return inner_->for_each_resident(fn);
+  }
+  [[nodiscard]] std::uint64_t used_bytes() const override {
+    return inner_->used_bytes();
+  }
+
+ private:
+  CachePtr inner_;
+  std::atomic<std::uint64_t>* hints_;
+};
+
+TEST(ClusterCache, HintsRaceRoutePublicationsRaceFree) {
+  // TSan coverage of the hint path: four threads hint a churning SCIP
+  // cluster while two of them drive the flash trace and fire scheduled
+  // joins and leaves, so hints read routes while new ones are published
+  // and take node locks that requests and migrations also take. Each
+  // thread first serves a few requests with no other driver active, so
+  // its hints pass the solo-run gate; the two hint-only threads keep that
+  // run and hint throughout. The drivers hint like simulate(), 8 of their
+  // requests ahead. A second pass runs four threads that hint and access
+  // a striped Topology, whose hints take no gate.
+  const Trace trace =
+      stress::make_stressed_trace(stress::make_stress_scenario("flash", 0.02));
+  const std::size_t n = trace.requests.size();
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kDrivers = 2;
+  constexpr std::size_t kSoloRequests = 8;
+  constexpr std::size_t kWarm = kThreads * kSoloRequests;
+  ClusterCacheConfig cfg;
+  cfg.capacity_bytes = 32ULL << 20;
+  cfg.nodes = 4;
+  cfg.replicas = 2;
+  cfg.hot_threshold = 16;
+  cfg.hot_window = 4096;
+  const auto at = [n](std::size_t tenths) {
+    return static_cast<std::uint64_t>(n * tenths / 10);
+  };
+  cfg.schedule = {{at(2), MembershipEvent::Kind::kJoin, 0},
+                  {at(4), MembershipEvent::Kind::kLeave, 0},
+                  {at(6), MembershipEvent::Kind::kJoin, 0},
+                  {at(8), MembershipEvent::Kind::kLeave, 1}};
+  std::atomic<std::uint64_t> hints{0};
+  ClusterCache cluster(cfg, [&hints](std::uint64_t capacity,
+                                     std::size_t node) -> CachePtr {
+    return std::make_unique<HintCountingScip>(capacity, 1 + node, &hints);
+  });
+
+  std::atomic<std::size_t> turn{0};
+  std::atomic<std::size_t> drivers_left{kDrivers};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (turn.load() != t) std::this_thread::yield();
+      for (std::size_t i = t * kSoloRequests; i < (t + 1) * kSoloRequests;
+           ++i) {
+        cluster.access(trace.requests[i]);
+      }
+      turn.fetch_add(1);
+      while (turn.load() != kThreads) std::this_thread::yield();
+      if (t < kDrivers) {
+        for (std::size_t i = kWarm + t; i < n; i += kDrivers) {
+          const std::size_t ahead = i + 8 * kDrivers;
+          if (ahead < n) cluster.prefetch(trace.requests[ahead].id);
+          cluster.access(trace.requests[i]);
+        }
+        drivers_left.fetch_sub(1);
+        return;
+      }
+      for (std::size_t i = kWarm; drivers_left.load() > 0; ++i) {
+        const std::uint64_t id = trace.requests[kWarm + i % (n - kWarm)].id;
+        if (i % 2 == 0) {
+          cluster.prefetch(id);
+        } else {
+          cluster.prefetch_hashed(id, hash64(id));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_GT(hints.load(), 0u);
+  EXPECT_EQ(cluster.totals().requests, n);
+  EXPECT_EQ(cluster.node_count(), 6u);
+  EXPECT_EQ(cluster.live_node_count(), 4u);
+  expect_flow_conservation(cluster);
+
+  std::atomic<std::uint64_t> striped_hints{0};
+  Topology striped_nodes(striped(
+      32ULL << 20, 4,
+      [&striped_hints](std::uint64_t capacity, std::size_t i) -> CachePtr {
+        return std::make_unique<HintCountingScip>(capacity, 1 + i,
+                                                  &striped_hints);
+      }));
+  threads.clear();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&striped_nodes, &trace, n, t] {
+      for (std::size_t i = t; i < n; i += kThreads) {
+        const std::size_t ahead = i + 8 * kThreads;
+        if (ahead < n) striped_nodes.prefetch(trace.requests[ahead].id);
+        striped_nodes.access(trace.requests[i]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_GT(striped_hints.load(), 0u);
+  EXPECT_EQ(striped_nodes.tier_stats(0).requests, n);
+}
+
+TEST(Node, HintRunsOnlyWhenTheLockIsFree) {
+  // The hint is a try-lock: while another thread holds the node's lock it
+  // does nothing, and once the lock is free it reaches the policy once.
+  fakes::CountingFake::Counters counters;
+  Node node("n", std::make_unique<fakes::CountingFake>(1 << 20, &counters));
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&node, &held, &release] {
+    node.with_cache([&held, &release](Cache&) {
+      held.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!held.load()) std::this_thread::yield();
+  node.prefetch_hashed(5, hash64(5));
+  EXPECT_EQ(counters.prefetch_hashed.load(), 0u);
+  release.store(true);
+  holder.join();
+  node.prefetch_hashed(5, hash64(5));
+  EXPECT_EQ(counters.prefetch_hashed.load(), 1u);
+  EXPECT_EQ(counters.bad_hash.load(), 0u);
+  EXPECT_EQ(node.snapshot().requests, 0u);
 }
 
 TEST(Node, SnapshotReadsAllStatsConsistently) {

@@ -7,10 +7,12 @@
 // races (see the tsan job in ci.yml).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.hpp"
@@ -239,10 +241,68 @@ TEST(StripedService, ForwardsTheRoutingHash) {
     // The fake always misses, so every request crosses every tier.
     EXPECT_EQ(counters.access_hashed.load(), 2 * tiers * kRequests);
     EXPECT_EQ(counters.contains_hashed.load(), tiers * kRequests);
+    // A node serving a batch run hints ahead with the run's hashes.
+    EXPECT_GT(counters.prefetch_hashed.load(), 0u);
+    EXPECT_EQ(counters.unhashed_prefetch.load(), 0u);
     EXPECT_EQ(counters.unhashed.load(), 0u);
     EXPECT_EQ(counters.bad_hash.load(), 0u);
     for (std::size_t t = 0; t < tiers; ++t) {
       EXPECT_EQ(cache.tier_stats(t).requests, 2 * kRequests);
+    }
+  }
+}
+
+TEST(StripedService, HintForwardsTheHashOnceToTheEdgeNode) {
+  // prefetch() and prefetch_hashed() reach the edge node that will serve
+  // the id once, through its policy's prefetch_hashed with h == hash64(id)
+  // (also behind a salted edge tier), and nothing else: no deeper tier, no
+  // access or residency probe, no plain prefetch, no counter booked. A
+  // round-robin edge tier's node depends on the request index, so it gets
+  // no hint at all.
+  using fakes::CountingFake;
+  constexpr std::size_t kEdge = 4;
+  const std::pair<Placement, std::uint64_t> kEdges[] = {
+      {Placement::kSaltedMod, 0},
+      {Placement::kSaltedMod, cluster::kOcRouteSalt},
+      {Placement::kRoundRobin, 0}};
+  for (const auto& [placement, salt] : kEdges) {
+    const bool hinted = placement == Placement::kSaltedMod;
+    SCOPED_TRACE("salted " + std::to_string(hinted) + ", salt " +
+                 std::to_string(salt));
+    std::array<CountingFake::Counters, kEdge + 1> counters;  // + the root
+    std::vector<Tier> spec(2);
+    spec[0].placement = placement;
+    spec[0].salt = salt;
+    for (std::size_t i = 0; i < kEdge; ++i) {
+      spec[0].nodes.push_back(
+          std::make_unique<CountingFake>(1 << 20, &counters[i]));
+    }
+    spec[1].nodes.push_back(
+        std::make_unique<CountingFake>(1 << 20, &counters[kEdge]));
+    Topology cache(std::move(spec));
+    std::uint64_t expected[kEdge] = {};
+    for (std::uint64_t id = 0; id < 100; ++id) {
+      if (id % 2 == 0) {
+        cache.prefetch(id);
+      } else {
+        cache.prefetch_hashed(id, hash64(id));
+      }
+      if (hinted) ++expected[cache.place(0, id, 0, 0)];
+    }
+    for (std::size_t i = 0; i <= kEdge; ++i) {
+      const CountingFake::Counters& c = counters[i];
+      EXPECT_EQ(c.prefetch_hashed.load(), i < kEdge ? expected[i] : 0u)
+          << "node " << i;
+      EXPECT_EQ(c.unhashed_prefetch.load(), 0u);
+      EXPECT_EQ(c.access_hashed.load(), 0u);
+      EXPECT_EQ(c.contains_hashed.load(), 0u);
+      EXPECT_EQ(c.unhashed.load(), 0u);
+      EXPECT_EQ(c.bad_hash.load(), 0u);
+    }
+    for (std::size_t t = 0; t < cache.tier_count(); ++t) {
+      EXPECT_EQ(static_cast<const FlowStats&>(cache.tier_stats(t)),
+                FlowStats{})
+          << "tier " << t;
     }
   }
 }

@@ -16,6 +16,18 @@
 #include "util/thread_pool.hpp"
 
 namespace cdn {
+
+/// Reads a Mutex's lock word (Mutex befriends this class for tests).
+class MutexProbe {
+ public:
+  static std::uint32_t state(const Mutex& mu) {
+    return mu.state_.load(std::memory_order_relaxed);
+  }
+  static constexpr std::uint32_t kFree = Mutex::kFree;
+  static constexpr std::uint32_t kHeld = Mutex::kHeld;
+  static constexpr std::uint32_t kContended = Mutex::kContended;
+};
+
 namespace {
 
 TEST(ThreadPool, SubmitReturnsValue) {
@@ -193,6 +205,47 @@ TEST(Mutex, TryLockFailsWhileHeldAndSleepersAreWoken) {
     count.mu.unlock();
   }
   EXPECT_TRUE(got_free);
+}
+
+TEST(Mutex, FailedTryLockLeavesTheStateUnchanged) {
+  // try_lock on a held mutex fails and writes nothing: a held lock stays
+  // held without sleepers, and one with a sleeper stays marked contended,
+  // so the holder's unlock still wakes it.
+  Mutex mu;
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&mu, &held, &release] {
+    MutexLock lk(mu);
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!held.load()) std::this_thread::yield();
+  EXPECT_EQ(MutexProbe::state(mu), MutexProbe::kHeld);
+  const bool got_held = mu.try_lock();
+  if (got_held) mu.unlock();
+  EXPECT_FALSE(got_held);
+  EXPECT_EQ(MutexProbe::state(mu), MutexProbe::kHeld);
+
+  std::atomic<bool> waited{false};
+  std::thread waiter([&mu, &waited] {
+    MutexLock lk(mu);
+    waited.store(true);
+  });
+  // The waiter spins, then marks the word contended and sleeps.
+  while (MutexProbe::state(mu) != MutexProbe::kContended) {
+    std::this_thread::yield();
+  }
+  const bool got_contended = mu.try_lock();
+  if (got_contended) mu.unlock();
+  EXPECT_FALSE(got_contended);
+  EXPECT_EQ(MutexProbe::state(mu), MutexProbe::kContended);
+  EXPECT_FALSE(waited.load());
+
+  release.store(true);
+  holder.join();
+  waiter.join();
+  EXPECT_TRUE(waited.load());
+  EXPECT_EQ(MutexProbe::state(mu), MutexProbe::kFree);
 }
 
 }  // namespace
