@@ -1,7 +1,8 @@
 // Golden-master end-to-end tests: the SCIP variants (SCIP, SCI, and SCIP
 // hosted by S4LRU and LRU-2), their hosts and baselines (LRU, LIP, S4LRU,
-// DGIPPR, LRU-2-ASC-IP) and the orchestrator run over small fixed-seed
-// synthetic traces, with EXACT hit/miss/byte counters pinned — not ratios.
+// DGIPPR, LRU-2-ASC-IP), the history-list hosts (ARC, 2Q, LeCaR, CACHEUS,
+// ASC-IP) and the orchestrator run over small fixed-seed synthetic traces,
+// with EXACT hit/miss/byte counters pinned — not ratios.
 // Any behavioral drift anywhere in the engine (generator, RNG, queue,
 // advisor, simulator accounting) fails these loudly, which is the point:
 // an intentional behavior change must re-pin the numbers in the same
@@ -74,6 +75,11 @@ constexpr Golden kGolden[] = {
     {"LRU-2-SCIP", 14'943u, 146'909'181u, 12'547u, 124'625'677u},
     {"LRU-2-ASC-IP", 16'531u, 118'316'675u, 14'125u, 101'644'957u},
     {"TinyLFU", 14'757u, 144'031'159u, 12'399u, 123'056'581u},
+    {"ARC", 14'959u, 148'758'417u, 12'547u, 126'456'279u},
+    {"2Q", 14'405u, 143'287'264u, 12'400u, 125'281'452u},
+    {"LeCaR", 13'838u, 139'012'600u, 11'503u, 117'671'223u},
+    {"CACHEUS", 13'883u, 139'606'686u, 11'544u, 118'244'159u},
+    {"ASC-IP", 16'231u, 123'676'954u, 13'837u, 107'308'769u},
     // LRB-SCIP and LRB-ASC-IP are not pinned: at 40k requests LRB has not
     // trained yet, so their counters equal LRU's and would pin nothing new.
 };
@@ -178,6 +184,10 @@ constexpr StressedGolden kStressedGolden[] = {
     {"flash", "S4LRU", 8'219u, 323'627'634u, 6'685u, 228'960'551u},
     {"flash", "S4LRU-SCIP", 8'129u, 318'606'738u, 6'616u, 224'692'895u},
     {"flash", "DGIPPR", 8'230u, 323'990'269u, 6'696u, 229'323'186u},
+    {"flash", "ARC", 8'856u, 345'945'018u, 7'051u, 242'230'940u},
+    {"drift", "ARC", 3'915u, 125'869'399u, 3'260u, 106'000'616u},
+    {"flash", "ASC-IP", 8'721u, 305'637'595u, 6'981u, 208'782'240u},
+    {"drift", "ASC-IP", 4'200u, 99'482'997u, 3'590u, 83'366'424u},
 };
 
 TEST(GoldenMaster, StressedTracesArePinned) {
