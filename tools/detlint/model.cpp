@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <utility>
@@ -389,7 +390,28 @@ struct Parser {
 
   // -- statement-level scans (inside function bodies) ----------------------
 
-  void scan_segment_locks(Function& fn, int line, const std::string& seg) {
+  // Where a try_lock in the pending statement is held, if its result says
+  // it succeeded: inside the block `if (m.try_lock()) {` opens, or after
+  // `if (!m.try_lock()) return ...;`. A try_lock whose result the statement
+  // does not branch on that way (`EXPECT_FALSE(m.try_lock())`, `bool ok =
+  // m.try_lock();`) holds nothing: counting it as held made a later
+  // blocking lock of the same mutex read as a self-cycle.
+  [[nodiscard]] std::optional<std::size_t> try_lock_held_depth(
+      bool opens_block) const {
+    static const std::regex kTryInBlock(
+        R"(^(?:else\s+)?if\s*\(\s*[^!()]+\.\s*try_lock\s*\(\s*\)\s*\)$)");
+    static const std::regex kTryOrExit(
+        R"(^(?:else\s+)?if\s*\(\s*!\s*[^!()]+\.\s*try_lock\s*\(\s*\)\s*\)\s*(?:return|continue|break|throw)\b.*$)");
+    const std::string s = trim(joined_stmt());
+    if (opens_block && std::regex_match(s, kTryInBlock)) {
+      return scopes.size() + 1;
+    }
+    if (!opens_block && std::regex_match(s, kTryOrExit)) return scopes.size();
+    return std::nullopt;
+  }
+
+  void scan_segment_locks(Function& fn, int line, const std::string& seg,
+                          std::optional<std::size_t> try_depth) {
     static const std::regex kGuard(R"(\bMutexLock\s+\w+\s*\(\s*([^)]+?)\s*\))");
     static const std::regex kLockCall(R"(\.\s*(try_lock|lock|unlock)\s*\()");
     for (auto it = std::sregex_iterator(seg.begin(), seg.end(), kGuard);
@@ -421,7 +443,11 @@ struct Parser {
       site.line = line;
       site.held = held_exprs();
       fn.locks.push_back(site);
-      lock_stack.emplace_back(expr, scopes.size());
+      if (op == "lock") {
+        lock_stack.emplace_back(expr, scopes.size());
+      } else if (try_depth) {
+        lock_stack.emplace_back(expr, *try_depth);
+      }
     }
   }
 
@@ -486,15 +512,17 @@ struct Parser {
     }
   }
 
-  void flush_statement_into_function() {
+  void flush_statement_into_function(bool opens_block = false) {
     const int fi = innermost_function();
     if (fi < 0) {
       scan_namespace_statement();
       return;
     }
     Function& fn = fm.functions[static_cast<std::size_t>(fi)];
+    const std::optional<std::size_t> try_depth =
+        try_lock_held_depth(opens_block);
     for (const auto& [line, seg] : stmt) {
-      scan_segment_locks(fn, line, seg);
+      scan_segment_locks(fn, line, seg, try_depth);
       scan_segment_calls(fn, line, seg);
       scan_segment_locals(fn, seg);
     }
@@ -659,7 +687,9 @@ struct Parser {
       // function. Scan the pending statement first (control-flow headers:
       // `if (m.try_lock()) {`). Inside parens the statement is merely
       // interrupted — preserve it across the block.
-      if (in_function && paren_depth == 0) flush_statement_into_function();
+      if (in_function && paren_depth == 0) {
+        flush_statement_into_function(/*opens_block=*/true);
+      }
       frame.kind = ScopeFrame::kBlock;
       if (paren_depth > 0) frame.saved_stmt = std::move(stmt);
       scopes.push_back(std::move(frame));

@@ -72,6 +72,26 @@ TEST(DetlintLockOrder, ConsistentOrderAcrossTUsIsClean) {
   EXPECT_TRUE(findings.empty()) << ::testing::PrintToString(findings);
 }
 
+TEST(DetlintLockOrder, FailedTryLockHoldsNothing) {
+  // A try_lock counts as held only where its result says it succeeded: a
+  // failed probe (EXPECT_FALSE, a stored result) followed by a blocking
+  // lock of the same mutex is no self-cycle.
+  const auto findings =
+      scan_project(DETLINT_TESTDATA_DIR, {"v2/trylock_good"});
+  EXPECT_TRUE(findings.empty()) << ::testing::PrintToString(findings);
+}
+
+TEST(DetlintLockOrder, SucceededTryLockIsHeld) {
+  // `if (m.try_lock()) {` holds m inside the block (a_ -> b_ at line 10)
+  // and `if (!m.try_lock()) return;` holds it after the statement (c_ ->
+  // d_ at line 17); each edge closes a cycle with its reverse_* function.
+  const auto findings = scan_project(DETLINT_TESTDATA_DIR, {"v2/trylock_bad"});
+  EXPECT_EQ(rule_lines(findings),
+            (std::vector<std::pair<std::string, int>>{
+                {"lock-order-cycle", 10}, {"lock-order-cycle", 17}}))
+      << ::testing::PrintToString(findings);
+}
+
 // ---- hot-path purity -----------------------------------------------------
 
 TEST(DetlintHotPurity, EveryFamilyFiresAtPinnedLines) {
