@@ -12,7 +12,7 @@ AscIpAdvisor::AscIpAdvisor(std::uint64_t cache_capacity, AscIpParams params)
                             static_cast<double>(cache_capacity)))) {}
 
 void AscIpAdvisor::on_miss(const Request& req) {
-  if (hl_.erase(req.id)) {
+  if (hl_.erase(0, req.id)) {
     // The LRU-inserted object came back: the threshold cut too deep.
     threshold_ = std::min(threshold_ * params_.grow, params_.max_threshold);
   }
@@ -32,7 +32,7 @@ void AscIpAdvisor::on_evict(std::uint64_t id, std::uint64_t size,
           std::max(threshold_ * params_.shrink, params_.min_threshold);
     }
   } else {
-    hl_.add(id, size);
+    hl_.add(0, id, size);
   }
 }
 
@@ -42,8 +42,8 @@ std::uint64_t AscIpAdvisor::metadata_bytes() const {
 
 void AscIpAdvisor::sample_metrics(obs::MetricRegistry& reg) {
   reg.series("ascip.threshold").push(threshold_);
-  reg.series("ascip.hl_objects").push(static_cast<double>(hl_.count()));
-  reg.series("ascip.hl_bytes").push(static_cast<double>(hl_.used_bytes()));
+  reg.series("ascip.hl_objects").push(static_cast<double>(hl_.count(0)));
+  reg.series("ascip.hl_bytes").push(static_cast<double>(hl_.used_bytes(0)));
 }
 
 }  // namespace cdn

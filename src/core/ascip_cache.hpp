@@ -18,7 +18,7 @@
 
 #include "obs/introspect.hpp"
 #include "sim/advisor.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 
 namespace cdn {
 
@@ -55,7 +55,8 @@ class AscIpAdvisor final : public InsertionAdvisor,
  private:
   AscIpParams params_;
   double threshold_;
-  GhostList hl_;  ///< evicted LRU-inserted objects (missed-opportunity probe)
+  /// Evicted LRU-inserted objects (missed-opportunity probe), list 0.
+  FifoHistory<1> hl_;
 };
 
 }  // namespace cdn

@@ -73,8 +73,7 @@ ScipAdvisor::ScipAdvisor(std::uint64_t cache_capacity, ScipParams params)
       lr_(params.lr),
       w_miss_(0.9),
       w_prom_(0.95),
-      hm_(half_capacity(cache_capacity, params)),
-      hl_(half_capacity(cache_capacity, params)),
+      hist_(half_capacity(cache_capacity, params)),
       mon_mru_(monitor_capacity(cache_capacity, params),
                ShadowMonitor::Mode::kMruInsert),
       mon_lip_(monitor_capacity(cache_capacity, params),
@@ -87,8 +86,7 @@ ScipAdvisor::ScipAdvisor(std::uint64_t cache_capacity, ScipParams params)
   if (monitor_capacity(cache_capacity, params) < params.monitor_min_bytes) {
     params_.use_monitors = false;
   }
-  hm_.reserve(reserve_hint(hm_.capacity()));
-  hl_.reserve(reserve_hint(hl_.capacity()));
+  hist_.reserve(reserve_hint(hist_.capacity()));
   // Neutral miss prior (the duel resolves within a few thousand requests);
   // MRU-favoring promotion prior — demotion must prove itself first.
   psel_miss_ = 0;
@@ -118,10 +116,12 @@ void ScipAdvisor::sample_metrics(obs::MetricRegistry& reg) {
   reg.series("scip.p_mru_promote").push(w_prom_);
   reg.series("scip.p_lru_promote").push(1.0 - w_prom_);
   reg.series("scip.lambda").push(lr_.lambda());
-  reg.series("scip.hm_objects").push(static_cast<double>(hm_.count()));
-  reg.series("scip.hl_objects").push(static_cast<double>(hl_.count()));
-  reg.series("scip.hm_bytes").push(static_cast<double>(hm_.used_bytes()));
-  reg.series("scip.hl_bytes").push(static_cast<double>(hl_.used_bytes()));
+  reg.series("scip.hm_objects").push(static_cast<double>(hist_.count(kHm)));
+  reg.series("scip.hl_objects").push(static_cast<double>(hist_.count(kHl)));
+  reg.series("scip.hm_bytes").push(
+      static_cast<double>(hist_.used_bytes(kHm)));
+  reg.series("scip.hl_bytes").push(
+      static_cast<double>(hist_.used_bytes(kHl)));
   reg.series("scip.psel_miss").push(static_cast<double>(psel_miss_));
   reg.series("scip.psel_prom").push(static_cast<double>(psel_prom_));
   const std::uint64_t dec = prom_decisions_ - sampled_prom_decisions_;
@@ -170,7 +170,7 @@ std::uint64_t ScipAdvisor::metadata_bytes() const {
   // disabled monitors inflated the resource-accounting columns for exactly
   // the small caches where metadata overhead matters most.
   std::uint64_t total =
-      hm_.metadata_bytes() + hl_.metadata_bytes() + fixed_state_bytes();
+      hist_.metadata_bytes() + fixed_state_bytes();
   if (params_.use_monitors) {
     total += mon_mru_.metadata_bytes() + mon_lip_.metadata_bytes() +
              mon_mru_prom_.metadata_bytes() + mon_demote_.metadata_bytes() +

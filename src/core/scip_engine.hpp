@@ -42,7 +42,7 @@
 #include "util/attr.hpp"
 #include "obs/introspect.hpp"
 #include "sim/advisor.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn {
@@ -112,21 +112,16 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   }
   void on_request_hashed(const Request& req, bool hit, std::uint64_t h) final;
   void prefetch_hashed(std::uint64_t h) const noexcept final {
-    // The miss path consults both history lists before anything else.
-    hm_.prefetch_hashed(h);
-    hl_.prefetch_hashed(h);
+    // The miss path consults both history lists before anything else; they
+    // share one index, so one home line covers both.
+    hist_.prefetch_hashed(h);
   }
   void prefetch_evict_hashed(std::uint64_t h,
-                             bool victim_mru) const noexcept final {
-    // The victim is written to exactly one history list (H_m if it was
-    // MRU-inserted, H_l otherwise; Algorithm 1 lines 15-19) and the add
-    // usually drops that list's FIFO-oldest record. The host serves the
-    // side from its tail shadow, so only the receiving list's index home
-    // and drop-end record are hinted — hinting all four candidate lines
-    // dragged two spurious cold lines into cache per eviction.
-    const GhostList& g = victim_mru ? hm_ : hl_;
-    g.prefetch_hashed(h);
-    g.prefetch_oldest();
+                             bool /*victim_mru*/) const noexcept final {
+    // The victim is written to one history list (Algorithm 1 lines 15-19)
+    // through the shared index: one home line. The drop that usually
+    // follows hints its own index lines ahead (FifoHistory::drop_to_fit).
+    hist_.prefetch_hashed(h);
   }
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
   [[nodiscard]] const char* tag() const override { return "SCIP"; }
@@ -156,8 +151,12 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   [[nodiscard]] double w_mip() const noexcept { return w_miss_; }
   [[nodiscard]] double w_mip_promotion() const noexcept { return w_prom_; }
   [[nodiscard]] double lambda() const noexcept { return lr_.lambda(); }
-  [[nodiscard]] std::size_t hm_count() const noexcept { return hm_.count(); }
-  [[nodiscard]] std::size_t hl_count() const noexcept { return hl_.count(); }
+  [[nodiscard]] std::size_t hm_count() const noexcept {
+    return hist_.count(kHm);
+  }
+  [[nodiscard]] std::size_t hl_count() const noexcept {
+    return hist_.count(kHl);
+  }
   [[nodiscard]] std::uint64_t override_count() const noexcept {
     return overrides_;
   }
@@ -222,8 +221,10 @@ class ScipAdvisor : public InsertionAdvisor, public obs::Introspectable {
   ml::AdaptiveLearningRate lr_;  ///< Algorithm 2 on the nudge magnitude
   double w_miss_;
   double w_prom_;
-  GhostList hm_;
-  GhostList hl_;
+  // H_m and H_l, the two lists of one history over one index.
+  static constexpr std::size_t kHm = 0;
+  static constexpr std::size_t kHl = 1;
+  FifoHistory<2> hist_;
   // Miss duel: 1/64 slices into 1/32-capacity monitors (the DIP ratio).
   ShadowMonitor mon_mru_;
   ShadowMonitor mon_lip_;
@@ -270,11 +271,11 @@ inline void ScipAdvisor::on_miss_hashed(const Request& req, std::uint64_t h) {
   // DELETE must clear every record of the object on a history hit —
   // leaving the other list's record behind injects stale, contradictory
   // override evidence on a later miss. H_m evidence (the more recent
-  // judgement of an MRU placement) takes precedence for the override.
-  bool hm_was_hit = false;
-  bool hl_was_hit = false;
-  const bool in_hm = hm_.erase_hashed(req.id, h, nullptr, &hm_was_hit);
-  const bool in_hl = hl_.erase_hashed(req.id, h, nullptr, &hl_was_hit);
+  // judgement of an MRU placement) takes precedence for the override. The
+  // lists share one index, so both DELETEs walk one probe run.
+  const auto erased = hist_.erase_all_hashed(req.id, h);
+  const bool in_hm = erased[kHm].found;
+  const bool in_hl = erased[kHl].found;
   if (!in_hm && !in_hl) return;
   // Per-object adjustment (§3.2: "the insertion position of the object
   // should be adjusted"), applied with a probability driven by the
@@ -292,7 +293,7 @@ inline void ScipAdvisor::on_miss_hashed(const Request& req, std::uint64_t h) {
     // full traversal without a single hit — a ZRO. Exile this insertion.
     // A victim that WAS hit and still evicted was flushed under pressure
     // (e.g. a scan): demonstrably reusable — keep it at MRU.
-    pending_override_ = hm_was_hit ? +1 : -1;
+    pending_override_ = erased[kHm].tag ? +1 : -1;
   } else {
     // Its LRU placement threw away a would-be hit.
     pending_override_ = +1;
@@ -330,11 +331,7 @@ inline void ScipAdvisor::on_evict_hashed(std::uint64_t id, std::uint64_t size,
                                          bool was_mru_inserted, bool had_hits,
                                          std::uint64_t h) {
   // Algorithm 1, lines 15-19 (ADD keeps each list FIFO).
-  if (was_mru_inserted) {
-    hm_.add_hashed(id, size, had_hits, h);
-  } else {
-    hl_.add_hashed(id, size, had_hits, h);
-  }
+  hist_.add_hashed(was_mru_inserted ? kHm : kHl, id, size, had_hits, h);
 }
 
 inline void ScipAdvisor::on_request_hashed(const Request& req, bool hit,

@@ -17,12 +17,12 @@ void TwoQCache::make_room_main(std::uint64_t size) {
     if (!a1in_.empty() &&
         (a1in_.used_bytes() > a1in_cap_ || am_.empty())) {
       const LruQueue::Node n = a1in_.pop_lru();
-      a1out_.add(n.id, n.size);
+      a1out_.add(0, n.id, n.size);
     } else if (!am_.empty()) {
       am_.pop_lru();
     } else if (!a1in_.empty()) {
       const LruQueue::Node n = a1in_.pop_lru();
-      a1out_.add(n.id, n.size);
+      a1out_.add(0, n.id, n.size);
     } else {
       return;
     }
@@ -45,7 +45,7 @@ bool TwoQCache::access(const Request& req) {
   }
   if (!fits(req.size)) return false;
   make_room_main(req.size);
-  if (a1out_.erase(req.id)) {
+  if (a1out_.erase(0, req.id)) {
     // Second access within the A1out horizon: admit to the main queue.
     LruQueue::Node& n = am_.insert_mru(req.id, req.size);
     n.insert_tick = n.last_tick = tick_;
@@ -56,7 +56,7 @@ bool TwoQCache::access(const Request& req) {
   // Keep A1in within its share even when insertions land there.
   while (a1in_.used_bytes() > a1in_cap_ && a1in_.count() > 1) {
     const LruQueue::Node n = a1in_.pop_lru();
-    a1out_.add(n.id, n.size);
+    a1out_.add(0, n.id, n.size);
   }
   return false;
 }

@@ -10,7 +10,7 @@
 #pragma once
 
 #include "sim/cache.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn {
@@ -38,7 +38,7 @@ class TwoQCache final : public Cache {
   std::uint64_t a1in_cap_;
   LruQueue a1in_;   ///< FIFO probation
   LruQueue am_;     ///< main LRU
-  GhostList a1out_; ///< ghosts of A1in evictions
+  FifoHistory<1> a1out_;  ///< ghosts of A1in evictions (list 0)
   std::int64_t tick_ = 0;
 };
 

@@ -5,7 +5,7 @@
 namespace cdn {
 
 ArcCache::ArcCache(std::uint64_t capacity_bytes)
-    : Cache(capacity_bytes), b1_(capacity_bytes), b2_(capacity_bytes) {}
+    : Cache(capacity_bytes), ghosts_(capacity_bytes) {}
 
 void ArcCache::replace(bool hit_in_b2, std::uint64_t incoming) {
   // Evict until the incoming object fits, choosing the list per ARC's
@@ -18,10 +18,10 @@ void ArcCache::replace(bool hit_in_b2, std::uint64_t incoming) {
          t2_.empty());
     if (evict_t1) {
       const LruQueue::Node n = t1_.pop_lru();
-      b1_.add(n.id, n.size);
+      ghosts_.add(kB1, n.id, n.size);
     } else {
       const LruQueue::Node n = t2_.pop_lru();
-      b2_.add(n.id, n.size);
+      ghosts_.add(kB2, n.id, n.size);
     }
   }
 }
@@ -48,14 +48,11 @@ bool ArcCache::access(const Request& req) {
 
   // Case II: ghost hit in B1 -> favor recency; admit into T2.
   std::uint64_t ghost_size = 0;
-  if (b1_.erase(req.id, &ghost_size)) {
-    const std::uint64_t delta =
-        std::max<std::uint64_t>(req.size, b2_.used_bytes() > 0
-                                              ? b2_.used_bytes() /
-                                                    std::max<std::uint64_t>(
-                                                        b1_.used_bytes() + 1,
-                                                        1)
-                                              : 1);
+  if (ghosts_.erase(kB1, req.id, &ghost_size)) {
+    const std::uint64_t b1 = ghosts_.used_bytes(kB1);
+    const std::uint64_t b2 = ghosts_.used_bytes(kB2);
+    const std::uint64_t delta = std::max<std::uint64_t>(
+        req.size, b2 > 0 ? b2 / std::max<std::uint64_t>(b1 + 1, 1) : 1);
     p_ = std::min(capacity_, p_ + std::max<std::uint64_t>(delta, req.size));
     replace(false, req.size);
     LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
@@ -63,14 +60,11 @@ bool ArcCache::access(const Request& req) {
     return false;
   }
   // Case III: ghost hit in B2 -> favor frequency; admit into T2.
-  if (b2_.erase(req.id, &ghost_size)) {
-    const std::uint64_t delta =
-        std::max<std::uint64_t>(req.size, b1_.used_bytes() > 0
-                                              ? b1_.used_bytes() /
-                                                    std::max<std::uint64_t>(
-                                                        b2_.used_bytes() + 1,
-                                                        1)
-                                              : 1);
+  if (ghosts_.erase(kB2, req.id, &ghost_size)) {
+    const std::uint64_t b1 = ghosts_.used_bytes(kB1);
+    const std::uint64_t b2 = ghosts_.used_bytes(kB2);
+    const std::uint64_t delta = std::max<std::uint64_t>(
+        req.size, b1 > 0 ? b1 / std::max<std::uint64_t>(b2 + 1, 1) : 1);
     p_ = p_ > delta ? p_ - delta : 0;
     replace(true, req.size);
     LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
@@ -85,8 +79,8 @@ bool ArcCache::access(const Request& req) {
 }
 
 std::uint64_t ArcCache::metadata_bytes() const {
-  return t1_.metadata_bytes() + t2_.metadata_bytes() + b1_.metadata_bytes() +
-         b2_.metadata_bytes() + 16;
+  return t1_.metadata_bytes() + t2_.metadata_bytes() +
+         ghosts_.metadata_bytes() + 16;
 }
 
 }  // namespace cdn

@@ -10,7 +10,7 @@
 #pragma once
 
 #include "sim/cache.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn {
@@ -37,8 +37,10 @@ class ArcCache final : public Cache {
 
   LruQueue t1_;
   LruQueue t2_;
-  GhostList b1_;
-  GhostList b2_;
+  // B1 and B2, the two lists of one history over one index.
+  static constexpr std::size_t kB1 = 0;
+  static constexpr std::size_t kB2 = 1;
+  FifoHistory<2> ghosts_;
   std::uint64_t p_ = 0;  ///< target size of T1 in bytes
   std::int64_t tick_ = 0;
 };

@@ -8,18 +8,15 @@ namespace cdn {
 LeCarCache::LeCarCache(std::uint64_t capacity_bytes, std::uint64_t seed,
                        double learning_rate, double discount)
     : Cache(capacity_bytes),
-      ghost_lru_(capacity_bytes),
-      ghost_lfu_(capacity_bytes),
+      ghosts_(capacity_bytes),
       learning_rate_(learning_rate),
       discount_(discount),
       rng_(seed) {}
 
 void LeCarCache::on_window() {}
 
-void LeCarCache::apply_regret(GhostList& ghost, double& w_penalized,
-                              std::uint64_t id,
+void LeCarCache::apply_regret(double& w_penalized,
                               std::int64_t evict_tick_hint) {
-  if (!ghost.erase(id)) return;
   // Time-discounted regret: d_base^(elapsed), d_base = discount^(1/N).
   const double n = std::max<double>(1.0, static_cast<double>(q_.count()));
   const double d_base = std::pow(discount_, 1.0 / n);
@@ -36,8 +33,7 @@ void LeCarCache::evict_id(std::uint64_t victim_id, bool blamed_on_lru) {
   LruQueue::Node victim{};
   q_.erase(victim_id, &victim);
   lfu_order_.erase({victim.aux, victim.last_tick, victim.id});
-  auto& ghost = blamed_on_lru ? ghost_lru_ : ghost_lfu_;
-  ghost.add(victim.id, victim.size);
+  ghosts_.add(blamed_on_lru ? kLruGhost : kLfuGhost, victim.id, victim.size);
   ghost_evict_tick_[victim.id] = tick_;
 }
 
@@ -55,7 +51,8 @@ bool LeCarCache::access(const Request& req) {
     // Sweep stale discount timestamps (ids no longer in either ghost).
     for (auto it = ghost_evict_tick_.begin();
          it != ghost_evict_tick_.end();) {
-      if (!ghost_lru_.contains(it->first) && !ghost_lfu_.contains(it->first)) {
+      if (!ghosts_.contains(kLruGhost, it->first) &&
+          !ghosts_.contains(kLfuGhost, it->first)) {
         it = ghost_evict_tick_.erase(it);
       } else {
         ++it;
@@ -78,8 +75,9 @@ bool LeCarCache::access(const Request& req) {
       it != ghost_evict_tick_.end()) {
     evict_hint = it->second;
   }
-  apply_regret(ghost_lru_, w_lru_, req.id, evict_hint);
-  apply_regret(ghost_lfu_, w_lfu_, req.id, evict_hint);
+  const auto erased = ghosts_.erase_all(req.id);
+  if (erased[kLruGhost].found) apply_regret(w_lru_, evict_hint);
+  if (erased[kLfuGhost].found) apply_regret(w_lfu_, evict_hint);
   ghost_evict_tick_.erase(req.id);
 
   if (!fits(req.size)) return false;
@@ -94,7 +92,7 @@ bool LeCarCache::access(const Request& req) {
 // detlint:allow(accounting, lfu_order_ is the explicit q_.count() * 64 lfu-set-node term)
 std::uint64_t LeCarCache::metadata_bytes() const {
   return q_.metadata_bytes() + q_.count() * 64 /* lfu set node */ +
-         ghost_lru_.metadata_bytes() + ghost_lfu_.metadata_bytes() +
+         ghosts_.metadata_bytes() +
          ghost_evict_tick_.size() * 48;
 }
 

@@ -9,7 +9,7 @@
 #include <unordered_map>
 
 #include "sim/cache.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 #include "util/rng.hpp"
 
@@ -40,14 +40,17 @@ class LeCarCache : public Cache {
   using LfuKey = std::tuple<std::uint64_t, std::int64_t, std::uint64_t>;
 
   virtual void evict_one();
-  void apply_regret(GhostList& ghost, double& w_penalized, std::uint64_t id,
-                    std::int64_t evict_tick_hint);
+  /// Decays the blamed expert's weight `w_penalized` by its
+  /// time-discounted regret (a ghost of that expert was hit).
+  void apply_regret(double& w_penalized, std::int64_t evict_tick_hint);
   void evict_id(std::uint64_t victim_id, bool blamed_on_lru);
 
   LruQueue q_;  ///< recency order; node.aux = frequency
   std::set<LfuKey> lfu_order_;
-  GhostList ghost_lru_;
-  GhostList ghost_lfu_;
+  // One ghost list per expert, over one index.
+  static constexpr std::size_t kLruGhost = 0;
+  static constexpr std::size_t kLfuGhost = 1;
+  FifoHistory<2> ghosts_;
   std::unordered_map<std::uint64_t, std::int64_t> ghost_evict_tick_;
   double w_lru_ = 0.5;
   double w_lfu_ = 0.5;

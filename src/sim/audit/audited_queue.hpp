@@ -1,5 +1,5 @@
-// Self-auditing wrappers: `AuditedQueue` and `AuditedGhostList` mirror the
-// public API of `LruQueue` / `GhostList` and run the full structural
+// Self-auditing wrappers: `AuditedQueue` and `AuditedHistory` mirror the
+// public API of `LruQueue` / `FifoHistory` and run the full structural
 // invariant audit (see invariants.hpp) after every operation, throwing
 // `InvariantViolation` the moment a structure goes inconsistent — at the
 // offending operation, not thousands of requests later when a learned weight
@@ -12,7 +12,7 @@
 #include <string>
 
 #include "sim/audit/invariants.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn::audit {
@@ -103,46 +103,62 @@ class AuditedQueue {
   LruQueue q_;
 };
 
-class AuditedGhostList {
+/// A FifoHistory whose plain operations hash ids with `hash` (hash64 by
+/// default; a test can pass a hash that forces 32-bit tag collisions).
+template <std::size_t kLists>
+class AuditedHistory {
  public:
-  explicit AuditedGhostList(std::uint64_t capacity_bytes)
-      : g_(capacity_bytes) {}
+  using History = FifoHistory<kLists>;
 
-  void add(std::uint64_t id, std::uint64_t size, bool tag = false) {
-    g_.add(id, size, tag);
+  explicit AuditedHistory(std::uint64_t capacity_bytes,
+                          Inspector::HashFn hash = &hash64)
+      : hash_(hash), g_(capacity_bytes) {}
+
+  void add(std::size_t list, std::uint64_t id, std::uint64_t size,
+           bool tag = false) {
+    g_.add_hashed(list, id, size, tag, hash_(id));
     verify("add");
   }
-  bool erase(std::uint64_t id, std::uint64_t* size_out = nullptr,
-             bool* tag_out = nullptr) {
-    const bool present = g_.erase(id, size_out, tag_out);
+  bool erase(std::size_t list, std::uint64_t id,
+             std::uint64_t* size_out = nullptr, bool* tag_out = nullptr) {
+    const bool present = g_.erase_hashed(list, id, hash_(id), size_out,
+                                         tag_out);
     verify("erase");
     return present;
   }
-
-  [[nodiscard]] bool contains(std::uint64_t id) const {
-    return g_.contains(id);
+  std::array<typename History::Erased, kLists> erase_all(std::uint64_t id) {
+    const auto erased = g_.erase_all_hashed(id, hash_(id));
+    verify("erase_all");
+    return erased;
   }
-  [[nodiscard]] std::size_t count() const noexcept { return g_.count(); }
-  [[nodiscard]] std::uint64_t used_bytes() const noexcept {
-    return g_.used_bytes();
+
+  [[nodiscard]] bool contains(std::size_t list, std::uint64_t id) const {
+    return g_.contains_hashed(list, id, hash_(id));
+  }
+  [[nodiscard]] std::size_t count(std::size_t list) const noexcept {
+    return g_.count(list);
+  }
+  [[nodiscard]] std::uint64_t used_bytes(std::size_t list) const noexcept {
+    return g_.used_bytes(list);
   }
   [[nodiscard]] std::uint64_t capacity() const noexcept {
     return g_.capacity();
   }
 
-  [[nodiscard]] const GhostList& ghost() const noexcept { return g_; }
-  [[nodiscard]] GhostList& unaudited() noexcept { return g_; }
+  [[nodiscard]] const History& history() const noexcept { return g_; }
+  [[nodiscard]] History& unaudited() noexcept { return g_; }
 
   void verify(const char* op = "explicit verify") const {
-    const AuditReport report = Inspector::check(g_);
+    const AuditReport report = Inspector::check(g_, hash_);
     if (!report.ok()) {
-      throw InvariantViolation(std::string("GhostList audit failed after ") +
+      throw InvariantViolation(std::string("FifoHistory audit failed after ") +
                                op + ": " + report.to_string());
     }
   }
 
  private:
-  GhostList g_;
+  Inspector::HashFn hash_;
+  History g_;
 };
 
 }  // namespace cdn::audit

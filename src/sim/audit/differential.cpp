@@ -1,5 +1,6 @@
 #include "sim/audit/differential.hpp"
 
+#include <array>
 #include <sstream>
 #include <vector>
 
@@ -134,7 +135,7 @@ DiffResult run_queue_differential(const DiffConfig& cfg) {
 }
 
 DiffResult run_ghost_differential(const DiffConfig& cfg) {
-  AuditedGhostList g(cfg.capacity_bytes);
+  AuditedHistory<1> g(cfg.capacity_bytes, cfg.hash);
   RefGhostModel ref(cfg.capacity_bytes);
   Rng rng(cfg.seed);
 
@@ -149,14 +150,14 @@ DiffResult run_ghost_differential(const DiffConfig& cfg) {
                                          ? cfg.capacity_bytes + 1
                                          : 1 + rng.below(cfg.max_size);
           const bool tag = rng.chance(0.5);
-          g.add(id, size, tag);
+          g.add(0, id, size, tag);
           ref.add(id, size, tag);
           break;
         }
         case 2: {
           std::uint64_t size_a = 0, size_b = 0;
           bool tag_a = false, tag_b = false;
-          const bool a = g.erase(id, &size_a, &tag_a);
+          const bool a = g.erase(0, id, &size_a, &tag_a);
           const bool b = ref.erase(id, &size_b, &tag_b);
           if (a != b || (a && (size_a != size_b || tag_a != tag_b))) {
             return diverged(op, "erase(", id, ") disagrees with reference");
@@ -164,7 +165,7 @@ DiffResult run_ghost_differential(const DiffConfig& cfg) {
           break;
         }
         case 3:
-          if (g.contains(id) != ref.contains(id)) {
+          if (g.contains(0, id) != ref.contains(id)) {
             return diverged(op, "contains(", id,
                             ") disagrees with reference");
           }
@@ -174,18 +175,89 @@ DiffResult run_ghost_differential(const DiffConfig& cfg) {
       return DiffResult{false, op, e.what()};
     }
 
-    if (g.count() != ref.count()) {
-      return diverged(op, "count: ghost ", g.count(), ", reference ",
+    if (g.count(0) != ref.count()) {
+      return diverged(op, "count: ghost ", g.count(0), ", reference ",
                       ref.count());
     }
-    if (g.used_bytes() != ref.used_bytes()) {
-      return diverged(op, "used_bytes: ghost ", g.used_bytes(),
+    if (g.used_bytes(0) != ref.used_bytes()) {
+      return diverged(op, "used_bytes: ghost ", g.used_bytes(0),
                       ", reference ", ref.used_bytes());
     }
     if (cfg.full_compare_interval != 0 &&
         op % cfg.full_compare_interval == 0 &&
-        Inspector::ghost_ids(g.ghost()) != ref.ids_newest_to_oldest()) {
+        Inspector::history_ids(g.history(), 0) !=
+            ref.ids_newest_to_oldest()) {
       return diverged(op, "FIFO order differs from reference");
+    }
+  }
+
+  return DiffResult{true, cfg.num_ops, {}};
+}
+
+DiffResult run_history_differential(const DiffConfig& cfg) {
+  AuditedHistory<2> g(cfg.capacity_bytes, cfg.hash);
+  std::array<RefGhostModel, 2> ref{RefGhostModel(cfg.capacity_bytes),
+                                   RefGhostModel(cfg.capacity_bytes)};
+  Rng rng(cfg.seed);
+
+  for (std::size_t op = 0; op < cfg.num_ops; ++op) {
+    const std::uint64_t id = rng.below(cfg.id_space);
+    const std::size_t list = rng.below(2);
+    try {
+      const std::uint64_t dice = rng.below(20);
+      if (dice < 8) {
+        // A miss's DELETE probe of both lists (Algorithm 1, lines 6-13).
+        const auto erased = g.erase_all(id);
+        for (std::size_t l = 0; l < 2; ++l) {
+          std::uint64_t size = 0;
+          bool tag = false;
+          const bool found = ref[l].erase(id, &size, &tag);
+          if (erased[l].found != found ||
+              (found && (erased[l].size != size || erased[l].tag != tag))) {
+            return diverged(op, "erase_all(", id, ") disagrees with ",
+                            "reference on list ", l);
+          }
+        }
+      } else if (dice < 17) {
+        // An eviction's ADD, occasionally oversized.
+        const std::uint64_t size = rng.chance(0.05)
+                                       ? cfg.capacity_bytes + 1
+                                       : 1 + rng.below(cfg.max_size);
+        const bool tag = rng.chance(0.5);
+        g.add(list, id, size, tag);
+        ref[list].add(id, size, tag);
+      } else if (dice < 18) {
+        std::uint64_t size_a = 0, size_b = 0;
+        bool tag_a = false, tag_b = false;
+        const bool a = g.erase(list, id, &size_a, &tag_a);
+        const bool b = ref[list].erase(id, &size_b, &tag_b);
+        if (a != b || (a && (size_a != size_b || tag_a != tag_b))) {
+          return diverged(op, "erase(", list, ", ", id,
+                          ") disagrees with reference");
+        }
+      } else if (g.contains(list, id) != ref[list].contains(id)) {
+        return diverged(op, "contains(", list, ", ", id,
+                        ") disagrees with reference");
+      }
+    } catch (const InvariantViolation& e) {
+      return DiffResult{false, op, e.what()};
+    }
+
+    for (std::size_t l = 0; l < 2; ++l) {
+      if (g.count(l) != ref[l].count()) {
+        return diverged(op, "list ", l, " count: history ", g.count(l),
+                        ", reference ", ref[l].count());
+      }
+      if (g.used_bytes(l) != ref[l].used_bytes()) {
+        return diverged(op, "list ", l, " used_bytes: history ",
+                        g.used_bytes(l), ", reference ", ref[l].used_bytes());
+      }
+      if (cfg.full_compare_interval != 0 &&
+          op % cfg.full_compare_interval == 0 &&
+          Inspector::history_ids(g.history(), l) !=
+              ref[l].ids_newest_to_oldest()) {
+        return diverged(op, "list ", l, " FIFO order differs from reference");
+      }
     }
   }
 

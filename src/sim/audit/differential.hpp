@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/rng.hpp"
+
 namespace cdn::audit {
 
 struct DiffConfig {
@@ -25,11 +27,15 @@ struct DiffConfig {
   /// Object sizes are drawn from [1, max_size].
   std::uint64_t max_size = 64;
   /// Byte bound enforced LruQueue-style (caller pops to fit) and passed to
-  /// the capacity audit; also the GhostList capacity. 0 = unbounded queue.
+  /// the capacity audit; also each history list's capacity. 0 = unbounded
+  /// queue.
   std::uint64_t capacity_bytes = 1024;
   /// Full order comparison (O(n)) every this many ops; cheap state
   /// (count/bytes/ends) is compared every op.
   std::size_t full_compare_interval = 64;
+  /// The hash the history differentials derive index tags from; a test
+  /// passes one with few distinct low 32 bits to force tag collisions.
+  std::uint64_t (*hash)(std::uint64_t) = &hash64;
 };
 
 struct DiffResult {
@@ -43,8 +49,17 @@ struct DiffResult {
 /// admission (pop-to-fit, as every cache and shadow monitor drives it).
 [[nodiscard]] DiffResult run_queue_differential(const DiffConfig& cfg = {});
 
-/// GhostList vs RefGhostModel over add (including refresh-on-re-add and
-/// records larger than capacity) / erase / contains, comparing FIFO order.
+/// One-list FifoHistory vs RefGhostModel over add (including
+/// refresh-on-re-add and records larger than capacity) / erase / contains,
+/// comparing FIFO order.
 [[nodiscard]] DiffResult run_ghost_differential(const DiffConfig& cfg = {});
+
+/// Two-list FifoHistory vs two RefGhostModels in lockstep, under SCIP's mix:
+/// DELETE probes of both lists (erase_all) and adds to either list, plus
+/// single-list erases and membership checks. A small id space puts ids in
+/// both lists and leaves tombstones next to tombstones; refreshes,
+/// oversize adds (which erase only that list's record) and ring rewrites
+/// all occur; `cfg.hash` can force 32-bit tag collisions.
+[[nodiscard]] DiffResult run_history_differential(const DiffConfig& cfg = {});
 
 }  // namespace cdn::audit

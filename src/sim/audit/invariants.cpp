@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn::audit {
@@ -158,101 +158,138 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
   return report;
 }
 
-AuditReport Inspector::check(const GhostList& g) {
+template <std::size_t kLists>
+AuditReport Inspector::check(const FifoHistory<kLists>& g, HashFn hash) {
+  using History = FifoHistory<kLists>;
   AuditReport report;
   Collector c(report);
-  const auto& slab = g.slab_;
-  const std::uint32_t kNull = GhostList::kNull;
 
-  // Walk front (newest) -> back via next_, verifying prev_ mirrors the
-  // path; bound the walk so a corrupted cycle reports instead of hanging.
-  std::vector<std::uint32_t> order;
-  std::unordered_set<std::uint32_t> on_list;
-  std::uint32_t prev = kNull;
-  std::uint32_t idx = g.head_;
-  bool cycle = false;
-  while (idx != kNull) {
-    if (idx >= slab.size()) {
-      c.fail("FIFO link out of slab range: ", idx, " >= ", slab.size());
-      return report;  // cannot traverse further safely
+  // Per list: the ring window, live records, bytes, id uniqueness.
+  std::size_t live_total = 0;
+  for (std::size_t l = 0; l < kLists; ++l) {
+    const auto& r = g.rings_[l];
+    const std::size_t len = r.recs.size();
+    if (len != 0 && ((len & (len - 1)) != 0 || r.mask != len - 1)) {
+      c.fail("list ", l, ": ring length ", len, " is not a power of two ",
+             "matching mask ", r.mask);
+      return report;  // positions cannot be resolved safely
     }
-    if (!on_list.insert(idx).second) {
-      c.fail("cycle in FIFO list at slab slot ", idx);
-      cycle = true;
-      break;
+    const std::uint32_t window = r.tail - r.head;
+    if (window > len) {
+      c.fail("list ", l, ": window of ", window, " records exceeds the ring ",
+             "length ", len);
+      return report;
     }
-    if (slab[idx].prev_ != prev) {
-      c.fail("prev link of slot ", idx, " is ", slab[idx].prev_,
-             ", expected ", prev);
+    std::uint64_t sum = 0;
+    std::size_t live = 0;
+    std::unordered_set<std::uint64_t> ids;
+    for (std::uint32_t p = r.head; p != r.tail; ++p) {
+      const auto& rec = r.at(p);
+      if (!rec.live) continue;
+      ++live;
+      sum += rec.size;
+      if (!ids.insert(rec.id).second) {
+        c.fail("list ", l, ": duplicate live record id ", rec.id);
+      }
+      if (rec.size > g.capacity_) {
+        c.fail("list ", l, ": record ", rec.id, " of size ", rec.size,
+               " individually exceeds capacity ", g.capacity_);
+      }
     }
-    order.push_back(idx);
-    prev = idx;
-    idx = slab[idx].next_;
-  }
-  if (!cycle && g.tail_ != prev) {
-    c.fail("tail_ is ", g.tail_, ", expected last walked slot ", prev);
-  }
-
-  // Per-record: byte accounting, index mapping, id uniqueness.
-  std::uint64_t sum_bytes = 0;
-  std::unordered_set<std::uint64_t> ids;
-  for (const std::uint32_t i : order) {
-    const auto& r = slab[i];
-    sum_bytes += r.size;
-    if (!ids.insert(r.id).second) c.fail("duplicate record id ", r.id);
-    if (r.size > g.capacity_) {
-      c.fail("record ", r.id, " of size ", r.size,
-             " individually exceeds capacity ", g.capacity_);
+    if (live != r.live) {
+      c.fail("list ", l, ": count is ", r.live, " but the ring holds ", live,
+             " live records");
     }
-    const std::uint32_t* mapped = g.index_.find(r.id);
-    if (mapped == nullptr) {
-      c.fail("record ", r.id, " missing from index");
-    } else if (*mapped != i) {
-      c.fail("index[", r.id, "] = ", *mapped,
-             ", does not point at its FIFO record slot ", i);
+    if (sum != r.used) {
+      c.fail("list ", l, ": used_bytes_ is ", r.used,
+             " but live record sizes sum to ", sum);
     }
-  }
-  if (ids.size() != g.index_.size()) {
-    c.fail("FIFO holds ", ids.size(), " records but index holds ",
-           g.index_.size());
-  }
-  if (sum_bytes != g.used_bytes_) {
-    c.fail("used_bytes_ is ", g.used_bytes_, " but record sizes sum to ",
-           sum_bytes);
-  }
-  if (g.used_bytes_ > g.capacity_) {
-    c.fail("used_bytes_ ", g.used_bytes_, " exceeds capacity ", g.capacity_);
+    if (r.used > g.capacity_) {
+      c.fail("list ", l, ": used_bytes_ ", r.used, " exceeds capacity ",
+             g.capacity_);
+    }
+    live_total += live;
   }
 
-  // Slab slots partition into FIFO records ∪ free list.
-  std::unordered_set<std::uint32_t> free_set;
-  for (const std::uint32_t f : g.free_list_) {
-    if (f >= slab.size()) {
-      c.fail("free_list_ entry ", f, " out of slab range");
+  // The index: one slot per live record, each reachable from its home.
+  const auto& slots = g.slots_;
+  const std::size_t n = slots.size();
+  if (n != 0 && ((n & (n - 1)) != 0 || g.mask_ != n - 1)) {
+    c.fail("index length ", n, " is not a power of two matching mask ",
+           g.mask_);
+    return report;
+  }
+  std::size_t used = 0;
+  std::unordered_set<std::uint64_t> targets;  // list << 32 | ring position
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& s = slots[i];
+    if (s.ref == History::kEmpty) continue;
+    ++used;
+    const std::size_t l = History::list_of(s.ref);
+    if (l >= kLists) {
+      c.fail("slot ", i, " names list ", l, " of ", kLists);
       continue;
     }
-    if (!free_set.insert(f).second) c.fail("duplicate free_list_ entry ", f);
-    if (on_list.contains(f)) {
-      c.fail("slot ", f, " is both free-listed and on the FIFO list");
+    const auto& r = g.rings_[l];
+    const std::uint32_t pos = s.ref & History::kPosMask;
+    const std::uint32_t offset = (pos - r.head) & History::kPosMask;
+    if (offset >= r.tail - r.head) {
+      c.fail("slot ", i, " points at list ", l, " position ", pos,
+             ", outside the ring window");
+      continue;
+    }
+    const auto& rec = r.at(pos);
+    if (!rec.live) {
+      c.fail("slot ", i, " points at a tombstone (list ", l, ", id ", rec.id,
+             ")");
+    }
+    if (!targets.insert((std::uint64_t{l} << 32) | pos).second) {
+      c.fail("two slots point at list ", l, " position ", pos);
+    }
+    if (s.tag != rec.htag ||
+        rec.htag != static_cast<std::uint32_t>(hash(rec.id))) {
+      c.fail("slot ", i, " tag ", s.tag, " / record tag ", rec.htag,
+             " do not match the hash of id ", rec.id);
+    }
+    for (std::size_t j = s.tag & g.mask_; j != i; j = (j + 1) & g.mask_) {
+      if (slots[j].ref == History::kEmpty) {
+        c.fail("slot ", i, " is unreachable from its home ",
+               s.tag & g.mask_);
+        break;
+      }
     }
   }
-  if (order.size() + g.free_list_.size() != slab.size()) {
-    c.fail("slab has ", slab.size(), " slots but records (", order.size(),
-           ") + free (", g.free_list_.size(), ") = ",
-           order.size() + g.free_list_.size());
+  if (used != g.size_) {
+    c.fail("index size is ", g.size_, " but ", used, " slots are used");
   }
-
+  if (used != live_total) {
+    c.fail("index holds ", used, " slots but the rings hold ", live_total,
+           " live records");
+  }
+  if (n != 0 && used * 2 > n) {
+    c.fail("index is ", used, "/", n, " full, past its 1/2 load bound");
+  }
   return report;
 }
 
-std::vector<std::uint64_t> Inspector::ghost_ids(const GhostList& g) {
+template <std::size_t kLists>
+std::vector<std::uint64_t> Inspector::history_ids(const FifoHistory<kLists>& g,
+                                                  std::size_t list) {
+  const auto& r = g.rings_[list];
   std::vector<std::uint64_t> out;
-  out.reserve(g.index_.size());
-  for (std::uint32_t idx = g.head_; idx != GhostList::kNull;
-       idx = g.slab_[idx].next_) {
-    out.push_back(g.slab_[idx].id);
+  out.reserve(r.live);
+  for (std::uint32_t p = r.tail; p != r.head;) {
+    const auto& rec = r.at(--p);
+    if (rec.live) out.push_back(rec.id);
   }
   return out;
 }
+
+template AuditReport Inspector::check(const FifoHistory<1>&, HashFn);
+template AuditReport Inspector::check(const FifoHistory<2>&, HashFn);
+template std::vector<std::uint64_t> Inspector::history_ids(
+    const FifoHistory<1>&, std::size_t);
+template std::vector<std::uint64_t> Inspector::history_ids(
+    const FifoHistory<2>&, std::size_t);
 
 }  // namespace cdn::audit

@@ -1,27 +1,31 @@
 // Structural invariant audits for the queue substrate.
 //
 // Every queue-based policy in this repo sits on `LruQueue` (slab + intrusive
-// doubly-linked list + hash index + dense sampling vector) and `GhostList`
-// (FIFO byte-bounded shadow list). Small accounting errors in these
+// doubly-linked list + hash index + dense sampling vector) and `FifoHistory`
+// (byte-bounded FIFO history rings over one shared index). Small accounting errors in these
 // structures — a stale hash entry, a drifted `used_bytes_`, a dense slot
 // pointing at a freed node — do not crash; they silently bias learned-policy
 // conclusions (LeCaR/CACHEUS-style learners flip on exactly such errors).
 // This header provides whole-structure consistency checks that the
-// `AuditedQueue`/`AuditedGhostList`/`AuditedCache` wrappers run after every
+// `AuditedQueue`/`AuditedHistory`/`AuditedCache` wrappers run after every
 // operation, and that tests invoke directly.
 //
 // The checks are read-only and O(n); they are debugging/testing machinery,
 // never part of a simulation hot path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+
 namespace cdn {
 
 class LruQueue;
-class GhostList;
+template <std::size_t kLists>
+class FifoHistory;
 
 namespace audit {
 
@@ -57,20 +61,34 @@ class Inspector {
   static AuditReport check(const LruQueue& q,
                            std::uint64_t capacity_bytes = kNoCapacity);
 
-  /// Validates every structural invariant of a GhostList:
-  ///  - intrusive FIFO-link integrity: front reachable to back via next,
-  ///    prev mirrors next, no cycle;
-  ///  - FIFO list and flat index hold the same records (the index maps
-  ///    each id to its slab slot), ids unique;
-  ///  - `used_bytes()` equals the sum of recorded sizes;
-  ///  - the byte bound holds: `used_bytes() <= capacity()`;
-  ///  - no record individually exceeds the capacity (add() rejects those);
-  ///  - slab slots partition exactly into {records} ∪ {free list}.
-  static AuditReport check(const GhostList& g);
+  /// The hash a FifoHistory's callers derive index tags from.
+  using HashFn = std::uint64_t (*)(std::uint64_t);
 
-  /// Recorded ids front (newest) to back (oldest) — lets differential tests
+  /// Validates every structural invariant of a FifoHistory, per list and
+  /// over the shared index:
+  ///  - ring order is FIFO order: the window from the drop cursor to the
+  ///    write cursor fits the ring, and every record the index reaches
+  ///    lies inside it;
+  ///  - `used_bytes(list)` equals the sum of the list's live records and
+  ///    `count(list)` their number; the byte bound holds, and no record
+  ///    individually exceeds the capacity (add() rejects those);
+  ///  - live ids are unique within a list;
+  ///  - the index maps one-to-one onto live records: no slot points at a
+  ///    tombstone or outside its ring's window, each live record has
+  ///    exactly one slot, each slot's tag is the low 32 bits of
+  ///    `hash(id)` and is reachable from its home without an empty slot;
+  ///  - the index is at most half full.
+  /// `hash` is the hash the callers passed (hash64 unless a test forces
+  /// tag collisions).
+  template <std::size_t kLists>
+  static AuditReport check(const FifoHistory<kLists>& g,
+                           HashFn hash = &hash64);
+
+  /// One list's live ids, newest to oldest — lets differential tests
   /// compare full FIFO order against a reference model.
-  static std::vector<std::uint64_t> ghost_ids(const GhostList& g);
+  template <std::size_t kLists>
+  static std::vector<std::uint64_t> history_ids(const FifoHistory<kLists>& g,
+                                                std::size_t list);
 };
 
 }  // namespace audit

@@ -1,9 +1,10 @@
 // Trivially-correct reference models for differential testing.
 //
-// `RefLruModel` mirrors `LruQueue` and `RefGhostModel` mirrors `GhostList`
-// with the dumbest data structure that can be right: a `std::list` walked
-// linearly, with byte counts recomputed by summation on demand. No slab, no
-// free list, no dense vector, no cached accounting — nothing that can drift.
+// `RefLruModel` mirrors `LruQueue` and `RefGhostModel` mirrors one list of
+// `FifoHistory` with the dumbest data structure that can be right: a
+// `std::list` walked linearly, with byte counts recomputed by summation on
+// demand. No slab, no ring, no index, no cached accounting — nothing that
+// can drift.
 // The differential harness (differential.hpp) drives a reference model and
 // the real structure in lockstep under randomized operation sequences and
 // asserts identical observable state, so any divergence indicts the

@@ -10,13 +10,14 @@
 #include "sim/audit/audited_cache.hpp"
 #include "sim/audit/audited_queue.hpp"
 #include "sim/audit/invariants.hpp"
+#include "sim/fifo_history.hpp"
 #include "trace/generator.hpp"
 
 namespace cdn {
 namespace {
 
 using audit::AuditedCache;
-using audit::AuditedGhostList;
+using audit::AuditedHistory;
 using audit::AuditedQueue;
 using audit::AuditReport;
 using audit::Inspector;
@@ -84,23 +85,36 @@ TEST(QueueAudit, ReportListsAllViolations) {
 }
 
 TEST(GhostAudit, DetectsByteAccountingCorruption) {
-  GhostList g(1000);
-  g.add(1, 10);
-  g.add(2, 20);
+  FifoHistory<2> g(1000);
+  g.add(0, 1, 10);
+  g.add(1, 2, 20);
   ASSERT_TRUE(Inspector::check(g).ok());
-  g.debug_corrupt_used_bytes(-1);
+  g.debug_corrupt_used_bytes(1, -1);
   const AuditReport r = Inspector::check(g);
   EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.to_string().find("used_bytes_"), std::string::npos);
+  EXPECT_NE(r.to_string().find("list 1: used_bytes_"), std::string::npos);
+}
+
+TEST(GhostAudit, DetectsATagThatIsNotTheIdsHash) {
+  // Records added under one hash and audited under another: every slot's
+  // tag disagrees with the audit's hash of its id.
+  FifoHistory<1> g(1000);
+  g.add_hashed(0, 1, 10, false, 12345);
+  EXPECT_TRUE(Inspector::check(g, [](std::uint64_t) -> std::uint64_t {
+                return 12345;
+              }).ok());
+  const AuditReport r = Inspector::check(g);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.to_string().find("hash of id 1"), std::string::npos);
 }
 
 TEST(GhostAudit, OrderAccessorMatchesInsertion) {
-  GhostList g(1000);
-  g.add(1, 10);
-  g.add(2, 10);
-  g.add(3, 10);
-  g.add(1, 10);  // refresh to front
-  const std::vector<std::uint64_t> ids = Inspector::ghost_ids(g);
+  FifoHistory<1> g(1000);
+  g.add(0, 1, 10);
+  g.add(0, 2, 10);
+  g.add(0, 3, 10);
+  g.add(0, 1, 10);  // refresh to front
+  const std::vector<std::uint64_t> ids = Inspector::history_ids(g, 0);
   const std::vector<std::uint64_t> want{1, 3, 2};
   EXPECT_EQ(ids, want);
 }
@@ -139,17 +153,17 @@ TEST(AuditedQueue, ThrowsWhenCapacityBoundViolated) {
   EXPECT_THROW(q.insert_mru(2, 30), InvariantViolation);
 }
 
-TEST(AuditedGhostList, ForwardsAndAudits) {
-  AuditedGhostList g(30);
-  g.add(1, 10);
-  g.add(2, 10);
-  g.add(3, 10);
-  g.add(4, 10);  // FIFO-evicts 1
-  EXPECT_FALSE(g.contains(1));
-  EXPECT_EQ(g.count(), 3u);
-  EXPECT_LE(g.used_bytes(), 30u);
-  g.unaudited().debug_corrupt_used_bytes(+1);
-  EXPECT_THROW(g.add(5, 10), InvariantViolation);
+TEST(AuditedHistory, ForwardsAndAudits) {
+  AuditedHistory<1> g(30);
+  g.add(0, 1, 10);
+  g.add(0, 2, 10);
+  g.add(0, 3, 10);
+  g.add(0, 4, 10);  // FIFO-evicts 1
+  EXPECT_FALSE(g.contains(0, 1));
+  EXPECT_EQ(g.count(0), 3u);
+  EXPECT_LE(g.used_bytes(0), 30u);
+  g.unaudited().debug_corrupt_used_bytes(0, +1);
+  EXPECT_THROW(g.add(0, 5, 10), InvariantViolation);
 }
 
 TEST(AuditedCache, RequiresInnerCache) {

@@ -1,12 +1,12 @@
 // Property tests for the queue substrate: randomized differential testing
 // against the std::list reference models (multiple seeds and shapes), plus
 // the deterministic edge cases the differential mix hits only by chance —
-// move_up_one at the tail / head / singleton, GhostList records larger than
+// move_up_one at the tail / head / singleton, history records larger than
 // capacity, metadata footprint under churn.
 #include <gtest/gtest.h>
 
 #include "sim/audit/differential.hpp"
-#include "sim/ghost_list.hpp"
+#include "sim/fifo_history.hpp"
 #include "sim/lru_queue.hpp"
 
 namespace cdn {
@@ -98,38 +98,38 @@ TEST(MoveUpOneEdgeCases, AbsentIdIsNoop) {
 }
 
 TEST(GhostListEdgeCases, AddLargerThanCapacityRejected) {
-  GhostList g(100);
-  g.add(1, 101);
-  EXPECT_FALSE(g.contains(1));
-  EXPECT_EQ(g.count(), 0u);
-  EXPECT_EQ(g.used_bytes(), 0u);
+  FifoHistory<1> g(100);
+  g.add(0, 1, 101);
+  EXPECT_FALSE(g.contains(0, 1));
+  EXPECT_EQ(g.count(0), 0u);
+  EXPECT_EQ(g.used_bytes(0), 0u);
 }
 
 TEST(GhostListEdgeCases, ReAddWithOversizeEvictsExistingRecord) {
   // Re-adding an id with size > capacity removes the old record and admits
   // nothing: the freshest judgement of the object is "untrackable".
-  GhostList g(100);
-  g.add(1, 10);
-  ASSERT_TRUE(g.contains(1));
-  g.add(1, 200);
-  EXPECT_FALSE(g.contains(1));
-  EXPECT_EQ(g.used_bytes(), 0u);
+  FifoHistory<1> g(100);
+  g.add(0, 1, 10);
+  ASSERT_TRUE(g.contains(0, 1));
+  g.add(0, 1, 200);
+  EXPECT_FALSE(g.contains(0, 1));
+  EXPECT_EQ(g.used_bytes(0), 0u);
   // The rest of the list is untouched.
-  g.add(2, 10);
-  g.add(3, 200);
-  EXPECT_TRUE(g.contains(2));
-  EXPECT_FALSE(g.contains(3));
+  g.add(0, 2, 10);
+  g.add(0, 3, 200);
+  EXPECT_TRUE(g.contains(0, 2));
+  EXPECT_FALSE(g.contains(0, 3));
 }
 
 TEST(GhostListEdgeCases, AddExactlyCapacityEvictsEverythingElse) {
-  GhostList g(100);
-  g.add(1, 40);
-  g.add(2, 40);
-  g.add(3, 100);  // fits alone; FIFO-evicts 1 and 2
-  EXPECT_TRUE(g.contains(3));
-  EXPECT_FALSE(g.contains(1));
-  EXPECT_FALSE(g.contains(2));
-  EXPECT_EQ(g.used_bytes(), 100u);
+  FifoHistory<1> g(100);
+  g.add(0, 1, 40);
+  g.add(0, 2, 40);
+  g.add(0, 3, 100);  // fits alone; FIFO-evicts 1 and 2
+  EXPECT_TRUE(g.contains(0, 3));
+  EXPECT_FALSE(g.contains(0, 1));
+  EXPECT_FALSE(g.contains(0, 2));
+  EXPECT_EQ(g.used_bytes(0), 100u);
 }
 
 TEST(LruQueueMetadata, FootprintDropsWhenEntriesErased) {

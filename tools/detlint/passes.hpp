@@ -27,7 +27,7 @@
 //
 //   accounting        Every class defining metadata_bytes() must reference
 //                     each accountable member (std:: container, FlatMap /
-//                     LruQueue / GhostList, or a member whose class itself
+//                     LruQueue / FifoHistory, or a member whose class itself
 //                     defines metadata_bytes) by name inside the body, or
 //                     the definition must carry
 //                     `// detlint:allow(accounting, reason)`. This turns
