@@ -12,6 +12,10 @@
 //                        and any bad value is a usage error (exit 2);
 //   best_of_interleaved  interleaved best-of-N timing trials, keeping each
 //                        arm's min-wall result;
+//   sliced_envelope_interleaved
+//                        the same rounds over replays timed in slices,
+//                        keeping each slice's fastest time (slice_columns
+//                        and replay_sliced cut and time a replay);
 //   rerun_deterministic  the bitwise rerun gate: the sweep twice, every
 //                        element deterministic_equal to its rerun;
 //   same_counters        counters-only SimResult equality for anchors;
@@ -23,6 +27,7 @@
 // bench links only the library.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -215,6 +220,87 @@ auto best_of_interleaved(std::size_t arms, std::size_t trials, Run&& run)
     }
   }
   return best;
+}
+
+/// Requests per slice of a sliced replay: long enough to time (a few ms),
+/// short enough that a run holds hundreds of slices.
+inline constexpr std::size_t kSliceRequests = 20'000;
+
+/// `cols` cut into consecutive slices of `slice_requests` (the last one may
+/// be shorter). Replaying the slices in order through one cache serves the
+/// same requests in the same order as one whole replay.
+inline std::vector<TraceColumns> slice_columns(
+    const TraceColumns& cols, std::size_t slice_requests = kSliceRequests) {
+  const auto part = [](const auto& v, std::size_t b, std::size_t e) {
+    using V = std::decay_t<decltype(v)>;
+    return v.empty() ? V{} : V(v.begin() + b, v.begin() + e);
+  };
+  std::vector<TraceColumns> slices;
+  for (std::size_t b = 0; b < cols.size(); b += slice_requests) {
+    const std::size_t e = std::min(cols.size(), b + slice_requests);
+    slices.push_back(TraceColumns{cols.name, part(cols.ids, b, e),
+                                  part(cols.sizes, b, e),
+                                  part(cols.times, b, e),
+                                  part(cols.nexts, b, e)});
+  }
+  return slices;
+}
+
+/// One replay of `slices` through `cache`, timed slice by slice: simulate()
+/// per slice on the same cache, which carries its state across slices.
+/// The summed counters equal one whole replay's.
+struct SlicedReplay {
+  std::vector<double> slice_seconds;
+  std::uint64_t requests = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t bytes_hit = 0;
+};
+
+inline SlicedReplay replay_sliced(Cache& cache,
+                                  const std::vector<TraceColumns>& slices) {
+  SimOptions opts;
+  opts.warmup_frac = 0.0;
+  SlicedReplay out;
+  out.slice_seconds.reserve(slices.size());
+  for (const TraceColumns& s : slices) {
+    const SimResult r = simulate(cache, s, opts);
+    out.slice_seconds.push_back(r.wall_seconds);
+    out.requests += r.requests;
+    out.hits += r.hits;
+    out.bytes_hit += r.bytes_hit;
+  }
+  return out;
+}
+
+/// Interleaved sliced lower envelope: best_of_interleaved's rounds, where
+/// run(arm) times one whole replay slice by slice and returns the slice
+/// times in slice order. Each arm keeps every slice's fastest time over
+/// all rounds; its envelope is the sum of those minima (seconds, per arm).
+/// Interference only ever adds time and comes in bursts shorter than a
+/// whole replay, so the envelope converges on the code's cost in the
+/// host's fast mode even when no single replay ran wholly in it.
+template <typename Run>
+std::vector<double> sliced_envelope_interleaved(std::size_t arms,
+                                                std::size_t trials,
+                                                Run&& run) {
+  std::vector<std::vector<double>> best(arms);
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (std::size_t a = 0; a < arms; ++a) {
+      const std::vector<double> s = run(a);
+      if (t == 0) {
+        best[a] = s;
+        continue;
+      }
+      for (std::size_t i = 0; i < s.size() && i < best[a].size(); ++i) {
+        best[a][i] = std::min(best[a][i], s[i]);
+      }
+    }
+  }
+  std::vector<double> envelope(arms, 0.0);
+  for (std::size_t a = 0; a < arms; ++a) {
+    for (double s : best[a]) envelope[a] += s;
+  }
+  return envelope;
 }
 
 // -------------------------------------------------------------- gates --

@@ -26,10 +26,10 @@ class BeladyCache final : public Cache {
     std::int64_t next;
   };
 
-  /// Per-resident metadata cost, sizeof-derived (PR 6's GhostList
-  /// discipline): one unordered_map node (payload + next pointer + one
-  /// amortized bucket slot) plus one rb-tree set node (payload + three
-  /// tree pointers + color word padded to pointer width).
+  /// Per-resident metadata cost, sizeof-derived (the history lists'
+  /// kPerEntryBytes discipline): one unordered_map node (payload + next
+  /// pointer + one amortized bucket slot) plus one rb-tree set node
+  /// (payload + three tree pointers + color word padded to pointer width).
   static constexpr std::uint64_t kMapNodeBytes =
       sizeof(std::pair<const std::uint64_t, Obj>) + 2 * sizeof(void*);
   static constexpr std::uint64_t kSetNodeBytes =

@@ -23,8 +23,8 @@ class GdsfCache final : public Cache {
     double priority = 0.0;
   };
 
-  /// Per-resident metadata cost, derived from sizeof like GhostList's
-  /// kPerEntryBytes (PR 6) so a field added to Obj can never silently
+  /// Per-resident metadata cost, derived from sizeof like FifoHistory's
+  /// kPerEntryBytes so a field added to Obj can never silently
   /// desync the accounting. One unordered_map node (payload + next pointer
   /// + one amortized bucket slot) plus one rb-tree set node (payload +
   /// parent/left/right pointers + color word padded to pointer width).

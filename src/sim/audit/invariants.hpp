@@ -2,10 +2,11 @@
 //
 // Every queue-based policy in this repo sits on `LruQueue` (slab + intrusive
 // doubly-linked list + hash index + dense sampling vector) and `FifoHistory`
-// (byte-bounded FIFO history rings over one shared index). Small accounting errors in these
-// structures — a stale hash entry, a drifted `used_bytes_`, a dense slot
-// pointing at a freed node — do not crash; they silently bias learned-policy
-// conclusions (LeCaR/CACHEUS-style learners flip on exactly such errors).
+// (byte-bounded FIFO history rings over one shared index). Small accounting
+// errors in these structures — a stale hash entry, a drifted `used_bytes_`,
+// a dense slot pointing at a freed node — do not crash; they silently bias
+// learned-policy conclusions (LeCaR/CACHEUS-style learners flip on exactly
+// such errors).
 // This header provides whole-structure consistency checks that the
 // `AuditedQueue`/`AuditedHistory`/`AuditedCache` wrappers run after every
 // operation, and that tests invoke directly.

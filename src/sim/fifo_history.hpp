@@ -28,7 +28,8 @@
 // DELETE on a miss) walks one probe run, and one prefetched index line
 // covers both lists. Each record keeps its hash tag, so a drop or a ring
 // rewrite finds the record's slot without rehashing the id, and a drop
-// hints the index home of the record kDropLookahead drops ahead.
+// hints the index home of the record kDropLookahead drops ahead: there is
+// no pointer chase on the drop path.
 //
 // Index positions are logical ring positions (mod 2^30): the ring slot of a
 // position is `pos & (ring size - 1)`. A rewrite gives the surviving
@@ -129,11 +130,7 @@ class FifoHistory {
   /// Advisory prefetch of the index home line of a hash: the line every
   /// list's probe for that id starts on.
   void prefetch_hashed(std::uint64_t h) const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    if (!slots_.empty()) __builtin_prefetch(&slots_[tag_of(h) & mask_]);
-#else
-    (void)h;
-#endif
+    if (!slots_.empty()) hint(&slots_[tag_of(h) & mask_]);
   }
 
   [[nodiscard]] std::size_t count(std::size_t list) const noexcept {
@@ -147,7 +144,7 @@ class FifoHistory {
   [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
 
   /// Metadata footprint estimate over all lists.
-  // detlint:allow(accounting, rings_ and slots_ are charged per live record via the sizeof-derived kPerEntryBytes)
+  // detlint:allow(accounting, rings_ and slots_ are charged per live record through the sizeof-derived kPerEntryBytes)
   [[nodiscard]] std::uint64_t metadata_bytes() const noexcept {
     return count() * kPerEntryBytes;
   }
@@ -155,7 +152,8 @@ class FifoHistory {
   /// sizeof-derived: the ring record plus three index slots, the slack
   /// amortization LruQueue::metadata_bytes uses (max load 1/2 with
   /// doubling keeps the index between 1/4 and 1/2 full).
-  static constexpr std::uint64_t kPerEntryBytes = sizeof(Rec) + 3 * sizeof(Slot);
+  static constexpr std::uint64_t kPerEntryBytes =
+      sizeof(Rec) + 3 * sizeof(Slot);
 
   /// Test-only fault injection for the audit harness (see LruQueue).
   void debug_corrupt_used_bytes(std::size_t list, std::int64_t delta) noexcept {
@@ -173,7 +171,8 @@ class FifoHistory {
   static constexpr std::size_t kMinRing = 16;
   static constexpr std::size_t kMaxRing = std::size_t{1} << 29;
   static constexpr std::size_t kMinSlots = 16;
-  /// A drop hints the index home of the record this many drops ahead.
+  /// A drop hints the index home of the record this many drops ahead, and
+  /// the ring record twice as far ahead.
   static constexpr std::uint32_t kDropLookahead = 8;
 
   struct Ring {
@@ -211,11 +210,11 @@ class FifoHistory {
                                     std::uint32_t pos) const noexcept;
   void erase_slot(std::size_t i) noexcept;
   void drop_to_fit(std::size_t list) noexcept;
-  void prefetch_home(std::uint32_t t) const noexcept {
+  static void hint(const void* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[t & mask_]);
+    __builtin_prefetch(p);
 #else
-    (void)t;
+    (void)p;
 #endif
   }
   void grow_index(std::size_t n);
@@ -270,14 +269,18 @@ inline CDN_HOT void FifoHistory<kLists>::erase_slot(std::size_t i) noexcept {
 }
 
 template <std::size_t kLists>
-inline CDN_HOT void FifoHistory<kLists>::drop_to_fit(std::size_t list) noexcept {
+inline CDN_HOT void FifoHistory<kLists>::drop_to_fit(
+    std::size_t list) noexcept {
   Ring& r = rings_[list];
   while (r.used > capacity_) {
     const std::uint32_t pos = r.head++;
     const Rec& oldest = r.at(pos);
     if (!oldest.live) continue;
     if (r.tail - r.head > kDropLookahead) {
-      prefetch_home(r.at(r.head + kDropLookahead).htag);
+      // Hint the index home of a later drop, and the ring line that drop
+      // will read its tag from.
+      hint(&slots_[r.at(r.head + kDropLookahead).htag & mask_]);
+      hint(&r.at(r.head + 2 * kDropLookahead));
     }
     r.used -= oldest.size;
     --r.live;

@@ -1,11 +1,11 @@
 // FlatMap: open-addressing hash table for the simulation hot path.
 //
-// Every simulated request funnels through the id -> slab-slot indexes of
-// `LruQueue` and `GhostList`; `std::unordered_map` pays one heap node per
-// entry plus a pointer chase per probe there, which dominates replay
-// profiles (the Cold-RL production framing: eviction-path work must fit a
-// microsecond budget). This map stores slots inline in one contiguous
-// array:
+// Every simulated request funnels through the id -> slab-slot index of
+// `LruQueue` (and the segmented stack's id -> level map);
+// `std::unordered_map` pays one heap node per entry plus a pointer chase
+// per probe there, which dominates replay profiles (the Cold-RL production
+// framing: eviction-path work must fit a microsecond budget). This map
+// stores slots inline in one contiguous array:
 //
 //   * power-of-two capacity, linear probing from `hash64(key) & mask`;
 //   * tombstone-free backward-shift deletion: erasing an entry shifts the
@@ -98,8 +98,8 @@ class FlatMap {
     return true;
   }
 
-  /// Slot for `key`, claiming a fresh slot when absent: the single-probe
-  /// find-or-insert the ghost lists' refresh-on-add path is built on.
+  /// Slot for `key`, claiming a fresh slot when absent: a single-probe
+  /// find-or-insert (the hot-key tracker's per-request upsert).
   /// `*inserted` reports whether the slot is new (value uninitialized — the
   /// caller must assign it) or existing (value untouched). May grow the
   /// table (even when the key turns out to be present, exactly like

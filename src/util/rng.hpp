@@ -20,7 +20,7 @@ namespace cdn {
 
 /// Mixes a 64-bit value into a well-distributed 64-bit hash. The splitmix64
 /// finalizer, inline because it sits on the per-request hot path (every
-/// FlatMap probe in LruQueue/GhostList starts here).
+/// LruQueue and FifoHistory index probe starts here).
 [[nodiscard]] inline std::uint64_t hash64(std::uint64_t x) noexcept {
   std::uint64_t z = x + 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

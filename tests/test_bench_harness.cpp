@@ -1,7 +1,7 @@
 // Tests for the gated benches' shared harness (bench/bench_harness.hpp):
-// the strict command-line parser, interleaved best-of-N trials, the rerun
-// determinism gate, counters-only equality and the validate-then-write
-// report path.
+// the strict command-line parser, interleaved best-of-N trials and the
+// sliced lower envelope, the rerun determinism gate, counters-only
+// equality and the validate-then-write report path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_harness.hpp"
+#include "core/registry.hpp"
 
 namespace cdn::bench {
 namespace {
@@ -162,6 +163,44 @@ TEST(BestOfInterleaved, CallsArmsInRoundsAndKeepsEachArmsMinWall) {
   EXPECT_EQ(best[0].call, 2U);
   EXPECT_EQ(best[1].wall_seconds, 4.0);
   EXPECT_EQ(best[1].call, 5U);
+}
+
+TEST(SlicedEnvelope, KeepsEachSlicesMinimumAcrossInterleavedRounds) {
+  // Arm 0's slices are fastest in different rounds; the envelope sums the
+  // per-slice minima, below every single round's total.
+  const std::vector<std::vector<double>> rounds = {
+      {3.0, 1.0}, {5.0, 5.0},  // round 0: arm 0, arm 1
+      {1.0, 4.0}, {6.0, 2.0},  // round 1
+  };
+  std::vector<std::size_t> order;
+  const std::vector<double> env =
+      sliced_envelope_interleaved(2, 2, [&](std::size_t arm) {
+        order.push_back(arm);
+        return rounds[order.size() - 1];
+      });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 0, 1}));
+  ASSERT_EQ(env.size(), 2U);
+  EXPECT_EQ(env[0], 2.0);
+  EXPECT_EQ(env[1], 7.0);
+}
+
+TEST(SlicedEnvelope, SlicedReplayServesTheWholeReplaysRequests) {
+  // The slices of one replay carry the cache's state across: their summed
+  // counters equal one whole simulate() over the same columns.
+  const Trace t = generate_trace(cdn_t_like(0.02));
+  const TraceColumns cols = to_columns(t, false, false);
+  const std::vector<TraceColumns> slices = slice_columns(cols, 3'000);
+  ASSERT_EQ(slices.size(), (cols.size() + 2'999) / 3'000);
+  EXPECT_EQ(slices.back().size(), cols.size() - 3'000 * (slices.size() - 1));
+  const std::uint64_t capacity = cap_frac(t, kFig8MediumFrac);
+  auto whole_cache = make_cache("SCIP", capacity);
+  auto sliced_cache = make_cache("SCIP", capacity);
+  const SimResult whole = simulate(*whole_cache, cols);
+  const SlicedReplay sliced = replay_sliced(*sliced_cache, slices);
+  EXPECT_EQ(sliced.slice_seconds.size(), slices.size());
+  EXPECT_EQ(sliced.requests, whole.requests);
+  EXPECT_EQ(sliced.hits, whole.hits);
+  EXPECT_EQ(sliced.bytes_hit, whole.bytes_hit);
 }
 
 // -------------------------------------------------------------- gates --
