@@ -2,8 +2,12 @@
 // Belady-optimality property test.
 #include <gtest/gtest.h>
 
+#include "core/ascip_cache.hpp"
+#include "core/scip_cache.hpp"
 #include "core/scip_engine.hpp"
+#include "policies/admission/two_q.hpp"
 #include "policies/insertion/dgippr.hpp"
+#include "policies/replacement/arc.hpp"
 #include "policies/replacement/belady.hpp"
 #include "policies/replacement/cacheus.hpp"
 #include "policies/replacement/gdsf.hpp"
@@ -111,6 +115,65 @@ TEST(S4Lru, MetadataDerivesFromTheStackAndItsExtras) {
   EXPECT_EQ(dgippr.metadata_bytes(),
             segmented_stack_bytes(resident_count(dgippr)) +
                 DgipprCache::kPopulation * sizeof(DgipprCache::Genome));
+}
+
+// Bytes a FifoHistory charges per live record, re-derived from its layout:
+// a 24-byte ring record {id, size, hash tag, live, caller tag} plus three
+// 8-byte index slots {hash tag, list bit | ring position}, the same 3-slot
+// slack amortization as LruQueue. The linked GhostList charged 71.
+constexpr std::uint64_t kHistoryRecordBytes = 24 + 3 * 8;
+
+/// Bytes an LruQueue charges for `n` entries.
+std::uint64_t lru_queue_bytes(std::size_t n) {
+  LruQueue q;
+  for (std::size_t i = 0; i < n; ++i) q.insert_mru(i, 1);
+  return q.metadata_bytes();
+}
+
+TEST(HistoryHosts, MetadataDerivesFromTheQueuesAndHistoryRecords) {
+  // SCIP over a trace, at a capacity whose 1/32 monitors fall below
+  // monitor_min_bytes (so the duels are off and charge nothing): resident
+  // entries, history records and the advisor's fixed state.
+  const Trace t = generate_trace(cdn_t_like(0.01));
+  auto scip = std::make_shared<ScipAdvisor>(1 << 20);
+  AdvisedLruCache scip_host(1 << 20, scip);
+  for (const auto& r : t.requests) scip_host.access(r);
+  const std::size_t scip_records = scip->hm_count() + scip->hl_count();
+  ASSERT_GT(scip_records, 0u);
+  EXPECT_EQ(scip_host.metadata_bytes(),
+            lru_queue_bytes(resident_count(scip_host)) +
+                scip_records * kHistoryRecordBytes +
+                ScipAdvisor::fixed_state_bytes());
+
+  // The other hosts on scripted sequences whose history contents are known:
+  // fifteen distinct 10-byte objects through 100-byte caches.
+  ArcCache arc(100);  // T1 keeps 6..15, B1 records 1..5
+  TwoQCache two_q(100);  // A1in keeps 14, 15; A1out keeps 9..13 (50 bytes)
+  LeCarCache lecar(100);  // five victims, each in one expert's ghost
+  for (std::uint64_t id = 1; id <= 15; ++id) {
+    arc.access(req(static_cast<std::int64_t>(id), id));
+    two_q.access(req(static_cast<std::int64_t>(id), id));
+    lecar.access(req(static_cast<std::int64_t>(id), id));
+  }
+  EXPECT_EQ(arc.metadata_bytes(), lru_queue_bytes(10) + lru_queue_bytes(0) +
+                                      5 * kHistoryRecordBytes + 16);
+  EXPECT_EQ(two_q.metadata_bytes(), lru_queue_bytes(2) + lru_queue_bytes(0) +
+                                        5 * kHistoryRecordBytes);
+  // LeCaR also charges a 64-byte LFU set node per resident and a 48-byte
+  // eviction-tick entry per ghost.
+  EXPECT_EQ(lecar.metadata_bytes(), lru_queue_bytes(10) + 10 * 64 +
+                                        5 * kHistoryRecordBytes + 5 * 48);
+
+  // ASC-IP records only LRU-inserted victims: 100 KiB objects sit above its
+  // 64 KiB initial threshold, so all fifteen go in at LRU and the five
+  // evicted ones fill H_l (half of 1 MiB).
+  auto ascip = std::make_shared<AscIpAdvisor>(1 << 20);
+  AdvisedLruCache ascip_host(1 << 20, ascip);
+  for (std::uint64_t id = 1; id <= 15; ++id) {
+    ascip_host.access(req(static_cast<std::int64_t>(id), id, 100 << 10));
+  }
+  EXPECT_EQ(ascip_host.metadata_bytes(),
+            lru_queue_bytes(10) + 5 * kHistoryRecordBytes + 32);
 }
 
 TEST(Gdsf, PrefersSmallOverLargeAtEqualFrequency) {
