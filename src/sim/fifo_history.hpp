@@ -35,9 +35,6 @@
 // position is `pos & (ring size - 1)`. A rewrite gives the surviving
 // records new positions just past the old window, so a slot already
 // rewritten never matches a position still to be rewritten.
-//
-// The replaced design (a slab of linked 32-byte records with one FlatMap
-// per list) paid a pointer chase per drop and one probe per list per miss.
 #pragma once
 
 #include <array>

@@ -112,7 +112,6 @@ TEST(GhostList, AddHashedMatchesAdd) {
 TEST(GhostList, PerEntryBytesIsSizeofDerived) {
   // A 24-byte ring record {id, size, hash tag, live, caller tag} plus three
   // 8-byte index slots: the same 3-slot slack amortization LruQueue uses.
-  // The linked layout this replaced charged 71 (32 + 3 * 13).
   EXPECT_EQ(FifoHistory<1>::kPerEntryBytes, 24u + 3u * 8u);
   EXPECT_EQ(FifoHistory<2>::kPerEntryBytes, 48u);
 }

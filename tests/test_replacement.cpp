@@ -120,7 +120,7 @@ TEST(S4Lru, MetadataDerivesFromTheStackAndItsExtras) {
 // Bytes a FifoHistory charges per live record, re-derived from its layout:
 // a 24-byte ring record {id, size, hash tag, live, caller tag} plus three
 // 8-byte index slots {hash tag, list bit | ring position}, the same 3-slot
-// slack amortization as LruQueue. The linked GhostList charged 71.
+// slack amortization as LruQueue.
 constexpr std::uint64_t kHistoryRecordBytes = 24 + 3 * 8;
 
 /// Bytes an LruQueue charges for `n` entries.
