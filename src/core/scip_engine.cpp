@@ -169,8 +169,7 @@ std::uint64_t ScipAdvisor::metadata_bytes() const {
   // constructor disables them below monitor_min_bytes, and charging
   // disabled monitors inflated the resource-accounting columns for exactly
   // the small caches where metadata overhead matters most.
-  std::uint64_t total =
-      hist_.metadata_bytes() + fixed_state_bytes();
+  std::uint64_t total = hist_.metadata_bytes() + fixed_state_bytes();
   if (params_.use_monitors) {
     total += mon_mru_.metadata_bytes() + mon_lip_.metadata_bytes() +
              mon_mru_prom_.metadata_bytes() + mon_demote_.metadata_bytes() +
