@@ -1,8 +1,9 @@
 // Golden-master end-to-end tests: the SCIP variants (SCIP, SCI, and SCIP
 // hosted by S4LRU and LRU-2), their hosts and baselines (LRU, LIP, S4LRU,
 // DGIPPR, LRU-2-ASC-IP), the history-list hosts (ARC, 2Q, LeCaR, CACHEUS,
-// ASC-IP) and the orchestrator run over small fixed-seed synthetic traces,
-// with EXACT hit/miss/byte counters pinned — not ratios.
+// ASC-IP), the other multi-queue hosts (SS-LRU, LIRS) and the orchestrator
+// run over small fixed-seed synthetic traces, with EXACT hit/miss/byte
+// counters pinned — not ratios.
 // Any behavioral drift anywhere in the engine (generator, RNG, queue,
 // advisor, simulator accounting) fails these loudly, which is the point:
 // an intentional behavior change must re-pin the numbers in the same
@@ -80,6 +81,8 @@ constexpr Golden kGolden[] = {
     {"LeCaR", 13'838u, 139'012'600u, 11'503u, 117'671'223u},
     {"CACHEUS", 13'883u, 139'606'686u, 11'544u, 118'244'159u},
     {"ASC-IP", 16'231u, 123'676'954u, 13'837u, 107'308'769u},
+    {"SS-LRU", 14'933u, 149'509'461u, 12'547u, 127'548'406u},
+    {"LIRS", 14'655u, 138'871'391u, 12'392u, 118'790'054u},
     // LRB-SCIP and LRB-ASC-IP are not pinned: at 40k requests LRB has not
     // trained yet, so their counters equal LRU's and would pin nothing new.
 };
@@ -186,6 +189,10 @@ constexpr StressedGolden kStressedGolden[] = {
     {"flash", "DGIPPR", 8'230u, 323'990'269u, 6'696u, 229'323'186u},
     {"flash", "ARC", 8'856u, 345'945'018u, 7'051u, 242'230'940u},
     {"drift", "ARC", 3'915u, 125'869'399u, 3'260u, 106'000'616u},
+    {"flash", "2Q", 7'727u, 309'025'988u, 6'154u, 213'067'145u},
+    {"drift", "2Q", 3'195u, 100'088'773u, 2'699u, 84'859'408u},
+    {"flash", "SS-LRU", 8'685u, 336'671'807u, 6'910u, 234'420'457u},
+    {"drift", "SS-LRU", 3'652u, 112'928'767u, 2'983u, 92'942'507u},
     {"flash", "ASC-IP", 8'721u, 305'637'595u, 6'981u, 208'782'240u},
     {"drift", "ASC-IP", 4'200u, 99'482'997u, 3'590u, 83'366'424u},
 };
