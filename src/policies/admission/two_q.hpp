@@ -22,22 +22,23 @@ class TwoQCache final : public Cache {
   [[nodiscard]] std::string name() const override { return "2Q"; }
   bool access(const Request& req) override;
   [[nodiscard]] bool contains(std::uint64_t id) const override {
-    return a1in_.contains(id) || am_.contains(id);
+    return q_.contains(id);
   }
   [[nodiscard]] std::uint64_t used_bytes() const override {
-    return a1in_.used_bytes() + am_.used_bytes();
+    return q_.used_bytes(kA1in) + q_.used_bytes(kAm);
   }
   [[nodiscard]] std::uint64_t metadata_bytes() const override {
-    return a1in_.metadata_bytes() + am_.metadata_bytes() +
-           a1out_.metadata_bytes();
+    return q_.metadata_bytes() + a1out_.metadata_bytes();
   }
 
  private:
   void make_room_main(std::uint64_t size);
+  void drop_a1in();
 
+  static constexpr std::size_t kA1in = 0;  ///< FIFO probation
+  static constexpr std::size_t kAm = 1;    ///< main LRU
   std::uint64_t a1in_cap_;
-  LruQueue a1in_;   ///< FIFO probation
-  LruQueue am_;     ///< main LRU
+  LruQueue q_;  ///< A1in and Am
   FifoHistory<1> a1out_;  ///< ghosts of A1in evictions (list 0)
   std::int64_t tick_ = 0;
 };

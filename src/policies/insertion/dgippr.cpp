@@ -61,11 +61,12 @@ bool DgipprCache::access_hashed(const Request& req, std::uint64_t h) {
   const Genome& g = population_[current_];
 
   bool hit = false;
-  if (std::uint8_t* lv = level_.find_hashed(req.id, h)) {
+  if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     hit = true;
     ++epoch_hits_;
-    move_hashed(*seg_[*lv].find_hashed(req.id, h), h, lv,
-                std::min(*lv + g.promote_step, kLevels - 1), true);
+    move(*n, std::min(static_cast<int>(n->list()) + g.promote_step,
+                      kLevels - 1),
+         true);
     rebalance();
   } else if (fits(req.size)) {
     insert_hashed(req.id, req.size, h, g.insert_level, true);

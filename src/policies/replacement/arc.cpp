@@ -10,38 +10,28 @@ ArcCache::ArcCache(std::uint64_t capacity_bytes)
 void ArcCache::replace(bool hit_in_b2, std::uint64_t incoming) {
   // Evict until the incoming object fits, choosing the list per ARC's
   // REPLACE rule each round.
-  while (!t1_.empty() || !t2_.empty()) {
+  while (!q_.empty(kT1) || !q_.empty(kT2)) {
     if (used_bytes() + incoming <= capacity_) return;
-    const bool evict_t1 =
-        !t1_.empty() &&
-        (t1_.used_bytes() > p_ || (hit_in_b2 && t1_.used_bytes() == p_) ||
-         t2_.empty());
-    if (evict_t1) {
-      const LruQueue::Node n = t1_.pop_lru();
-      ghosts_.add(kB1, n.id, n.size);
-    } else {
-      const LruQueue::Node n = t2_.pop_lru();
-      ghosts_.add(kB2, n.id, n.size);
-    }
+    const std::uint64_t t1 = q_.used_bytes(kT1);
+    const bool evict_t1 = !q_.empty(kT1) && (t1 > p_ ||
+                                             (hit_in_b2 && t1 == p_) ||
+                                             q_.empty(kT2));
+    const LruQueue::Node n = q_.pop_lru(evict_t1 ? kT1 : kT2);
+    ghosts_.add(evict_t1 ? kB1 : kB2, n.id, n.size);
   }
 }
 
 bool ArcCache::access(const Request& req) {
   ++tick_;
   // Case I: hit in T1 or T2 -> move to T2 MRU.
-  if (LruQueue::Node* n = t1_.find(req.id)) {
-    LruQueue::Node copy = *n;
-    t1_.erase(req.id);
-    LruQueue::Node& moved = t2_.insert_mru(req.id, copy.size);
-    moved.hits = copy.hits + 1;
-    moved.insert_tick = copy.insert_tick;
-    moved.last_tick = tick_;
-    return true;
-  }
-  if (LruQueue::Node* n = t2_.find(req.id)) {
+  if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
     n->last_tick = tick_;
-    t2_.touch_mru(req.id);
+    if (n->list() == kT1) {
+      q_.reinsert_mru(*n, kT2);
+    } else {
+      q_.touch_mru(*n);
+    }
     return true;
   }
   if (!fits(req.size)) return false;
@@ -55,7 +45,7 @@ bool ArcCache::access(const Request& req) {
         req.size, b2 > 0 ? b2 / std::max<std::uint64_t>(b1 + 1, 1) : 1);
     p_ = std::min(capacity_, p_ + std::max<std::uint64_t>(delta, req.size));
     replace(false, req.size);
-    LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
+    LruQueue::Node& n = q_.insert_mru(req.id, req.size, kT2);
     n.insert_tick = n.last_tick = tick_;
     return false;
   }
@@ -67,20 +57,19 @@ bool ArcCache::access(const Request& req) {
         req.size, b1 > 0 ? b1 / std::max<std::uint64_t>(b2 + 1, 1) : 1);
     p_ = p_ > delta ? p_ - delta : 0;
     replace(true, req.size);
-    LruQueue::Node& n = t2_.insert_mru(req.id, req.size);
+    LruQueue::Node& n = q_.insert_mru(req.id, req.size, kT2);
     n.insert_tick = n.last_tick = tick_;
     return false;
   }
   // Case IV: cold miss -> admit into T1.
   replace(false, req.size);
-  LruQueue::Node& n = t1_.insert_mru(req.id, req.size);
+  LruQueue::Node& n = q_.insert_mru(req.id, req.size, kT1);
   n.insert_tick = n.last_tick = tick_;
   return false;
 }
 
 std::uint64_t ArcCache::metadata_bytes() const {
-  return t1_.metadata_bytes() + t2_.metadata_bytes() +
-         ghosts_.metadata_bytes() + 16;
+  return q_.metadata_bytes() + ghosts_.metadata_bytes() + 16;
 }
 
 }  // namespace cdn

@@ -22,10 +22,10 @@ class ArcCache final : public Cache {
   [[nodiscard]] std::string name() const override { return "ARC"; }
   bool access(const Request& req) override;
   [[nodiscard]] bool contains(std::uint64_t id) const override {
-    return t1_.contains(id) || t2_.contains(id);
+    return q_.contains(id);
   }
   [[nodiscard]] std::uint64_t used_bytes() const override {
-    return t1_.used_bytes() + t2_.used_bytes();
+    return q_.used_bytes(kT1) + q_.used_bytes(kT2);
   }
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
@@ -35,8 +35,10 @@ class ArcCache final : public Cache {
  private:
   void replace(bool hit_in_b2, std::uint64_t incoming);
 
-  LruQueue t1_;
-  LruQueue t2_;
+  // T1 and T2, the two lists of one queue.
+  static constexpr std::size_t kT1 = 0;
+  static constexpr std::size_t kT2 = 1;
+  LruQueue q_;
   // B1 and B2, the two lists of one history over one index.
   static constexpr std::size_t kB1 = 0;
   static constexpr std::size_t kB2 = 1;

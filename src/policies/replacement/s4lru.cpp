@@ -14,13 +14,11 @@ std::string S4LruCache::name() const {
 
 bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
   ++tick_;
-  // The level slot stays valid until move_hashed() writes through it:
-  // nothing before that inserts into or erases from level_.
-  if (std::uint8_t* lv = level_.find_hashed(req.id, h)) {
-    LruQueue::Node& n = *seg_[*lv].find_hashed(req.id, h);
+  if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     const bool mru =
-        !advisor_ || advisor_->choose_mru_for_hit(req, n.hits + 1);
-    move_hashed(n, h, lv, mru ? std::min(*lv + 1, kLevels - 1) : 0, mru);
+        !advisor_ || advisor_->choose_mru_for_hit(req, n->hits + 1);
+    const int level = static_cast<int>(n->list());
+    move(*n, mru ? std::min(level + 1, kLevels - 1) : 0, mru);
     rebalance();
     if (advisor_) advisor_->on_request_hashed(req, true, h);
     return true;
@@ -51,11 +49,10 @@ std::uint64_t S4LruCache::metadata_bytes() const {
 }
 
 void S4LruCache::sample_metrics(obs::MetricRegistry& reg) {
-  for (int i = 0; i < kLevels; ++i) {
-    const auto& s = seg_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < kLevels; ++i) {
     const std::string prefix = "s4lru.seg" + std::to_string(i);
-    reg.series(prefix + "_bytes").push(static_cast<double>(s.used_bytes()));
-    reg.series(prefix + "_objects").push(static_cast<double>(s.count()));
+    reg.series(prefix + "_bytes").push(static_cast<double>(q_.used_bytes(i)));
+    reg.series(prefix + "_objects").push(static_cast<double>(q_.count(i)));
   }
 }
 

@@ -40,76 +40,64 @@ void SsLruCache::learn(const Features& x, bool label) {
   b_ -= static_cast<float>(kLr * g);
 }
 
+void SsLruCache::resolve(std::uint64_t id, bool label) {
+  auto it = pending_.find(id);
+  if (it != pending_.end()) {
+    learn(it->second, label);
+    pending_.erase(it);
+  }
+}
+
 void SsLruCache::enforce_caps() {
   // Protected overflow demotes to probation's MRU end; a protected eviction
   // without a follow-up hit resolves its pending promotion as negative.
-  while (protected_.used_bytes() > protected_cap_ && protected_.count() > 1) {
-    LruQueue::Node n = protected_.pop_lru();
-    auto it = pending_.find(n.id);
-    if (it != pending_.end()) {
-      learn(it->second, false);
-      pending_.erase(it);
-    }
-    LruQueue::Node& moved = probation_.insert_mru(n.id, n.size);
-    moved.insert_tick = n.insert_tick;
-    moved.last_tick = n.last_tick;
-    moved.hits = n.hits;
+  while (q_.used_bytes(kProtected) > protected_cap_ &&
+         q_.count(kProtected) > 1) {
+    LruQueue::Node& n = q_.lru_node(kProtected);
+    resolve(n.id, false);
+    q_.touch_mru(n, kProbation);
   }
-  while (used_bytes() > capacity_ && !probation_.empty()) {
-    probation_.pop_lru();
+  while (used_bytes() > capacity_ && !q_.empty(kProbation)) {
+    q_.pop_lru(kProbation);
   }
-  while (used_bytes() > capacity_ && !protected_.empty()) {
-    LruQueue::Node n = protected_.pop_lru();
-    auto it = pending_.find(n.id);
-    if (it != pending_.end()) {
-      learn(it->second, false);
-      pending_.erase(it);
-    }
+  while (used_bytes() > capacity_ && !q_.empty(kProtected)) {
+    resolve(q_.pop_lru(kProtected).id, false);
   }
 }
 
 bool SsLruCache::access(const Request& req) {
   ++tick_;
-  if (LruQueue::Node* n = protected_.find(req.id)) {
-    // A hit inside protected confirms a pending promotion as positive.
-    auto it = pending_.find(req.id);
-    if (it != pending_.end()) {
-      learn(it->second, true);
-      pending_.erase(it);
+  if (LruQueue::Node* n = q_.find(req.id)) {
+    if (n->list() == kProtected) {
+      // A hit inside protected confirms a pending promotion as positive.
+      resolve(req.id, true);
+      ++n->hits;
+      n->last_tick = tick_;
+      q_.touch_mru(*n);
+      return true;
     }
-    ++n->hits;
-    n->last_tick = tick_;
-    protected_.touch_mru(req.id);
-    return true;
-  }
-  if (LruQueue::Node* n = probation_.find(req.id)) {
     const Features x = features_of(req, *n);
     ++n->hits;
     n->last_tick = tick_;
     if (predict_promote(x)) {
-      LruQueue::Node moved{};
-      probation_.erase(req.id, &moved);
-      LruQueue::Node& pn = protected_.insert_mru(req.id, moved.size);
-      pn.insert_tick = moved.insert_tick;
-      pn.last_tick = tick_;
-      pn.hits = moved.hits;
+      q_.reinsert_mru(*n, kProtected);
       pending_[req.id] = x;
       enforce_caps();
     } else {
-      probation_.touch_mru(req.id);
+      q_.touch_mru(*n);
     }
     return true;
   }
   if (!fits(req.size)) return false;
-  LruQueue::Node& n = probation_.insert_mru(req.id, req.size);
+  LruQueue::Node& n = q_.insert_mru(req.id, req.size, kProbation);
   n.insert_tick = n.last_tick = tick_;
   enforce_caps();
   return false;
 }
 
 std::uint64_t SsLruCache::metadata_bytes() const {
-  return probation_.metadata_bytes() + protected_.metadata_bytes() +
-         pending_.size() * (sizeof(Features) + 48) + sizeof(w_) + sizeof(b_);
+  return q_.metadata_bytes() + pending_.size() * (sizeof(Features) + 48) +
+         sizeof(w_) + sizeof(b_);
 }
 
 }  // namespace cdn

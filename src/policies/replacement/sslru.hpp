@@ -28,10 +28,10 @@ class SsLruCache final : public Cache {
   [[nodiscard]] std::string name() const override { return "SS-LRU"; }
   bool access(const Request& req) override;
   [[nodiscard]] bool contains(std::uint64_t id) const override {
-    return probation_.contains(id) || protected_.contains(id);
+    return q_.contains(id);
   }
   [[nodiscard]] std::uint64_t used_bytes() const override {
-    return probation_.used_bytes() + protected_.used_bytes();
+    return q_.used_bytes(kProbation) + q_.used_bytes(kProtected);
   }
   [[nodiscard]] std::uint64_t metadata_bytes() const override;
 
@@ -43,10 +43,13 @@ class SsLruCache final : public Cache {
                                      const LruQueue::Node& n) const;
   [[nodiscard]] bool predict_promote(const Features& x) const;
   void learn(const Features& x, bool label);
+  /// Resolves `id`'s pending promotion, if any, with `label`.
+  void resolve(std::uint64_t id, bool label);
   void enforce_caps();
 
-  LruQueue probation_;
-  LruQueue protected_;
+  static constexpr std::size_t kProbation = 0;
+  static constexpr std::size_t kProtected = 1;
+  LruQueue q_;  ///< probation and protected
   std::uint64_t protected_cap_;
   // Pending promotion outcomes: features recorded at promotion time,
   // resolved when the object is hit again (1) or evicted from protected (0).

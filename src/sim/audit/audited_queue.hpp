@@ -33,19 +33,40 @@ class AuditedQueue {
   explicit AuditedQueue(std::uint64_t capacity_bytes = kNoCapacity)
       : capacity_(capacity_bytes) {}
 
-  LruQueue::Node& insert_mru(std::uint64_t id, std::uint64_t size) {
-    LruQueue::Node& n = q_.insert_mru(id, size);
+  LruQueue::Node& insert_mru(std::uint64_t id, std::uint64_t size,
+                             std::size_t list = 0) {
+    LruQueue::Node& n = q_.insert_mru(id, size, list);
     verify("insert_mru");
     return n;
   }
-  LruQueue::Node& insert_lru(std::uint64_t id, std::uint64_t size) {
-    LruQueue::Node& n = q_.insert_lru(id, size);
+  LruQueue::Node& insert_lru(std::uint64_t id, std::uint64_t size,
+                             std::size_t list = 0) {
+    LruQueue::Node& n = q_.insert_lru(id, size, list);
     verify("insert_lru");
     return n;
   }
   void touch_mru(std::uint64_t id) {
     q_.touch_mru(id);
     verify("touch_mru");
+  }
+  // The node-based relinks into `list`, looked up by id; no-ops if absent.
+  void touch_mru(std::uint64_t id, std::size_t list) {
+    if (LruQueue::Node* n = q_.find(id)) q_.touch_mru(*n, list);
+    verify("touch_mru into a list");
+  }
+  void reinsert_mru(std::uint64_t id, std::size_t list) {
+    if (LruQueue::Node* n = q_.find(id)) q_.reinsert_mru(*n, list);
+    verify("reinsert_mru");
+  }
+  void reinsert_lru(std::uint64_t id, std::size_t list) {
+    if (LruQueue::Node* n = q_.find(id)) q_.reinsert_lru(*n, list);
+    verify("reinsert_lru");
+  }
+  /// Moves `from`'s LRU-end node to `to`'s MRU end (one step of a demotion
+  /// cascade). `from` must be non-empty.
+  void move_lru(std::size_t from, std::size_t to) {
+    q_.touch_mru(q_.lru_node(from), to);
+    verify("move_lru");
   }
   void move_up_one(std::uint64_t id) {
     q_.move_up_one(id);
@@ -55,8 +76,8 @@ class AuditedQueue {
     q_.demote_lru(id);
     verify("demote_lru");
   }
-  LruQueue::Node pop_lru() {
-    LruQueue::Node n = q_.pop_lru();
+  LruQueue::Node pop_lru(std::size_t list = 0) {
+    LruQueue::Node n = q_.pop_lru(list);
     verify("pop_lru");
     return n;
   }
@@ -75,13 +96,21 @@ class AuditedQueue {
   [[nodiscard]] bool contains(std::uint64_t id) const {
     return q_.contains(id);
   }
-  [[nodiscard]] std::size_t count() const noexcept { return q_.count(); }
-  [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
-  [[nodiscard]] std::uint64_t used_bytes() const noexcept {
-    return q_.used_bytes();
+  [[nodiscard]] std::size_t count(std::size_t list = 0) const noexcept {
+    return q_.count(list);
   }
-  [[nodiscard]] std::uint64_t lru_id() const { return q_.lru_id(); }
-  [[nodiscard]] std::uint64_t mru_id() const { return q_.mru_id(); }
+  [[nodiscard]] bool empty(std::size_t list = 0) const noexcept {
+    return q_.empty(list);
+  }
+  [[nodiscard]] std::uint64_t used_bytes(std::size_t list = 0) const noexcept {
+    return q_.used_bytes(list);
+  }
+  [[nodiscard]] std::uint64_t lru_id(std::size_t list = 0) const {
+    return q_.lru_id(list);
+  }
+  [[nodiscard]] std::uint64_t mru_id(std::size_t list = 0) const {
+    return q_.mru_id(list);
+  }
 
   /// The wrapped queue, for read-only assertions and for_each traversal.
   [[nodiscard]] const LruQueue& queue() const noexcept { return q_; }

@@ -1,5 +1,6 @@
 #include "sim/audit/differential.hpp"
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <vector>
@@ -21,14 +22,17 @@ DiffResult diverged(std::size_t op_index, const Parts&... parts) {
   return DiffResult{false, op_index, os.str()};
 }
 
-/// Collects the real queue's ids LRU->MRU via the public traversal.
-std::vector<std::uint64_t> queue_ids_lru_to_mru(const LruQueue& q) {
+/// Collects one list's ids LRU->MRU via the public traversal.
+std::vector<std::uint64_t> queue_ids_lru_to_mru(const LruQueue& q,
+                                                std::size_t list) {
   std::vector<std::uint64_t> out;
-  out.reserve(q.count());
-  q.for_each_from_lru([&](const LruQueue::Node& n) {
-    out.push_back(n.id);
-    return true;
-  });
+  out.reserve(q.count(list));
+  q.for_each_from_lru(
+      [&](const LruQueue::Node& n) {
+        out.push_back(n.id);
+        return true;
+      },
+      list);
   return out;
 }
 
@@ -37,55 +41,77 @@ std::vector<std::uint64_t> queue_ids_lru_to_mru(const LruQueue& q) {
 DiffResult run_queue_differential(const DiffConfig& cfg) {
   const std::uint64_t cap =
       cfg.capacity_bytes == 0 ? kNoCapacity : cfg.capacity_bytes;
+  const std::size_t lists = cfg.lists;
+  if (lists == 0 || lists > LruQueue::kMaxLists) {
+    return DiffResult{false, 0, "lists must be in 1..kMaxLists"};
+  }
   AuditedQueue q(cap);
-  RefLruModel ref;
+  std::vector<RefLruModel> refs(lists);
   Rng rng(cfg.seed);
+  // One list draws nothing, so the one-list op sequence is unchanged.
+  const auto pick = [&] { return lists == 1 ? 0 : rng.below(lists); };
+  const auto used = [&] {
+    std::uint64_t total = 0;
+    for (const auto& r : refs) total += r.used_bytes();
+    return total;
+  };
+  const auto home = [&](std::uint64_t id) -> RefLruModel* {
+    for (auto& r : refs) {
+      if (r.contains(id)) return &r;
+    }
+    return nullptr;
+  };
 
   for (std::size_t op = 0; op < cfg.num_ops; ++op) {
     const std::uint64_t id = rng.below(cfg.id_space);
     const std::uint64_t size = 1 + rng.below(cfg.max_size);
+    RefLruModel* const ref = home(id);
     try {
-      switch (rng.below(8)) {
+      switch (rng.below(lists == 1 ? 8 : 11)) {
         case 0:  // capacity-bounded admission at MRU (pop-to-fit, the way
                  // every cache and shadow monitor drives the queue)
         case 1: {
-          if (q.contains(id)) break;
+          if (ref != nullptr) break;
           if (cap != kNoCapacity && size > cap) break;
-          while (cap != kNoCapacity && q.used_bytes() + size > cap &&
-                 !q.empty()) {
-            const std::uint64_t victim = q.pop_lru().id;
-            const RefLruModel::Entry ref_victim = ref.pop_lru();
+          const std::size_t list = pick();
+          while (cap != kNoCapacity && used() + size > cap) {
+            std::size_t from = pick();
+            while (refs[from].empty()) from = (from + 1) % lists;
+            const std::uint64_t victim = q.pop_lru(from).id;
+            const RefLruModel::Entry ref_victim = refs[from].pop_lru();
             if (victim != ref_victim.id) {
-              return diverged(op, "eviction order: queue evicted ", victim,
+              return diverged(op, "eviction order of list ", from,
+                              ": queue evicted ", victim,
                               ", reference evicted ", ref_victim.id);
             }
           }
-          q.insert_mru(id, size);
-          ref.insert_mru(id, size);
+          q.insert_mru(id, size, list);
+          refs[list].insert_mru(id, size);
           break;
         }
         case 2: {  // insert at LRU (LIP arm)
-          if (q.contains(id)) break;
-          if (cap != kNoCapacity && q.used_bytes() + size > cap) break;
-          q.insert_lru(id, size);
-          ref.insert_lru(id, size);
+          if (ref != nullptr) break;
+          if (cap != kNoCapacity && used() + size > cap) break;
+          const std::size_t list = pick();
+          q.insert_lru(id, size, list);
+          refs[list].insert_lru(id, size);
           break;
         }
         case 3:
           q.touch_mru(id);
-          ref.touch_mru(id);
+          if (ref != nullptr) ref->touch_mru(id);
           break;
         case 4:
           q.move_up_one(id);
-          ref.move_up_one(id);
+          if (ref != nullptr) ref->move_up_one(id);
           break;
         case 5:
           q.demote_lru(id);
-          ref.demote_lru(id);
+          if (ref != nullptr) ref->demote_lru(id);
           break;
         case 6: {
           const bool a = q.erase(id);
-          const bool b = ref.erase(id);
+          const bool b = ref != nullptr && ref->erase(id);
           if (a != b) {
             return diverged(op, "erase(", id, ") returned ", a,
                             " but reference returned ", b);
@@ -93,12 +119,44 @@ DiffResult run_queue_differential(const DiffConfig& cfg) {
           break;
         }
         case 7: {  // sampling must return a resident object
-          if (q.empty()) break;
+          if (std::all_of(refs.begin(), refs.end(),
+                          [](const RefLruModel& r) { return r.empty(); })) {
+            break;
+          }
           const std::uint64_t sampled = q.sample(rng).id;
-          if (!ref.contains(sampled)) {
+          if (home(sampled) == nullptr) {
             return diverged(op, "sampled id ", sampled,
                             " is not resident in the reference");
           }
+          break;
+        }
+        case 8:    // relinks of a found node into any list, at the MRU end
+        case 9: {  // or, for reinsert_lru, the LRU end
+          const std::size_t list = pick();
+          const int how = static_cast<int>(rng.below(3));
+          if (how == 0) {
+            q.touch_mru(id, list);
+          } else if (how == 1) {
+            q.reinsert_mru(id, list);
+          } else {
+            q.reinsert_lru(id, list);
+          }
+          RefLruModel::Entry e{};
+          if (ref == nullptr || !ref->erase(id, &e)) break;
+          if (how == 2) {
+            refs[list].insert_lru(e.id, e.size);
+          } else {
+            refs[list].insert_mru(e.id, e.size);
+          }
+          break;
+        }
+        case 10: {  // one step of a demotion cascade
+          const std::size_t from = pick();
+          const std::size_t to = pick();
+          if (refs[from].empty()) break;
+          q.move_lru(from, to);
+          const RefLruModel::Entry e = refs[from].pop_lru();
+          refs[to].insert_mru(e.id, e.size);
           break;
         }
       }
@@ -106,28 +164,32 @@ DiffResult run_queue_differential(const DiffConfig& cfg) {
       return DiffResult{false, op, e.what()};
     }
 
-    if (q.count() != ref.count()) {
-      return diverged(op, "count: queue ", q.count(), ", reference ",
-                      ref.count());
-    }
-    if (q.used_bytes() != ref.used_bytes()) {
-      return diverged(op, "used_bytes: queue ", q.used_bytes(),
-                      ", reference ", ref.used_bytes());
-    }
-    if (!ref.empty()) {
-      if (q.mru_id() != ref.mru_id()) {
-        return diverged(op, "mru_id: queue ", q.mru_id(), ", reference ",
-                        ref.mru_id());
+    for (std::size_t l = 0; l < lists; ++l) {
+      const RefLruModel& r = refs[l];
+      if (q.count(l) != r.count()) {
+        return diverged(op, "list ", l, " count: queue ", q.count(l),
+                        ", reference ", r.count());
       }
-      if (q.lru_id() != ref.lru_id()) {
-        return diverged(op, "lru_id: queue ", q.lru_id(), ", reference ",
-                        ref.lru_id());
+      if (q.used_bytes(l) != r.used_bytes()) {
+        return diverged(op, "list ", l, " used_bytes: queue ",
+                        q.used_bytes(l), ", reference ", r.used_bytes());
       }
-    }
-    if (cfg.full_compare_interval != 0 &&
-        op % cfg.full_compare_interval == 0 &&
-        queue_ids_lru_to_mru(q.queue()) != ref.ids_lru_to_mru()) {
-      return diverged(op, "full LRU->MRU order differs from reference");
+      if (!r.empty()) {
+        if (q.mru_id(l) != r.mru_id()) {
+          return diverged(op, "list ", l, " mru_id: queue ", q.mru_id(l),
+                          ", reference ", r.mru_id());
+        }
+        if (q.lru_id(l) != r.lru_id()) {
+          return diverged(op, "list ", l, " lru_id: queue ", q.lru_id(l),
+                          ", reference ", r.lru_id());
+        }
+      }
+      if (cfg.full_compare_interval != 0 &&
+          op % cfg.full_compare_interval == 0 &&
+          queue_ids_lru_to_mru(q.queue(), l) != r.ids_lru_to_mru()) {
+        return diverged(op, "list ", l,
+                        ": full LRU->MRU order differs from reference");
+      }
     }
   }
 

@@ -36,6 +36,8 @@ struct DiffConfig {
   /// The hash the history differentials derive index tags from; a test
   /// passes one with few distinct low 32 bits to force tag collisions.
   std::uint64_t (*hash)(std::uint64_t) = &hash64;
+  /// Lists of the queue under run_queue_differential (1..kMaxLists).
+  std::size_t lists = 1;
 };
 
 struct DiffResult {
@@ -47,6 +49,10 @@ struct DiffResult {
 /// LruQueue vs RefLruModel over insert_mru / insert_lru / touch_mru /
 /// move_up_one / demote_lru / erase / pop_lru / sample / capacity-bounded
 /// admission (pop-to-fit, as every cache and shadow monitor drives it).
+/// With `cfg.lists` above 1 the queue runs against that many RefLruModels
+/// in lockstep (the multi-list hosts' shape): inserts and pops go to any
+/// list, and touch_mru / reinsert_* / LRU-end moves relink nodes across
+/// lists; every list's count, bytes, ends and order are compared.
 [[nodiscard]] DiffResult run_queue_differential(const DiffConfig& cfg = {});
 
 /// One-list FifoHistory vs RefGhostModel over add (including

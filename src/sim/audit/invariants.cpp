@@ -43,62 +43,89 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
   const auto& slab = q.slab_;
   const std::uint32_t kNull = LruQueue::kNull;
 
-  // Walk head -> tail via next_, verifying prev_ mirrors the path. Bound the
-  // walk by the slab size so a corrupted cycle terminates with a violation
-  // instead of hanging the audit.
+  // Walk each list head -> tail via next_, verifying prev_ mirrors the path
+  // and every node carries the list's tag. One visited set spans all lists,
+  // so a node reachable from two lists is caught like a cycle; bounding the
+  // walks by that set makes a corrupted cycle end in a violation instead of
+  // hanging the audit.
   std::vector<std::uint32_t> order;
   std::unordered_set<std::uint32_t> on_list;
-  std::uint32_t prev = kNull;
-  std::uint32_t idx = q.head_;
-  bool cycle = false;
-  while (idx != kNull) {
-    if (idx >= slab.size()) {
-      c.fail("list link out of slab range: ", idx, " >= ", slab.size());
-      return report;  // cannot traverse further safely
+  std::uint64_t total_bytes = 0;
+  for (std::size_t l = 0; l < LruQueue::kMaxLists; ++l) {
+    const auto& list = q.lists_[l];
+    const std::size_t first = order.size();
+    std::uint32_t prev = kNull;
+    std::uint32_t idx = list.head;
+    bool cycle = false;
+    while (idx != kNull) {
+      if (idx >= slab.size()) {
+        c.fail("list ", l, ": link out of slab range: ", idx, " >= ",
+               slab.size());
+        return report;  // cannot traverse further safely
+      }
+      if (!on_list.insert(idx).second) {
+        c.fail("list ", l, ": cycle or shared node at slab slot ", idx);
+        cycle = true;
+        break;
+      }
+      if (slab[idx].prev_ != prev) {
+        c.fail("list ", l, ": prev link of slot ", idx, " is ",
+               slab[idx].prev_, ", expected ", prev);
+      }
+      if (slab[idx].list_ != l) {
+        c.fail("list ", l, ": slot ", idx, " is tagged with list ",
+               +slab[idx].list_);
+      }
+      order.push_back(idx);
+      prev = idx;
+      idx = slab[idx].next_;
     }
-    if (!on_list.insert(idx).second) {
-      c.fail("cycle in linked list at slab slot ", idx);
-      cycle = true;
-      break;
+    if (!cycle) {
+      if (list.tail != prev) {
+        c.fail("list ", l, ": tail is ", list.tail,
+               ", expected last walked slot ", prev);
+      }
+      if (list.head != kNull && slab[list.head].prev_ != kNull) {
+        c.fail("list ", l, ": head node has non-null prev link");
+      }
+      if (list.tail != kNull && list.tail < slab.size() &&
+          (slab[list.tail].next_ != kNull ||
+           slab[list.tail].id != list.tail_id ||
+           slab[list.tail].insert_pos != list.tail_pos)) {
+        c.fail("list ", l, ": tail node has a next link or disagrees with ",
+               "the tail shadows");
+      }
     }
-    if (slab[idx].prev_ != prev) {
-      c.fail("prev link of slot ", idx, " is ", slab[idx].prev_,
-             ", expected ", prev);
+    std::uint64_t bytes = 0;
+    for (std::size_t i = first; i < order.size(); ++i) {
+      bytes += slab[order[i]].size;
     }
-    order.push_back(idx);
-    prev = idx;
-    idx = slab[idx].next_;
-  }
-  if (!cycle) {
-    if (q.tail_ != prev) {
-      c.fail("tail_ is ", q.tail_, ", expected last walked slot ", prev);
+    if (order.size() - first != list.count) {
+      c.fail("list ", l, ": count is ", list.count, " but the list holds ",
+             order.size() - first, " nodes");
     }
-    if (q.head_ != kNull && slab[q.head_].prev_ != kNull) {
-      c.fail("head node has non-null prev link");
+    if (bytes != list.bytes) {
+      c.fail("list ", l, ": used_bytes_ is ", list.bytes,
+             " but its resident sizes sum to ", bytes);
     }
-    if (q.tail_ != kNull && q.tail_ < slab.size() &&
-        slab[q.tail_].next_ != kNull) {
-      c.fail("tail node has non-null next link");
-    }
+    total_bytes += list.bytes;
   }
 
-  // Population counts must agree across all three views of residency.
+  // The lists together must partition the residents: population counts
+  // agree across all three views of residency.
   if (order.size() != q.index_.size()) {
-    c.fail("list holds ", order.size(), " nodes but index_ holds ",
+    c.fail("lists hold ", order.size(), " nodes but index_ holds ",
            q.index_.size());
   }
   if (order.size() != q.dense_.size()) {
-    c.fail("list holds ", order.size(), " nodes but dense_ holds ",
+    c.fail("lists hold ", order.size(), " nodes but dense_ holds ",
            q.dense_.size());
   }
 
-  // Per-node: byte accounting, index mapping, dense back-pointers, id
-  // uniqueness.
-  std::uint64_t sum_bytes = 0;
+  // Per-node: index mapping, dense back-pointers, id uniqueness.
   std::unordered_set<std::uint64_t> ids;
   for (const std::uint32_t i : order) {
     const auto& n = slab[i];
-    sum_bytes += n.size;
     if (!ids.insert(n.id).second) {
       c.fail("duplicate resident id ", n.id);
     }
@@ -115,12 +142,8 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
              ", expected slot ", i, " (sampling would return a wrong node)");
     }
   }
-  if (sum_bytes != q.used_bytes_) {
-    c.fail("used_bytes_ is ", q.used_bytes_, " but resident sizes sum to ",
-           sum_bytes);
-  }
-  if (capacity_bytes != kNoCapacity && q.used_bytes_ > capacity_bytes) {
-    c.fail("used_bytes_ ", q.used_bytes_, " exceeds capacity bound ",
+  if (capacity_bytes != kNoCapacity && total_bytes > capacity_bytes) {
+    c.fail("used bytes ", total_bytes, " exceed capacity bound ",
            capacity_bytes);
   }
 
@@ -133,7 +156,7 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
     }
     if (!dense_set.insert(d).second) c.fail("duplicate dense_ entry ", d);
     if (!on_list.contains(d)) {
-      c.fail("dense_ entry ", d, " is not on the linked list");
+      c.fail("dense_ entry ", d, " is not on any list");
     }
   }
 
@@ -146,7 +169,7 @@ AuditReport Inspector::check(const LruQueue& q, std::uint64_t capacity_bytes) {
     }
     if (!free_set.insert(f).second) c.fail("duplicate free_list_ entry ", f);
     if (on_list.contains(f)) {
-      c.fail("slot ", f, " is both free-listed and on the linked list");
+      c.fail("slot ", f, " is both free-listed and on a list");
     }
   }
   if (order.size() + q.free_list_.size() != slab.size()) {

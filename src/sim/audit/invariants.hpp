@@ -1,8 +1,9 @@
 // Structural invariant audits for the queue substrate.
 //
-// Every queue-based policy in this repo sits on `LruQueue` (slab + intrusive
-// doubly-linked list + hash index + dense sampling vector) and `FifoHistory`
-// (byte-bounded FIFO history rings over one shared index). Small accounting
+// Every queue-based policy in this repo sits on `LruQueue` (slab + up to
+// four intrusive doubly-linked lists + one hash index + dense sampling
+// vector) and `FifoHistory` (byte-bounded FIFO history rings over one
+// shared index). Small accounting
 // errors in these structures — a stale hash entry, a drifted `used_bytes_`,
 // a dense slot pointing at a freed node — do not crash; they silently bias
 // learned-policy conclusions (LeCaR/CACHEUS-style learners flip on exactly
@@ -49,16 +50,22 @@ inline constexpr std::uint64_t kNoCapacity = ~0ULL;
 /// structures they police.
 class Inspector {
  public:
-  /// Validates every structural invariant of an LruQueue:
-  ///  - doubly-linked-list integrity: head reachable to tail via next,
-  ///    prev mirrors next, terminal links null, no cycle;
-  ///  - list population == hash-index population == dense-vector population;
-  ///  - `used_bytes()` equals the sum of resident node sizes;
+  /// Validates every structural invariant of an LruQueue, walking every
+  /// list:
+  ///  - doubly-linked-list integrity per list: head reachable to tail via
+  ///    next, prev mirrors next, terminal links null, no cycle, and the
+  ///    tail shadows match the tail node;
+  ///  - each node on list l carries list tag l;
+  ///  - `used_bytes(l)` and `count(l)` equal the sum of list l's node sizes
+  ///    and its node count;
+  ///  - the lists partition the residents: no node on two lists, and their
+  ///    total population == hash-index population == dense-vector
+  ///    population;
   ///  - hash index maps each resident id to its slab slot, ids unique;
   ///  - dense vector and `dense_pos_` back-pointers agree (sampling safety);
   ///  - slab slots partition exactly into {resident} ∪ {free list}, with
   ///    the free list duplicate-free, in-range, and disjoint from the list;
-  ///  - `used_bytes() <= capacity_bytes` when a bound is given.
+  ///  - the lists' total bytes <= capacity_bytes when a bound is given.
   static AuditReport check(const LruQueue& q,
                            std::uint64_t capacity_bytes = kNoCapacity);
 

@@ -51,9 +51,10 @@ RefLruModel::Entry RefLruModel::pop_lru() {
   return e;
 }
 
-bool RefLruModel::erase(std::uint64_t id) {
+bool RefLruModel::erase(std::uint64_t id, Entry* out) {
   auto it = find(id);
   if (it == list_.end()) return false;
+  if (out) *out = *it;
   list_.erase(it);
   return true;
 }

@@ -33,7 +33,8 @@ class RefLruModel {
   void demote_lru(std::uint64_t id);
   /// List must be non-empty.
   Entry pop_lru();
-  bool erase(std::uint64_t id);
+  /// Removes `id`; returns true and copies its entry into `out` if present.
+  bool erase(std::uint64_t id, Entry* out = nullptr);
 
   [[nodiscard]] std::size_t count() const noexcept { return list_.size(); }
   [[nodiscard]] bool empty() const noexcept { return list_.empty(); }

@@ -41,124 +41,142 @@ void LruQueue::free_node(std::uint32_t idx) {
 
 void LruQueue::link_mru(std::uint32_t idx) {
   Node& n = slab_[idx];
+  List& l = lists_[n.list_];
   n.prev_ = kNull;
-  n.next_ = head_;
-  if (head_ != kNull) slab_[head_].prev_ = idx;
-  head_ = idx;
-  if (tail_ == kNull) {
-    tail_ = idx;
-    tail_id_ = n.id;
-    tail_pos_ = n.insert_pos;
+  n.next_ = l.head;
+  if (l.head != kNull) slab_[l.head].prev_ = idx;
+  l.head = idx;
+  if (l.tail == kNull) {
+    l.tail = idx;
+    l.tail_id = n.id;
+    l.tail_pos = n.insert_pos;
   }
 }
 
 void LruQueue::link_lru(std::uint32_t idx) {
   Node& n = slab_[idx];
+  List& l = lists_[n.list_];
   n.next_ = kNull;
-  n.prev_ = tail_;
-  if (tail_ != kNull) slab_[tail_].next_ = idx;
-  tail_ = idx;
-  tail_id_ = n.id;
-  tail_pos_ = n.insert_pos;
-  if (head_ == kNull) head_ = idx;
+  n.prev_ = l.tail;
+  if (l.tail != kNull) slab_[l.tail].next_ = idx;
+  l.tail = idx;
+  l.tail_id = n.id;
+  l.tail_pos = n.insert_pos;
+  if (l.head == kNull) l.head = idx;
 }
 
 void LruQueue::unlink(std::uint32_t idx) {
   Node& n = slab_[idx];
+  List& l = lists_[n.list_];
   if (n.prev_ != kNull) {
     slab_[n.prev_].next_ = n.next_;
   } else {
-    head_ = n.next_;
+    l.head = n.next_;
   }
   if (n.next_ != kNull) {
     slab_[n.next_].prev_ = n.prev_;
   } else {
-    tail_ = n.prev_;
+    l.tail = n.prev_;
     if (n.prev_ != kNull) {
-      tail_id_ = slab_[n.prev_].id;
-      tail_pos_ = slab_[n.prev_].insert_pos;
+      l.tail_id = slab_[n.prev_].id;
+      l.tail_pos = slab_[n.prev_].insert_pos;
     }
   }
   n.prev_ = n.next_ = kNull;
 }
 
-LruQueue::Node& LruQueue::insert_mru(std::uint64_t id, std::uint64_t size) {
-  return insert_mru_hashed(id, size, hash64(id));
+void LruQueue::unlink_to(std::uint32_t idx, std::size_t list) {
+  unlink(idx);
+  Node& n = slab_[idx];
+  if (n.list_ == list) return;
+  List& from = lists_[n.list_];
+  List& to = lists_[list];
+  from.bytes -= n.size;
+  --from.count;
+  to.bytes += n.size;
+  ++to.count;
+  n.list_ = static_cast<std::uint8_t>(list);
 }
 
-LruQueue::Node& LruQueue::insert_lru(std::uint64_t id, std::uint64_t size) {
-  return insert_lru_hashed(id, size, hash64(id));
+LruQueue::Node& LruQueue::insert_mru(std::uint64_t id, std::uint64_t size,
+                                     std::size_t list) {
+  return insert_hashed(id, size, hash64(id), list, true);
+}
+
+LruQueue::Node& LruQueue::insert_lru(std::uint64_t id, std::uint64_t size,
+                                     std::size_t list) {
+  return insert_hashed(id, size, hash64(id), list, false);
 }
 
 LruQueue::Node& LruQueue::insert_mru_hashed(std::uint64_t id,
                                             std::uint64_t size,
-                                            std::uint64_t h) {
-  assert(!contains(id));
-  const std::uint32_t idx = alloc_node();
-  Node& n = slab_[idx];
-  n.id = id;
-  n.size = size;
-  n.insert_pos = 1;
-  n.dense_pos_ = static_cast<std::uint32_t>(dense_.size());
-  dense_.push_back(idx);
-  index_.insert_hashed(id, idx, h);
-  used_bytes_ += size;
-  link_mru(idx);
-  return n;
+                                            std::uint64_t h,
+                                            std::size_t list) {
+  return insert_hashed(id, size, h, list, true);
 }
 
 LruQueue::Node& LruQueue::insert_lru_hashed(std::uint64_t id,
                                             std::uint64_t size,
-                                            std::uint64_t h) {
+                                            std::uint64_t h,
+                                            std::size_t list) {
+  return insert_hashed(id, size, h, list, false);
+}
+
+LruQueue::Node& LruQueue::insert_hashed(std::uint64_t id, std::uint64_t size,
+                                        std::uint64_t h, std::size_t list,
+                                        bool mru) {
   assert(!contains(id));
+  assert(list < kMaxLists);
   const std::uint32_t idx = alloc_node();
   Node& n = slab_[idx];
   n.id = id;
   n.size = size;
-  n.insert_pos = 0;
+  n.insert_pos = mru ? 1 : 0;
+  n.list_ = static_cast<std::uint8_t>(list);
   n.dense_pos_ = static_cast<std::uint32_t>(dense_.size());
   dense_.push_back(idx);
   index_.insert_hashed(id, idx, h);
-  used_bytes_ += size;
-  link_lru(idx);
+  lists_[list].bytes += size;
+  ++lists_[list].count;
+  if (mru) {
+    link_mru(idx);
+  } else {
+    link_lru(idx);
+  }
   return n;
 }
 
 void LruQueue::touch_mru(std::uint64_t id) {
   const std::uint32_t* p = index_.find(id);
-  if (p == nullptr) return;
-  const std::uint32_t idx = *p;
-  if (head_ == idx) return;
-  unlink(idx);
-  link_mru(idx);
+  if (p != nullptr) touch_mru(slab_[*p]);
 }
 
-void LruQueue::touch_mru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
-  if (head_ == idx) return;
-  unlink(idx);
+void LruQueue::touch_mru(Node& n, std::size_t list) {
+  const std::uint32_t idx = slot_of(n);
+  if (lists_[list].head == idx) return;
+  unlink_to(idx, list);
   link_mru(idx);
 }
 
 void LruQueue::demote_lru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
-  if (tail_ == idx) return;
+  const std::uint32_t idx = slot_of(n);
+  if (lists_[n.list_].tail == idx) return;
   unlink(idx);
   link_lru(idx);
 }
 
-LruQueue::Node& LruQueue::reinsert_mru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+LruQueue::Node& LruQueue::reinsert_mru(Node& n, std::size_t list) {
+  const std::uint32_t idx = slot_of(n);
   n.insert_pos = 1;  // before relink: link_* reads it for the tail shadow
-  unlink(idx);
+  unlink_to(idx, list);
   link_mru(idx);
   return n;
 }
 
-LruQueue::Node& LruQueue::reinsert_lru(Node& n) {
-  const std::uint32_t idx = static_cast<std::uint32_t>(&n - slab_.data());
+LruQueue::Node& LruQueue::reinsert_lru(Node& n, std::size_t list) {
+  const std::uint32_t idx = slot_of(n);
   n.insert_pos = 0;  // before relink: link_* reads it for the tail shadow
-  unlink(idx);
+  unlink_to(idx, list);
   link_lru(idx);
   return n;
 }
@@ -178,28 +196,26 @@ void LruQueue::move_up_one(std::uint64_t id) {
   if (p.prev_ != kNull) {
     slab_[p.prev_].next_ = idx;
   } else {
-    head_ = idx;
+    lists_[n.list_].head = idx;
   }
   p.prev_ = idx;
 }
 
 void LruQueue::demote_lru(std::uint64_t id) {
   const std::uint32_t* p = index_.find(id);
-  if (p == nullptr) return;
-  const std::uint32_t idx = *p;
-  if (tail_ == idx) return;
-  unlink(idx);
-  link_lru(idx);
+  if (p != nullptr) demote_lru(slab_[*p]);
 }
 
-LruQueue::Node LruQueue::pop_lru() {
+LruQueue::Node LruQueue::pop_lru(std::size_t list) {
   std::uint64_t unused_hash = 0;
-  return pop_lru(&unused_hash);
+  return pop_lru(&unused_hash, list);
 }
 
-LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out) {
-  assert(tail_ != kNull);
-  const std::uint32_t idx = tail_;
+LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out,
+                                 std::size_t list) {
+  List& l = lists_[list];
+  assert(l.tail != kNull);
+  const std::uint32_t idx = l.tail;
 #if defined(__GNUC__) || defined(__clang__)
   // free_node's swap-remove writes through slab_[dense_.back()] — a random
   // slot, cold almost every eviction. Its address is known before the
@@ -210,7 +226,8 @@ LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out) {
   const std::uint64_t h = hash64(copy.id);
   unlink(idx);
   index_.erase_hashed(copy.id, h);
-  used_bytes_ -= copy.size;
+  l.bytes -= copy.size;
+  --l.count;
   free_node(idx);
   *victim_hash_out = h;
   return copy;
@@ -226,7 +243,9 @@ bool LruQueue::erase_hashed(std::uint64_t id, std::uint64_t h, Node* out) {
   const std::uint32_t idx = *p;
   if (out) *out = slab_[idx];
   unlink(idx);
-  used_bytes_ -= slab_[idx].size;
+  List& l = lists_[slab_[idx].list_];
+  l.bytes -= slab_[idx].size;
+  --l.count;
   index_.erase_hashed(id, h);
   free_node(idx);
   return true;
@@ -239,9 +258,9 @@ void LruQueue::reserve(std::size_t n) {
   index_.reserve(n);
 }
 
-std::uint64_t LruQueue::mru_id() const {
-  assert(head_ != kNull);
-  return slab_[head_].id;
+std::uint64_t LruQueue::mru_id(std::size_t list) const {
+  assert(lists_[list].head != kNull);
+  return slab_[lists_[list].head].id;
 }
 
 LruQueue::Node& LruQueue::sample(Rng& rng) {
@@ -249,9 +268,10 @@ LruQueue::Node& LruQueue::sample(Rng& rng) {
   return slab_[dense_[rng.below(dense_.size())]];
 }
 
-void LruQueue::for_each_from_lru(
-    const std::function<bool(const Node&)>& fn) const {
-  for (std::uint32_t idx = tail_; idx != kNull; idx = slab_[idx].prev_) {
+void LruQueue::for_each_from_lru(const std::function<bool(const Node&)>& fn,
+                                 std::size_t list) const {
+  for (std::uint32_t idx = lists_[list].tail; idx != kNull;
+       idx = slab_[idx].prev_) {
     if (!fn(slab_[idx])) return;
   }
 }

@@ -1,23 +1,22 @@
 // Segmented counterpart of QueueCache: the four-level stack of S4LRU
 // (Huang et al.) that S4LRU, S4LRU-SCIP and DGIPPR place objects in.
 //
-// Each level is an LRU queue holding a quarter of the capacity (segment 0
-// also takes the rounding remainder). Derived classes decide where an
-// object enters and how far a hit lifts it; rebalance() then restores the
-// segment caps the same way for all of them: overflow of level i demotes
-// its LRU object to the MRU end of level i-1, overflow of level 0 evicts
-// from its LRU end, and a last pass evicts upward from the lowest level
-// until the total capacity holds (one object larger than its segment may
-// stay alone in it).
+// Each level is one list of a single LruQueue and holds a quarter of the
+// capacity (segment 0 also takes the rounding remainder), so a hit probes
+// one index and the level is the node's list. Derived classes decide where
+// an object enters and how far a hit lifts it; rebalance() then restores
+// the segment caps the same way for all of them: overflow of level i
+// demotes its LRU object to the MRU end of level i-1, overflow of level 0
+// evicts from its LRU end, and a last pass evicts upward from the lowest
+// level until the total capacity holds (one object larger than its segment
+// may stay alone in it). Every move between levels is a relink in place.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <functional>
 
 #include "sim/cache.hpp"
 #include "sim/lru_queue.hpp"
-#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 namespace cdn {
@@ -25,6 +24,7 @@ namespace cdn {
 class SegmentedCache : public Cache {
  public:
   static constexpr int kLevels = 4;
+  static_assert(kLevels <= static_cast<int>(LruQueue::kMaxLists));
 
   explicit SegmentedCache(std::uint64_t capacity_bytes)
       : Cache(capacity_bytes) {
@@ -38,26 +38,19 @@ class SegmentedCache : public Cache {
   bool access_hashed(const Request& req, std::uint64_t h) override = 0;
 
   [[nodiscard]] bool contains(std::uint64_t id) const override {
-    return level_.contains(id);
+    return q_.contains(id);
   }
   [[nodiscard]] bool contains_hashed(std::uint64_t id,
                                      std::uint64_t h) const override {
-    return level_.find_hashed(id, h) != nullptr;
+    return q_.contains_hashed(id, h);
   }
   [[nodiscard]] std::uint64_t used_bytes() const override {
     std::uint64_t total = 0;
-    for (const auto& s : seg_) total += s.used_bytes();
+    for (std::size_t i = 0; i < kLevels; ++i) total += q_.used_bytes(i);
     return total;
   }
-
-  /// The segments' queue metadata plus the level index, charged at three
-  /// inline slots per entry (the index runs between 1/4 and 1/2 occupancy;
-  /// 3x amortizes that slack at its midpoint, as LruQueue does).
   [[nodiscard]] std::uint64_t metadata_bytes() const override {
-    std::uint64_t total = level_.size() * 3 *
-                          FlatMap<std::uint64_t, std::uint8_t>::kSlotBytes;
-    for (const auto& s : seg_) total += s.metadata_bytes();
-    return total;
+    return q_.metadata_bytes();
   }
 
   /// Segment 0's LRU end first (the only segment that evicts), then each
@@ -67,27 +60,25 @@ class SegmentedCache : public Cache {
       const std::function<bool(std::uint64_t, std::uint64_t)>& fn)
       const override {
     bool keep_going = true;
-    for (const auto& s : seg_) {
-      if (!keep_going) break;
-      s.for_each_from_lru([&](const LruQueue::Node& n) {
-        keep_going = fn(n.id, n.size);
-        return keep_going;
-      });
+    for (std::size_t i = 0; i < kLevels && keep_going; ++i) {
+      q_.for_each_from_lru(
+          [&](const LruQueue::Node& n) {
+            keep_going = fn(n.id, n.size);
+            return keep_going;
+          },
+          i);
     }
     return true;
   }
 
-  /// Invariant check used by tests: per-segment byte usage within bounds
-  /// and the level index consistent with segment membership.
+  /// Invariant check used by tests: per-segment byte usage within bounds.
   [[nodiscard]] bool check_invariants() const {
-    std::uint64_t n = 0;
-    for (std::size_t i = 0; i < seg_.size(); ++i) {
-      n += seg_[i].count();
-      if (seg_[i].used_bytes() > seg_cap_[i] && seg_[i].count() > 1) {
+    for (std::size_t i = 0; i < kLevels; ++i) {
+      if (q_.used_bytes(i) > seg_cap_[i] && q_.count(i) > 1) {
         return false;  // one oversized object alone may exceed a segment
       }
     }
-    return used_bytes() <= capacity_ && n == level_.size();
+    return used_bytes() <= capacity_;
   }
 
  protected:
@@ -95,60 +86,38 @@ class SegmentedCache : public Cache {
   /// is false. `h` is hash64(id).
   void insert_hashed(std::uint64_t id, std::uint64_t size, std::uint64_t h,
                      int level, bool mru) {
-    auto& s = seg_[static_cast<std::size_t>(level)];
-    LruQueue::Node& n = mru ? s.insert_mru_hashed(id, size, h)
-                            : s.insert_lru_hashed(id, size, h);
+    const auto l = static_cast<std::size_t>(level);
+    LruQueue::Node& n = mru ? q_.insert_mru_hashed(id, size, h, l)
+                            : q_.insert_lru_hashed(id, size, h, l);
     n.insert_tick = n.last_tick = tick_;
-    level_.insert_hashed(id, static_cast<std::uint8_t>(level), h);
   }
 
-  /// Counts a hit on resident `n`, found at level `*lv`, and moves it to
-  /// level `dst`'s MRU end, or its LRU end when `mru` is false. `lv` is
-  /// the object's level_ slot and is updated; `h` is hash64(n.id).
-  void move_hashed(LruQueue::Node& n, std::uint64_t h, std::uint8_t* lv,
-                   int dst, bool mru) {
-    auto& to = seg_[static_cast<std::size_t>(dst)];
-    LruQueue::Node* moved = &n;
-    if (dst == *lv && mru) {
-      to.reinsert_mru(n);
-    } else if (dst == *lv) {
-      to.reinsert_lru(n);
+  /// Counts a hit on resident `n` and moves it to level `dst`'s MRU end, or
+  /// its LRU end when `mru` is false.
+  void move(LruQueue::Node& n, int dst, bool mru) {
+    const auto l = static_cast<std::size_t>(dst);
+    if (mru) {
+      q_.reinsert_mru(n, l);
     } else {
-      const std::uint64_t id = n.id;
-      LruQueue::Node old{};
-      seg_[*lv].erase_hashed(id, h, &old);
-      moved = mru ? &to.insert_mru_hashed(id, old.size, h)
-                  : &to.insert_lru_hashed(id, old.size, h);
-      moved->hits = old.hits;
-      moved->insert_tick = old.insert_tick;
-      *lv = static_cast<std::uint8_t>(dst);
+      q_.reinsert_lru(n, l);
     }
-    ++moved->hits;
-    moved->last_tick = tick_;
+    ++n.hits;
+    n.last_tick = tick_;
   }
 
   /// Restores the segment caps and the total capacity (see the file
   /// comment), reporting each victim to on_evict_hashed().
   void rebalance() {
-    for (std::size_t i = seg_.size() - 1; i >= 1; --i) {
-      auto& s = seg_[i];
-      while (s.used_bytes() > seg_cap_[i] && s.count() > 1) {
-        std::uint64_t h = 0;
-        const LruQueue::Node n = s.pop_lru(&h);
-        LruQueue::Node& moved = seg_[i - 1].insert_mru_hashed(n.id, n.size, h);
-        moved.hits = n.hits;
-        moved.insert_pos = n.insert_pos;
-        moved.insert_tick = n.insert_tick;
-        moved.last_tick = n.last_tick;
-        *level_.find_hashed(n.id, h) = static_cast<std::uint8_t>(i - 1);
+    for (std::size_t i = kLevels - 1; i >= 1; --i) {
+      while (q_.used_bytes(i) > seg_cap_[i] && q_.count(i) > 1) {
+        q_.touch_mru(q_.lru_node(i), i - 1);
       }
     }
-    while (seg_[0].used_bytes() > seg_cap_[0] && !seg_[0].empty()) {
-      evict_lru(seg_[0]);
-    }
+    while (q_.used_bytes(0) > seg_cap_[0] && !q_.empty(0)) evict_lru(0);
     while (used_bytes() > capacity_) {
-      evict_lru(*std::find_if(seg_.begin(), seg_.end(),
-                              [](const LruQueue& s) { return !s.empty(); }));
+      std::size_t i = 0;
+      while (q_.empty(i)) ++i;
+      evict_lru(i);
     }
   }
 
@@ -157,16 +126,14 @@ class SegmentedCache : public Cache {
   virtual void on_evict_hashed(const LruQueue::Node& /*victim*/,
                                std::uint64_t /*h*/) {}
 
-  std::array<LruQueue, kLevels> seg_;
+  LruQueue q_;  ///< list i is segment i
   std::array<std::uint64_t, kLevels> seg_cap_{};
-  FlatMap<std::uint64_t, std::uint8_t> level_;  ///< id -> level
   std::int64_t tick_ = 0;  ///< logical time: one tick per access
 
  private:
-  void evict_lru(LruQueue& s) {
+  void evict_lru(std::size_t level) {
     std::uint64_t h = 0;
-    const LruQueue::Node n = s.pop_lru(&h);
-    level_.erase_hashed(n.id, h);
+    const LruQueue::Node n = q_.pop_lru(&h, level);
     on_evict_hashed(n, h);
   }
 };

@@ -50,6 +50,20 @@ TEST(QueueAudit, PopulatedQueuePasses) {
   EXPECT_TRUE(r.ok()) << r.to_string();
 }
 
+TEST(QueueAudit, MultiListQueuePasses) {
+  LruQueue q;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    q.insert_mru(i, 1 + i % 7, i % LruQueue::kMaxLists);
+  }
+  q.reinsert_lru(*q.find(42), 3);
+  q.touch_mru(q.lru_node(1), 0);
+  q.move_up_one(17);
+  q.erase(3);
+  (void)q.pop_lru(2);
+  const AuditReport r = Inspector::check(q);
+  EXPECT_TRUE(r.ok()) << r.to_string();
+}
+
 TEST(QueueAudit, DetectsByteAccountingCorruption) {
   // The mutation check from the issue: corrupting used_bytes_ by ONE byte
   // must be caught. This is the class of silent drift that biases every

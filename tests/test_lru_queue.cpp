@@ -260,6 +260,96 @@ TEST(LruQueue, ReinsertMatchesEraseInsertRestore) {
   }
 }
 
+// ---- several lists over one slab and one index --------------------------
+
+TEST(LruQueue, ListsKeepTheirOwnEndsAndAccounting) {
+  LruQueue q;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    q.insert_mru(id, 10 + id, id % LruQueue::kMaxLists);
+  }
+  q.insert_lru(8, 100, 2);
+  for (std::size_t l = 0; l < LruQueue::kMaxLists; ++l) {
+    EXPECT_EQ(q.count(l), l == 2 ? 3u : 2u);
+    EXPECT_EQ(q.mru_id(l), 4 + l);
+    EXPECT_EQ(q.lru_id(l), l == 2 ? 8u : l);
+  }
+  EXPECT_EQ(q.used_bytes(0), 10u + 14u);
+  EXPECT_EQ(q.used_bytes(2), 12u + 16u + 100u);
+  ASSERT_NE(q.find(6), nullptr);
+  EXPECT_EQ(q.find(6)->list(), 2u);
+  // Popping one list leaves the others alone.
+  EXPECT_EQ(q.pop_lru(2).id, 8u);
+  EXPECT_EQ(q.pop_lru(2).id, 2u);
+  EXPECT_EQ(q.count(2), 1u);
+  EXPECT_EQ(q.count(3), 2u);
+  std::vector<std::uint64_t> seen;
+  q.for_each_from_lru(
+      [&](const LruQueue::Node& n) {
+        seen.push_back(n.id);
+        return true;
+      },
+      3);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 7}));
+}
+
+TEST(LruQueue, RelinkIntoAnotherListKeepsTheSlotAndMovesTheBytes) {
+  LruQueue q;
+  q.insert_mru(1, 10);
+  q.insert_mru(2, 20);
+  q.insert_mru(3, 30, 1);
+  LruQueue::Node* n = q.find(1);
+  ASSERT_NE(n, nullptr);
+  n->hits = 4;
+  n->insert_tick = 7;
+  const LruQueue::Node* slot = n;
+  q.reinsert_lru(*n, 1);
+  EXPECT_EQ(q.find(1), slot);  // same slab slot, same index entry
+  EXPECT_EQ(slot->list(), 1u);
+  EXPECT_EQ(slot->insert_pos, 0);
+  EXPECT_EQ(slot->hits, 4u);
+  EXPECT_EQ(slot->insert_tick, 7);
+  EXPECT_EQ(q.count(0), 1u);
+  EXPECT_EQ(q.used_bytes(0), 20u);
+  EXPECT_EQ(q.count(1), 2u);
+  EXPECT_EQ(q.used_bytes(1), 40u);
+  EXPECT_EQ(q.lru_id(1), 1u);
+  EXPECT_EQ(q.lru_id(0), 2u);
+  q.reinsert_mru(*q.find(1), 0);
+  EXPECT_EQ(q.mru_id(0), 1u);
+  EXPECT_EQ(q.find(1)->insert_pos, 1);
+  EXPECT_EQ(q.used_bytes(0), 30u);
+  // One index for all lists: the charge is that of three one-list entries.
+  LruQueue one;
+  for (std::uint64_t id = 1; id <= 3; ++id) one.insert_mru(id, 1);
+  EXPECT_EQ(q.metadata_bytes(), one.metadata_bytes());
+}
+
+TEST(LruQueue, MovingAnLruEndNodeKeepsEveryField) {
+  // One step of a demotion cascade: list 1's LRU end goes to list 0's MRU
+  // end with its insertion mark, ticks and hits, as a pop + insert + field
+  // copy once did.
+  LruQueue q;
+  q.insert_lru(1, 5, 1).hits = 2;
+  q.insert_mru(2, 6, 1);
+  q.insert_mru(3, 7);
+  q.touch_mru(q.lru_node(1), 0);
+  const LruQueue::Node* n = q.find(1);
+  ASSERT_NE(n, nullptr);
+  EXPECT_EQ(n->list(), 0u);
+  EXPECT_EQ(n->insert_pos, 0);
+  EXPECT_EQ(n->hits, 2u);
+  EXPECT_EQ(q.mru_id(0), 1u);
+  EXPECT_EQ(q.lru_id(0), 3u);
+  EXPECT_EQ(q.lru_id(1), 2u);
+  EXPECT_EQ(q.used_bytes(0), 12u);
+  EXPECT_EQ(q.used_bytes(1), 6u);
+  // Touching within a list is unchanged; touching the target's head is a
+  // no-op.
+  q.touch_mru(*q.find(1), 0);
+  EXPECT_EQ(q.mru_id(0), 1u);
+  EXPECT_EQ(q.count(0), 2u);
+}
+
 // Differential test: random operations against a std::list reference.
 TEST(LruQueue, MatchesReferenceModelUnderRandomOps) {
   LruQueue q;

@@ -45,6 +45,28 @@ TEST(QueueDifferential, UnboundedAndTightCapacityShapes) {
   EXPECT_TRUE(r2.ok) << r2.failure;
 }
 
+TEST(QueueDifferential, MultiListMatchesReferenceAcrossSeeds) {
+  // The multi-list hosts' shape: inserts into and pops from any list, and
+  // relinks across lists, against one RefLruModel per list.
+  for (std::size_t lists = 2; lists <= LruQueue::kMaxLists; ++lists) {
+    for (std::uint64_t seed : {5ULL, 77ULL}) {
+      DiffConfig cfg;
+      cfg.seed = seed;
+      cfg.lists = lists;
+      const DiffResult r = run_queue_differential(cfg);
+      EXPECT_TRUE(r.ok) << lists << " lists, seed " << seed << ": "
+                        << r.failure;
+    }
+  }
+  DiffConfig tight;
+  tight.seed = 101;
+  tight.lists = LruQueue::kMaxLists;
+  tight.capacity_bytes = 64;
+  tight.max_size = 32;
+  const DiffResult r = run_queue_differential(tight);
+  EXPECT_TRUE(r.ok) << r.failure;
+}
+
 TEST(GhostDifferential, MatchesReferenceAcrossSeeds) {
   for (std::uint64_t seed : {3ULL, 11ULL, 1234ULL}) {
     DiffConfig cfg;

@@ -77,13 +77,14 @@ TEST(S4Lru, InvariantsUnderWorkload) {
 }
 
 // Bytes the segmented stack charges for `n` residents, re-derived from the
-// structures it holds: the segments' own LruQueue accounting (linear in the
-// entry count) plus three inline slots of the id -> level index per entry.
+// structure it holds: one LruQueue whose lists are the segments, with no
+// second index, so the charge is the queue's own per-entry accounting.
 std::uint64_t segmented_stack_bytes(std::size_t n) {
   LruQueue q;
-  for (std::size_t i = 0; i < n; ++i) q.insert_mru(i, 1);
-  return q.metadata_bytes() +
-         n * 3 * FlatMap<std::uint64_t, std::uint8_t>::kSlotBytes;
+  for (std::size_t i = 0; i < n; ++i) {
+    q.insert_mru(i, 1, i % SegmentedCache::kLevels);
+  }
+  return q.metadata_bytes();
 }
 
 std::size_t resident_count(const Cache& c) {
