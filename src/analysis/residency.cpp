@@ -53,7 +53,7 @@ ZroAnalysis analyze_zro(const Trace& trace, std::uint64_t cache_bytes) {
     const Request& req = trace.requests[i];
     if (LruQueue::Node* n = q.find(req.id)) {
       ++n->hits;
-      q.touch_mru(req.id);
+      q.touch_mru(*n);
       auto& o = open.at(req.id);
       ++o.hits;
       o.last_hit_index = static_cast<std::int64_t>(i);

@@ -21,7 +21,7 @@ bool AdaptSizeCache::access(const Request& req) {
     hit = true;
     ++n->hits;
     n->last_tick = tick_;
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     window_hit_bytes_ += req.size;
   } else if (fits(req.size) &&
              rng_.chance(

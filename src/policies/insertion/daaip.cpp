@@ -30,7 +30,7 @@ bool DaaipCache::access(const Request& req) {
     if (c >= kDeadThreshold) {
       q_.move_up_one(req.id);  // predicted dead: cautious promotion
     } else {
-      q_.touch_mru(req.id);
+      q_.touch_mru(*n);
     }
     return true;
   }

@@ -31,7 +31,7 @@ bool DipCache::access(const Request& req) {
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
     n->last_tick = tick_;
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     return true;
   }
   if (!fits(req.size)) return false;

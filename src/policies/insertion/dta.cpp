@@ -62,7 +62,7 @@ bool DtaCache::access(const Request& req) {
     ObjMeta& m = meta_[req.id];
     ++m.freq;
     m.last_seen = tick_;
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     return true;
   }
   float feats[kFeatures];

@@ -25,7 +25,7 @@ bool ShipCache::access(const Request& req) {
     n->last_tick = tick_;
     std::uint8_t& c = shct_[signature(req.id)];
     if (c < kMax) ++c;
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     return true;
   }
   if (!fits(req.size)) return false;

@@ -66,7 +66,7 @@ bool LeCarCache::access(const Request& req) {
     ++n->aux;  // frequency
     n->last_tick = tick_;
     lfu_order_.insert({n->aux, n->last_tick, n->id});
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     return true;
   }
 

@@ -197,7 +197,7 @@ bool LrbCache::access(const Request& req) {
   if (LruQueue::Node* n = q_.find(req.id)) {
     ++n->hits;
     n->last_tick = tick_;
-    q_.touch_mru(req.id);
+    q_.touch_mru(*n);
     if (advisor_) {
       const bool mru = advisor_->choose_mru_for_hit(req, n->hits);
       n->flags = mru ? (n->flags & ~1u) : (n->flags | 1u);
