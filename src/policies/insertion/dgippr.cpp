@@ -68,7 +68,7 @@ bool DgipprCache::access_hashed(const Request& req, std::uint64_t h) {
                       kLevels - 1),
          true);
     rebalance();
-  } else if (fits(req.size)) {
+  } else if (fits_segment(req.size)) {
     insert_hashed(req.id, req.size, h, g.insert_level, true);
     rebalance();
   }

@@ -24,7 +24,7 @@ bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
     return true;
   }
   if (advisor_) advisor_->on_miss_hashed(req, h);
-  if (!fits(req.size)) {
+  if (!fits_segment(req.size)) {
     if (advisor_) advisor_->on_request_hashed(req, false, h);
     return false;
   }

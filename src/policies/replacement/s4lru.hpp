@@ -2,7 +2,8 @@
 // the paper): four stacked LRU segments, each a quarter of the capacity.
 // Misses enter segment 0's MRU end; a hit in segment i promotes to the MRU
 // end of segment min(i+1, 3); overflow of segment i demotes its LRU object
-// to segment i-1; overflow of segment 0 evicts (sim/segmented_cache.hpp).
+// to segment i-1; overflow of segment 0 evicts, and an object larger than
+// a segment is not admitted (sim/segmented_cache.hpp).
 //
 // Optionally hosts an InsertionAdvisor (SCIP on a multi-chain structure, the
 // paper's stated future work, §4). The advisor's bimodal decision maps onto

@@ -6,10 +6,12 @@
 // one index and the level is the node's list. Derived classes decide where
 // an object enters and how far a hit lifts it; rebalance() then restores
 // the segment caps the same way for all of them: overflow of level i
-// demotes its LRU object to the MRU end of level i-1, overflow of level 0
-// evicts from its LRU end, and a last pass evicts upward from the lowest
-// level until the total capacity holds (one object larger than its segment
-// may stay alone in it). Every move between levels is a relink in place.
+// demotes its LRU object to the MRU end of level i-1, and overflow of
+// level 0 evicts from its LRU end. Every move between levels is a relink
+// in place. Only objects that fit the smallest segment (a quarter of the
+// capacity) are admitted: a larger one would flush segment 0 and then
+// itself. So every segment is within its cap after its pass, and the
+// total capacity holds with them.
 #pragma once
 
 #include <array>
@@ -74,14 +76,18 @@ class SegmentedCache : public Cache {
   /// Invariant check used by tests: per-segment byte usage within bounds.
   [[nodiscard]] bool check_invariants() const {
     for (std::size_t i = 0; i < kLevels; ++i) {
-      if (q_.used_bytes(i) > seg_cap_[i] && q_.count(i) > 1) {
-        return false;  // one oversized object alone may exceed a segment
-      }
+      if (q_.used_bytes(i) > seg_cap_[i]) return false;
     }
-    return used_bytes() <= capacity_;
+    return true;
   }
 
  protected:
+  /// True if an object of `size` bytes fits the smallest segment, the
+  /// admission bound of the stack.
+  [[nodiscard]] bool fits_segment(std::uint64_t size) const noexcept {
+    return size <= seg_cap_[kLevels - 1];
+  }
+
   /// Admits a new object at `level`'s MRU end, or its LRU end when `mru`
   /// is false. `h` is hash64(id).
   void insert_hashed(std::uint64_t id, std::uint64_t size, std::uint64_t h,
@@ -105,19 +111,18 @@ class SegmentedCache : public Cache {
     n.last_tick = tick_;
   }
 
-  /// Restores the segment caps and the total capacity (see the file
-  /// comment), reporting each victim to on_evict_hashed().
+  /// Restores the segment caps (see the file comment), reporting each
+  /// victim to on_evict_hashed().
   void rebalance() {
     for (std::size_t i = kLevels - 1; i >= 1; --i) {
-      while (q_.used_bytes(i) > seg_cap_[i] && q_.count(i) > 1) {
+      while (q_.used_bytes(i) > seg_cap_[i]) {
         q_.touch_mru(q_.lru_node(i), i - 1);
       }
     }
-    while (q_.used_bytes(0) > seg_cap_[0] && !q_.empty(0)) evict_lru(0);
-    while (used_bytes() > capacity_) {
-      std::size_t i = 0;
-      while (q_.empty(i)) ++i;
-      evict_lru(i);
+    while (q_.used_bytes(0) > seg_cap_[0]) {
+      std::uint64_t h = 0;
+      const LruQueue::Node n = q_.pop_lru(&h);
+      on_evict_hashed(n, h);
     }
   }
 
@@ -129,13 +134,6 @@ class SegmentedCache : public Cache {
   LruQueue q_;  ///< list i is segment i
   std::array<std::uint64_t, kLevels> seg_cap_{};
   std::int64_t tick_ = 0;  ///< logical time: one tick per access
-
- private:
-  void evict_lru(std::size_t level) {
-    std::uint64_t h = 0;
-    const LruQueue::Node n = q_.pop_lru(&h, level);
-    on_evict_hashed(n, h);
-  }
 };
 
 }  // namespace cdn

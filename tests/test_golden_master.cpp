@@ -175,18 +175,18 @@ constexpr StressedGolden kStressedGolden[] = {
     {"flash", "LRU", 7'448u, 307'726'431u, 5'902u, 210'507'697u},
     {"drift", "SCIP", 3'119u, 102'627'051u, 2'624u, 86'138'152u},
     {"drift", "LRU", 3'152u, 103'233'633u, 2'645u, 86'535'091u},
-    {"drift", "S4LRU", 3'336u, 105'014'745u, 2'870u, 89'620'027u},
-    {"drift", "S4LRU-SCIP", 3'254u, 103'848'991u, 2'793u, 88'557'767u},
-    {"drift", "DGIPPR", 3'340u, 104'705'106u, 2'874u, 89'310'388u},
+    {"drift", "S4LRU", 3'342u, 105'262'211u, 2'874u, 89'831'387u},
+    {"drift", "S4LRU-SCIP", 3'259u, 102'444'818u, 2'797u, 87'142'899u},
+    {"drift", "DGIPPR", 3'346u, 104'952'572u, 2'878u, 89'521'748u},
     // At 8 MiB the orchestrator never switches on these traces, so this row
     // equals its initial expert's (TinyLFU, pinned next to it); the
     // switching row is OrchestratorSwitchesOnDrift below.
     {"drift", "Orchestrator", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
     {"drift", "TinyLFU", 3'410u, 111'498'875u, 2'795u, 92'561'297u},
     {"flash", "TinyLFU", 7'674u, 302'859'538u, 6'003u, 202'470'614u},
-    {"flash", "S4LRU", 8'219u, 323'627'634u, 6'685u, 228'960'551u},
-    {"flash", "S4LRU-SCIP", 8'129u, 318'606'738u, 6'616u, 224'692'895u},
-    {"flash", "DGIPPR", 8'230u, 323'990'269u, 6'696u, 229'323'186u},
+    {"flash", "S4LRU", 8'226u, 324'505'573u, 6'683u, 229'214'575u},
+    {"flash", "S4LRU-SCIP", 8'131u, 321'859'504u, 6'613u, 227'330'446u},
+    {"flash", "DGIPPR", 8'234u, 324'681'140u, 6'691u, 229'390'142u},
     {"flash", "ARC", 8'856u, 345'945'018u, 7'051u, 242'230'940u},
     {"drift", "ARC", 3'915u, 125'869'399u, 3'260u, 106'000'616u},
     {"flash", "2Q", 7'727u, 309'025'988u, 6'154u, 213'067'145u},

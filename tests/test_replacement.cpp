@@ -69,6 +69,23 @@ TEST(S4Lru, HitClimbsSegments) {
   EXPECT_TRUE(c.check_invariants());
 }
 
+TEST(S4Lru, ObjectLargerThanASegmentIsNotAdmitted) {
+  // Segments hold 100 bytes each. An object of 150 bytes fits the cache but
+  // no segment: admitting it once flushed every older segment-0 object and
+  // then the object itself.
+  S4LruCache c(400);
+  for (std::uint64_t id = 1; id <= 10; ++id) c.access(req(id, id, 10));
+  EXPECT_FALSE(c.access(req(11, 99, 150)));
+  EXPECT_FALSE(c.contains(99));
+  for (std::uint64_t id = 1; id <= 10; ++id) EXPECT_TRUE(c.contains(id));
+  EXPECT_EQ(c.used_bytes(), 100u);
+  EXPECT_TRUE(c.check_invariants());
+  // An object of exactly a segment's size is admitted.
+  EXPECT_FALSE(c.access(req(12, 98, 100)));
+  EXPECT_TRUE(c.contains(98));
+  EXPECT_TRUE(c.check_invariants());
+}
+
 TEST(S4Lru, InvariantsUnderWorkload) {
   S4LruCache c(1 << 20);
   const Trace t = generate_trace(cdn_t_like(0.01));
