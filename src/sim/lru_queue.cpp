@@ -98,30 +98,6 @@ void LruQueue::unlink_to(std::uint32_t idx, std::size_t list) {
   n.list_ = static_cast<std::uint8_t>(list);
 }
 
-LruQueue::Node& LruQueue::insert_mru(std::uint64_t id, std::uint64_t size,
-                                     std::size_t list) {
-  return insert_hashed(id, size, hash64(id), list, true);
-}
-
-LruQueue::Node& LruQueue::insert_lru(std::uint64_t id, std::uint64_t size,
-                                     std::size_t list) {
-  return insert_hashed(id, size, hash64(id), list, false);
-}
-
-LruQueue::Node& LruQueue::insert_mru_hashed(std::uint64_t id,
-                                            std::uint64_t size,
-                                            std::uint64_t h,
-                                            std::size_t list) {
-  return insert_hashed(id, size, h, list, true);
-}
-
-LruQueue::Node& LruQueue::insert_lru_hashed(std::uint64_t id,
-                                            std::uint64_t size,
-                                            std::uint64_t h,
-                                            std::size_t list) {
-  return insert_hashed(id, size, h, list, false);
-}
-
 LruQueue::Node& LruQueue::insert_hashed(std::uint64_t id, std::uint64_t size,
                                         std::uint64_t h, std::size_t list,
                                         bool mru) {
@@ -206,11 +182,6 @@ void LruQueue::demote_lru(std::uint64_t id) {
   if (p != nullptr) demote_lru(slab_[*p]);
 }
 
-LruQueue::Node LruQueue::pop_lru(std::size_t list) {
-  std::uint64_t unused_hash = 0;
-  return pop_lru(&unused_hash, list);
-}
-
 LruQueue::Node LruQueue::pop_lru(std::uint64_t* victim_hash_out,
                                  std::size_t list) {
   List& l = lists_[list];
@@ -256,11 +227,6 @@ void LruQueue::reserve(std::size_t n) {
   dense_.reserve(n);
   free_list_.reserve(n);
   index_.reserve(n);
-}
-
-std::uint64_t LruQueue::mru_id(std::size_t list) const {
-  assert(lists_[list].head != kNull);
-  return slab_[lists_[list].head].id;
 }
 
 LruQueue::Node& LruQueue::sample(Rng& rng) {

@@ -87,16 +87,24 @@ class LruQueue {
   /// hashes each id exactly once and threads the hash through every probe.
   [[nodiscard]] CDN_HOT Node* find_hashed(std::uint64_t id, std::uint64_t h);
 
-  /// Inserts a new object (must not be present) into `list`. Returns its
-  /// node.
+  /// Inserts a new object (must not be present) at `list`'s MRU / LRU end.
+  /// Returns its node.
   Node& insert_mru(std::uint64_t id, std::uint64_t size,
-                   std::size_t list = 0);
+                   std::size_t list = 0) {
+    return insert_hashed(id, size, hash64(id), list, true);
+  }
   Node& insert_lru(std::uint64_t id, std::uint64_t size,
-                   std::size_t list = 0);
+                   std::size_t list = 0) {
+    return insert_hashed(id, size, hash64(id), list, false);
+  }
   CDN_HOT Node& insert_mru_hashed(std::uint64_t id, std::uint64_t size,
-                                  std::uint64_t h, std::size_t list = 0);
+                                  std::uint64_t h, std::size_t list = 0) {
+    return insert_hashed(id, size, h, list, true);
+  }
   CDN_HOT Node& insert_lru_hashed(std::uint64_t id, std::uint64_t size,
-                                  std::uint64_t h, std::size_t list = 0);
+                                  std::uint64_t h, std::size_t list = 0) {
+    return insert_hashed(id, size, h, list, false);
+  }
 
   /// Moves an existing object to the MRU end of its list. No-op if absent.
   void touch_mru(std::uint64_t id);
@@ -118,19 +126,20 @@ class LruQueue {
 
   /// Re-inserts a resident object at the MRU / LRU end of `list` (its own
   /// list by default) IN PLACE: same slab slot, same index entry,
-  /// `insert_pos` updated — equivalent to the erase() + insert_*() +
-  /// field-restore sequence SCIP's PROMOTE and the multi-list hosts' moves
-  /// once paid (two index probes and a backward-shift delete), minus all of
-  /// it. Every per-object field other than `insert_pos` is preserved;
-  /// callers that relied on erase+insert zeroing `hits`/ticks must now set
-  /// them explicitly (AdvisedLruCache does).
+  /// `insert_pos` updated — what an erase() + insert_*() + field restore
+  /// did, without its two index probes and backward-shift delete. Every
+  /// other field is preserved; a caller that wants `hits`/ticks reset sets
+  /// them itself (AdvisedLruCache does).
   CDN_HOT Node& reinsert_mru(Node& n, std::size_t list);
   CDN_HOT Node& reinsert_lru(Node& n, std::size_t list);
   Node& reinsert_mru(Node& n) { return reinsert_mru(n, n.list_); }
   Node& reinsert_lru(Node& n) { return reinsert_lru(n, n.list_); }
 
   /// Removes and returns `list`'s LRU-end node. The list must be non-empty.
-  CDN_HOT Node pop_lru(std::size_t list = 0);
+  CDN_HOT Node pop_lru(std::size_t list = 0) {
+    std::uint64_t unused_hash = 0;
+    return pop_lru(&unused_hash, list);
+  }
   /// pop_lru() that also reports hash64(victim.id), which it computed for
   /// its own index erase — the eviction path reuses it for the history
   /// lists instead of re-hashing the victim id.
@@ -165,16 +174,18 @@ class LruQueue {
     return l.tail_id;
   }
   /// insert_pos of list 0's LRU-end node (1 = was inserted at MRU), also
-  /// served from the tail shadow. Tells an advisor's eviction lookahead
-  /// which history list the victim will land in without reading the cold
-  /// node.
+  /// from the tail shadow: tells an advisor's eviction lookahead which
+  /// history list the victim will land in without reading the cold node.
   [[nodiscard]] std::uint8_t lru_insert_pos() const noexcept {
     const List& l = lists_[0];
     assert(l.tail != kNull);
     assert(slab_[l.tail].insert_pos == l.tail_pos);
     return l.tail_pos;
   }
-  [[nodiscard]] std::uint64_t mru_id(std::size_t list = 0) const;
+  [[nodiscard]] std::uint64_t mru_id(std::size_t list = 0) const {
+    assert(lists_[list].head != kNull);
+    return slab_[lists_[list].head].id;
+  }
   /// `list`'s LRU-end node, for a move into another list. The list must be
   /// non-empty.
   [[nodiscard]] Node& lru_node(std::size_t list) {
@@ -227,11 +238,9 @@ class LruQueue {
   friend class audit::Inspector;
 
   /// One list's ends and accounting. `tail_id` and `tail_pos` shadow
-  /// slab_[tail].{id, insert_pos}, maintained wherever `tail` moves (the
-  /// prev node's line is already touched there, so the copies are free).
-  /// They let lru_id()/lru_insert_pos() — and the eviction lookahead built
-  /// on them — name the next victim and its history-list side without a
-  /// dependent read of the cold tail node.
+  /// slab_[tail].{id, insert_pos}, kept wherever `tail` moves (the prev
+  /// node's line is already touched there, so the copies are free): the
+  /// eviction lookahead names the next victim without reading its node.
   struct List {
     std::uint32_t head = kNull;  ///< MRU end
     std::uint32_t tail = kNull;  ///< LRU end

@@ -102,11 +102,7 @@ class SegmentedCache : public Cache {
   /// its LRU end when `mru` is false.
   void move(LruQueue::Node& n, int dst, bool mru) {
     const auto l = static_cast<std::size_t>(dst);
-    if (mru) {
-      q_.reinsert_mru(n, l);
-    } else {
-      q_.reinsert_lru(n, l);
-    }
+    mru ? q_.reinsert_mru(n, l) : q_.reinsert_lru(n, l);
     ++n.hits;
     n.last_tick = tick_;
   }
