@@ -1,10 +1,9 @@
 // Hot-path index microbenchmark: cdn::FlatMap vs std::unordered_map, and
 // SCIP's replay cost against LRU's.
 //
-// Every simulated request funnels through the id -> slot index of LruQueue
-// (and the segmented stack's id -> level map), so the map's
-// find/insert/erase/touch cost is the simulator's per-request floor. This
-// bench measures exactly that mix two ways:
+// Every simulated request funnels through the id -> slot index of
+// LruQueue, so the map's find/insert/erase/touch cost is the simulator's
+// per-request floor. This bench measures exactly that mix two ways:
 //
 //   microbench   a pre-generated op stream (find-hit, find-miss, touch,
 //                erase+insert churn) at simulator-realistic occupancy runs

@@ -64,9 +64,9 @@ bool DgipprCache::access_hashed(const Request& req, std::uint64_t h) {
   if (LruQueue::Node* n = q_.find_hashed(req.id, h)) {
     hit = true;
     ++epoch_hits_;
-    move(*n, std::min(static_cast<int>(n->list()) + g.promote_step,
-                      kLevels - 1),
-         true);
+    hit_to(*n,
+           std::min(static_cast<int>(n->list()) + g.promote_step, kLevels - 1),
+           true);
     rebalance();
   } else if (fits_segment(req.size)) {
     insert_hashed(req.id, req.size, h, g.insert_level, true);

@@ -18,7 +18,7 @@ bool S4LruCache::access_hashed(const Request& req, std::uint64_t h) {
     const bool mru =
         !advisor_ || advisor_->choose_mru_for_hit(req, n->hits + 1);
     const int level = static_cast<int>(n->list());
-    move(*n, mru ? std::min(level + 1, kLevels - 1) : 0, mru);
+    hit_to(*n, mru ? std::min(level + 1, kLevels - 1) : 0, mru);
     rebalance();
     if (advisor_) advisor_->on_request_hashed(req, true, h);
     return true;

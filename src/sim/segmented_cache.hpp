@@ -100,7 +100,7 @@ class SegmentedCache : public Cache {
 
   /// Counts a hit on resident `n` and moves it to level `dst`'s MRU end, or
   /// its LRU end when `mru` is false.
-  void move(LruQueue::Node& n, int dst, bool mru) {
+  void hit_to(LruQueue::Node& n, int dst, bool mru) {
     const auto l = static_cast<std::size_t>(dst);
     mru ? q_.reinsert_mru(n, l) : q_.reinsert_lru(n, l);
     ++n.hits;

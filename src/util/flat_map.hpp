@@ -1,11 +1,10 @@
 // FlatMap: open-addressing hash table for the simulation hot path.
 //
 // Every simulated request funnels through the id -> slab-slot index of
-// `LruQueue` (and the segmented stack's id -> level map);
-// `std::unordered_map` pays one heap node per entry plus a pointer chase
-// per probe there, which dominates replay profiles (the Cold-RL production
-// framing: eviction-path work must fit a microsecond budget). This map
-// stores slots inline in one contiguous array:
+// `LruQueue`; `std::unordered_map` pays one heap node per entry plus a
+// pointer chase per probe there, which dominates replay profiles (the
+// Cold-RL production framing: eviction-path work must fit a microsecond
+// budget). This map stores slots inline in one contiguous array:
 //
 //   * power-of-two capacity, linear probing from `hash64(key) & mask`;
 //   * tombstone-free backward-shift deletion: erasing an entry shifts the
