@@ -86,6 +86,7 @@ void LruQueue::unlink(std::uint32_t idx) {
 }
 
 void LruQueue::unlink_to(std::uint32_t idx, std::size_t list) {
+  assert(list < kMaxLists);
   unlink(idx);
   Node& n = slab_[idx];
   if (n.list_ == list) return;
